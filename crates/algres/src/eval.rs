@@ -1,9 +1,9 @@
 //! Evaluator for the extended relational algebra.
 //!
 //! Evaluation runs through an [`Evaluator`] session that caches, across
-//! fixpoint rounds and repeated calls, the results of sub-expressions that do
-//! not depend on any *volatile* relation (a fixpoint's recursive name, or a
-//! delta relation rebound by the engine between rounds), along with the hash
+//! evaluation rounds and repeated calls, the results of sub-expressions that
+//! do not depend on any *volatile* relation (one the engine rebinds between
+//! rounds, such as a recursive predicate or its delta), along with the hash
 //! tables built for `Join`/`SemiJoin`/`AntiJoin` right sides. The one-shot
 //! [`eval`] wrapper keeps the original convenience API.
 
@@ -14,13 +14,8 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use logres_model::{Sym, Value};
 
 use crate::error::AlgError;
-use crate::expr::{AggFun, AlgExpr, CmpOp, FixpointMode, Pred, Scalar};
+use crate::expr::{AggFun, AlgExpr, CmpOp, Pred, Scalar};
 use crate::relation::Relation;
-
-/// Upper bound on fixpoint rounds; exceeded means divergence is reported
-/// rather than looping forever (the underlying language cannot guarantee
-/// termination — Appendix B).
-pub const MAX_FIXPOINT_STEPS: usize = 1_000_000;
 
 /// Named relations visible to an expression.
 #[derive(Debug, Clone, Default)]
@@ -47,11 +42,9 @@ impl Env {
 
 /// Work counters exposed by an [`Evaluator`] session. The engine surfaces
 /// these through the metrics registry so tests can pin that join tables are
-/// built once per fixpoint rather than once per round.
+/// built once per session rather than once per round.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Fixpoint rounds executed (one `step` evaluation each).
-    pub rounds: u64,
     /// Hash tables built for `Join`/`SemiJoin`/`AntiJoin` right sides.
     pub hash_builds: u64,
     /// Probes against those tables (one per left tuple).
@@ -63,8 +56,8 @@ pub struct EvalStats {
 /// Per-operator-node runtime counters, collected only when profiling is
 /// switched on via [`Evaluator::enable_profiling`]. Counters are keyed by
 /// node identity (the expression must outlive the session, as for the memo),
-/// so repeated evaluations of the same node — one per fixpoint or semi-naive
-/// round — accumulate. `nanos` is *inclusive* wall time (the node plus the
+/// so repeated evaluations of the same node — one per semi-naive round —
+/// accumulate. `nanos` is *inclusive* wall time (the node plus the
 /// children it actually evaluated); every other field is a deterministic
 /// count, bit-identical across runs and thread counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -105,16 +98,15 @@ struct KeyTable {
 ///
 /// Relations named in `base` are treated as immutable for the session;
 /// sub-expressions that reach only those (and constants) are memoized by node
-/// identity. Names rebound through [`Evaluator::bind`] — and every fixpoint's
-/// recursive name — are *volatile*: results depending on them are recomputed,
-/// but the hash tables and memo entries for their stable siblings persist
-/// across rounds, which is where the semi-naive win comes from.
+/// identity. Names bound through [`Evaluator::bind`] or
+/// [`Evaluator::extend_binding`] are *volatile*: results depending on them are
+/// recomputed, but the hash tables and memo entries for their stable siblings
+/// persist across rounds, which is where the semi-naive win comes from.
 pub struct Evaluator<'a> {
     base: &'a Env,
-    /// Volatile bindings, looked up before `base`.
+    /// Volatile bindings, looked up before `base`. Entries are never
+    /// removed, so a name is volatile exactly when it has one.
     overlay: FxHashMap<Sym, Relation>,
-    /// Volatile names with a shadow depth (fixpoints nest).
-    volatile: FxHashMap<Sym, u32>,
     /// Stable node ids: address → id, assigned by [`Evaluator::register_plan`]
     /// (or lazily on first visit). Every cache below is keyed by these ids,
     /// never by raw addresses, so re-registering a rebuilt plan that happens
@@ -142,7 +134,6 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             base,
             overlay: FxHashMap::default(),
-            volatile: FxHashMap::default(),
             ids: FxHashMap::default(),
             next_id: 0,
             memo: FxHashMap::default(),
@@ -200,12 +191,10 @@ impl<'a> Evaluator<'a> {
         self.next_id
     }
 
-    /// Bind (or rebind) a volatile relation. The name is marked volatile for
-    /// the rest of the session, so no cached result can go stale through it.
+    /// Bind (or rebind) a volatile relation. The name stays volatile for the
+    /// rest of the session, so no cached result can go stale through it.
     pub fn bind(&mut self, name: impl Into<Sym>, rel: Relation) {
-        let name = name.into();
-        self.volatile.entry(name).or_insert(1);
-        self.overlay.insert(name, rel);
+        self.overlay.insert(name.into(), rel);
     }
 
     /// Extend an existing volatile binding in place with the rows of `more`,
@@ -214,7 +203,6 @@ impl<'a> Evaluator<'a> {
     /// because volatile names never participate in any cache.
     pub fn extend_binding(&mut self, name: impl Into<Sym>, more: &Relation) -> usize {
         let name = name.into();
-        self.volatile.entry(name).or_insert(1);
         match self.overlay.get_mut(&name) {
             Some(rel) => rel.extend_from(more),
             None => {
@@ -286,16 +274,14 @@ impl<'a> Evaluator<'a> {
     fn eval_dep_inner(&mut self, expr: &'a AlgExpr) -> Result<(Relation, bool), AlgError> {
         match expr {
             AlgExpr::Rel(name) => {
-                let dep = self.volatile.contains_key(name);
-                let rel = match self.overlay.get(name) {
-                    Some(r) => r.clone(),
+                return match self.overlay.get(name) {
+                    Some(r) => Ok((r.clone(), true)),
                     None => self
                         .base
                         .get(*name)
-                        .cloned()
-                        .ok_or(AlgError::UnknownRelation(*name))?,
+                        .map(|r| (r.clone(), false))
+                        .ok_or(AlgError::UnknownRelation(*name)),
                 };
-                return Ok((rel, dep));
             }
             AlgExpr::Const(rel) => return Ok((rel.clone(), false)),
             _ => {}
@@ -649,88 +635,7 @@ impl<'a> Evaluator<'a> {
                 }
                 Ok((out, dep))
             }
-            AlgExpr::Fixpoint {
-                rec,
-                base,
-                step,
-                mode,
-            } => {
-                let (base_rel, _) = self.eval_dep(base)?;
-                let linear = step.count_refs(*rec) <= 1;
-                // The recursive name is volatile inside the fixpoint; shadow
-                // any outer binding of the same name and restore it after.
-                *self.volatile.entry(*rec).or_insert(0) += 1;
-                let saved = self.overlay.remove(rec);
-                let result = match (mode, linear) {
-                    (FixpointMode::Delta, true) => self.fixpoint_delta(*rec, base_rel, step),
-                    // Non-linear steps are evaluated naively even in Delta
-                    // mode (semi-naive needs the full mixed delta there).
-                    _ => self.fixpoint_naive(*rec, base_rel, step),
-                };
-                self.overlay.remove(rec);
-                if let Some(prev) = saved {
-                    self.overlay.insert(*rec, prev);
-                }
-                match self.volatile.get_mut(rec) {
-                    Some(depth) if *depth > 1 => *depth -= 1,
-                    _ => {
-                        self.volatile.remove(rec);
-                    }
-                }
-                // Conservatively never memoize a fixpoint result: its step's
-                // dependence is not tracked through the rounds.
-                result.map(|rel| (rel, true))
-            }
         }
-    }
-
-    fn fixpoint_naive(
-        &mut self,
-        rec: Sym,
-        base: Relation,
-        step: &'a AlgExpr,
-    ) -> Result<Relation, AlgError> {
-        let mut acc = base;
-        for _ in 0..MAX_FIXPOINT_STEPS {
-            self.overlay.insert(rec, acc.clone());
-            self.stats.rounds += 1;
-            let (new, _) = self.eval_dep(step)?;
-            if acc.extend_from(&new) == 0 {
-                return Ok(acc);
-            }
-        }
-        Err(AlgError::FixpointDiverged {
-            steps: MAX_FIXPOINT_STEPS,
-        })
-    }
-
-    fn fixpoint_delta(
-        &mut self,
-        rec: Sym,
-        base: Relation,
-        step: &'a AlgExpr,
-    ) -> Result<Relation, AlgError> {
-        let mut acc = base.clone();
-        let mut delta = base;
-        for _ in 0..MAX_FIXPOINT_STEPS {
-            if delta.is_empty() {
-                return Ok(acc);
-            }
-            self.overlay.insert(rec, delta);
-            self.stats.rounds += 1;
-            let (derived, _) = self.eval_dep(step)?;
-            let mut fresh = Relation::new(acc.cols().to_vec());
-            for t in derived.iter() {
-                if !acc.contains(t) {
-                    fresh.insert(t.clone());
-                }
-            }
-            acc.extend_from(&fresh);
-            delta = fresh;
-        }
-        Err(AlgError::FixpointDiverged {
-            steps: MAX_FIXPOINT_STEPS,
-        })
     }
 
     /// The `Emit`-over-`Join` fast path: probe the join's hash table and
@@ -1315,49 +1220,6 @@ mod tests {
         ])));
     }
 
-    /// Transitive closure over a chain, in both fixpoint modes; results must
-    /// agree (the E1 experiment measures their speed difference).
-    #[test]
-    fn fixpoint_naive_and_delta_agree_on_closure() {
-        let chain: Vec<(i64, i64)> = (0..30).map(|i| (i, i + 1)).collect();
-        let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let mk = |mode| AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step.clone()),
-            mode,
-        };
-        let naive = eval(&mk(FixpointMode::Naive), &env).unwrap();
-        let delta = eval(&mk(FixpointMode::Delta), &env).unwrap();
-        // Closure of a 31-node chain: 31*30/2 pairs.
-        assert_eq!(naive.len(), 31 * 30 / 2);
-        assert!(naive.set_eq(&delta));
-    }
-
-    #[test]
-    fn nonlinear_fixpoint_falls_back_to_naive_in_delta_mode() {
-        // tc ⋈ tc — a non-linear step; Delta mode must still be correct.
-        let env = env_with("e", edges(&[(1, 2), (2, 3), (3, 4)]));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(tc).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
-        let r = eval(&fx, &env).unwrap();
-        assert_eq!(r.len(), 6); // closure of the 4-chain
-    }
-
     #[test]
     fn semijoin_and_antijoin_partition_the_left() {
         let mut env = Env::new();
@@ -1467,37 +1329,62 @@ mod tests {
         ));
     }
 
-    /// The fixpoint's join against the stable edge relation must build its
-    /// hash table once for the whole fixpoint, not once per round.
-    #[test]
-    fn join_table_is_built_once_across_fixpoint_rounds() {
-        let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
-        let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
+    /// Drive semi-naive rounds the way the engine's compiled driver does:
+    /// `d` is bound to the previous round's new rows (the base rows first),
+    /// `step` reads it, and the loop ends after the first round that derives
+    /// nothing new. Returns the closure and the number of rounds run.
+    fn delta_rounds<'a>(
+        session: &mut Evaluator<'a>,
+        step: &'a AlgExpr,
+        base: Relation,
+    ) -> (Relation, u64) {
+        let delta = Sym::new("d");
+        let mut acc = base.clone();
+        session.bind(delta, base);
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
+            let mut fresh = Relation::new(acc.cols().to_vec());
+            for t in session.eval(step).unwrap().iter() {
+                if acc.insert(t.clone()) {
+                    fresh.insert(t.clone());
+                }
+            }
+            if fresh.is_empty() {
+                return (acc, rounds);
+            }
+            session.bind(delta, fresh);
+        }
+    }
+
+    /// The closure step's join over the delta `d`: `d(src, mid) ⋈ e(mid, dst)`.
+    fn delta_join() -> AlgExpr {
+        AlgExpr::Rel(Sym::new("d"))
             .rename("dst", "mid")
             .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
+    }
+
+    /// The round step's join against the stable edge relation must build its
+    /// hash table once for the whole session, not once per round.
+    #[test]
+    fn join_table_is_built_once_across_rounds() {
+        let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
+        let env = env_with("e", edges(&chain));
+        let step = delta_join().project(["src", "dst"]);
         let mut session = Evaluator::new(&env);
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = delta_rounds(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
         let stats = session.stats();
-        // A 21-node chain closes in 20 delta rounds (plus the final empty
-        // delta short-circuit); the right side of the join is the stable
-        // renamed edge relation, so exactly one hash build happens.
+        // A 21-node chain closes in 20 delta rounds (the last derives
+        // nothing); the right side of the join is the stable renamed edge
+        // relation, so exactly one hash build happens.
         assert_eq!(stats.hash_builds, 1);
-        assert_eq!(stats.rounds, 20);
-        assert!(stats.probes > stats.rounds);
+        assert_eq!(rounds, 20);
+        assert!(stats.probes > rounds);
     }
 
     /// Volatile-free sub-expressions are evaluated once per session even when
-    /// referenced repeatedly across fixpoint rounds.
+    /// referenced repeatedly across rounds.
     #[test]
     fn stable_subexpressions_are_memoized_across_rounds() {
         let env = env_with("e", edges(&[(1, 2), (2, 3), (3, 4), (4, 5)]));
@@ -1514,19 +1401,23 @@ mod tests {
             .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
             .project(["src", "dst"])
             .union(filtered);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Naive,
-        };
+        let closure = AlgExpr::Rel(tc);
         let mut session = Evaluator::new(&env);
-        let r = session.eval(&fx).unwrap();
-        assert_eq!(r.len(), 5 * 4 / 2);
+        // Naive rounds: each one re-reads the whole accumulated `tc`.
+        session.bind(tc, edges(&[(1, 2), (2, 3), (3, 4), (4, 5)]));
+        let mut rounds = 0;
+        loop {
+            rounds += 1;
+            let new = session.eval(&step).unwrap();
+            if session.extend_binding(tc, &new) == 0 {
+                break;
+            }
+        }
+        assert_eq!(session.eval(&closure).unwrap().len(), 5 * 4 / 2);
         let stats = session.stats();
-        assert!(stats.rounds >= 2);
+        assert!(rounds >= 2);
         // The select node is computed once; every later round hits the memo.
-        assert!(stats.memo_hits >= stats.rounds - 1);
+        assert!(stats.memo_hits >= rounds - 1);
     }
 
     /// Rebinding through [`Evaluator::bind`] marks the name volatile, so
@@ -1549,44 +1440,31 @@ mod tests {
     fn profiling_attributes_work_to_operator_nodes() {
         let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
         let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let renamed_delta = AlgExpr::Rel(tc).rename("dst", "mid");
-        let renamed_edge = AlgExpr::Rel(Sym::new("e")).rename("src", "mid");
-        let step = renamed_delta.join(renamed_edge).project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
+        let step = delta_join().project(["src", "dst"]);
         let mut session = Evaluator::new(&env);
         session.enable_profiling();
-        let r = session.eval(&fx).unwrap();
+        let (r, rounds) = delta_rounds(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
         // Session-level counters are untouched by profiling.
         assert_eq!(session.stats().hash_builds, 1);
-        assert_eq!(session.stats().rounds, 20);
+        assert_eq!(rounds, 20);
 
-        let (join, project) = match &fx {
-            AlgExpr::Fixpoint { step, .. } => match step.as_ref() {
-                AlgExpr::Project { input, .. } => (input.as_ref(), step.as_ref()),
-                other => panic!("unexpected step {other:?}"),
-            },
-            other => panic!("unexpected root {other:?}"),
+        let AlgExpr::Project { input: join, .. } = &step else {
+            panic!("unexpected step {step:?}");
         };
         let join_stats = session.op_stats_for(join);
         // The single hash build and all probes land on the join node.
         assert_eq!(join_stats.hash_builds, 1);
         assert_eq!(join_stats.probes, session.stats().probes);
         assert_eq!(join_stats.evals, 20);
-        let project_stats = session.op_stats_for(project);
+        let project_stats = session.op_stats_for(&step);
         assert_eq!(project_stats.evals, 20);
         // The projection consumes exactly what the join produced.
         assert_eq!(project_stats.rows_in, join_stats.rows_out);
         assert!(project_stats.nanos >= join_stats.nanos);
         // An un-profiled session reports zeroed stats for every node.
         let mut cold = Evaluator::new(&env);
-        cold.eval(&fx).unwrap();
+        delta_rounds(&mut cold, &step, edges(&chain));
         assert_eq!(cold.op_stats_for(join), OpStats::default());
     }
 
@@ -1635,40 +1513,26 @@ mod tests {
     fn emit_over_join_profiles_conserve_rows() {
         let chain: Vec<(i64, i64)> = (0..20).map(|i| (i, i + 1)).collect();
         let env = env_with("e", edges(&chain));
-        let tc = Sym::new("tc");
-        let join = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"));
         let step = AlgExpr::Emit {
-            input: Box::new(join),
+            input: Box::new(delta_join()),
             pred: Pred::True,
             cols: vec![
                 (Sym::new("src"), Scalar::col("src")),
                 (Sym::new("dst"), Scalar::col("dst")),
             ],
         };
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
         let mut session = Evaluator::new(&env);
         session.enable_profiling();
-        let r = session.eval(&fx).unwrap();
+        let (r, _) = delta_rounds(&mut session, &step, edges(&chain));
         assert_eq!(r.len(), 21 * 20 / 2);
         // The stable right side is still built exactly once and all probes
         // go through the cached table, same as the unfused join.
         assert_eq!(session.stats().hash_builds, 1);
 
-        let (emit, join) = match &fx {
-            AlgExpr::Fixpoint { step, .. } => match step.as_ref() {
-                e @ AlgExpr::Emit { input, .. } => (e, input.as_ref()),
-                other => panic!("unexpected step {other:?}"),
-            },
-            other => panic!("unexpected root {other:?}"),
+        let AlgExpr::Emit { input: join, .. } = &step else {
+            panic!("unexpected step {step:?}");
         };
-        let emit_stats = session.op_stats_for(emit);
+        let emit_stats = session.op_stats_for(&step);
         let join_stats = session.op_stats_for(join);
         // The join is credited once per round even though the emit drives
         // its probe directly.
@@ -1680,32 +1544,5 @@ mod tests {
         assert_eq!(emit_stats.rows_in, join_stats.rows_out);
         // Inclusive times nest, so self = emit − join stays non-negative.
         assert!(emit_stats.nanos >= join_stats.nanos);
-    }
-
-    /// A fixpoint whose recursive name shadows an engine-bound volatile name
-    /// must restore the outer binding when it exits.
-    #[test]
-    fn fixpoint_restores_shadowed_outer_binding() {
-        let env = env_with("e", edges(&[(1, 2), (2, 3)]));
-        let mut session = Evaluator::new(&env);
-        session.bind("tc", edges(&[(9, 9)]));
-        let tc = Sym::new("tc");
-        let step = AlgExpr::Rel(tc)
-            .rename("dst", "mid")
-            .join(AlgExpr::Rel(Sym::new("e")).rename("src", "mid"))
-            .project(["src", "dst"]);
-        let fx = AlgExpr::Fixpoint {
-            rec: tc,
-            base: Box::new(AlgExpr::Rel(Sym::new("e"))),
-            step: Box::new(step),
-            mode: FixpointMode::Delta,
-        };
-        let r = session.eval(&fx).unwrap();
-        assert_eq!(r.len(), 3);
-        // The outer binding of `tc` is intact after the fixpoint.
-        let outer = AlgExpr::Rel(tc).select(Pred::True);
-        let o = session.eval(&outer).unwrap();
-        assert_eq!(o.len(), 1);
-        assert!(o.contains(&edge(9, 9)));
     }
 }

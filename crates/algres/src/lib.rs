@@ -4,11 +4,7 @@
 //!
 //! A from-scratch reproduction of the **ALGRES** substrate the LOGRES paper
 //! prototypes on: "a main-memory based programming environment supporting an
-//! Extended Relational Algebra" over complex (NF²) objects, with extended
-//! relational operations and *fixpoint operators* whose semantics can be
-//! switched — the paper calls this "the very liberal structure of the
-//! closure operation in ALGRES [which] makes it possible to change the
-//! semantics of rules very easily" (Section 1).
+//! Extended Relational Algebra" over complex (NF²) objects (Section 1).
 //!
 //! The engine operates on [`Relation`]s: sets of labeled tuples whose fields
 //! may be atomic values, oids, nested tuples, sets, multisets or sequences
@@ -16,21 +12,21 @@
 //! provides:
 //!
 //! * classical operators — select, project, rename, product, natural join,
-//!   union, difference, intersect;
+//!   union, difference, intersect, semijoin, antijoin;
 //! * NF² operators — **nest** (group and collect into a set-valued column)
 //!   and **unnest** (flatten a collection-valued column);
-//! * **extend** (computed columns) and grouped **aggregate** (count, sum,
-//!   min, max, avg, collect);
-//! * a **fixpoint** operator with pluggable evaluation
-//!   ([`FixpointMode::Naive`] re-evaluates the step from scratch each round;
-//!   [`FixpointMode::Delta`] is the semi-naive evaluation that feeds only
-//!   newly-derived tuples back into linear steps).
+//! * **extend** (computed columns), the fused **emit** reshape, and grouped
+//!   **aggregate** (count, sum, min, max, avg, collect).
 //!
-//! `logres-engine` compiles the positive, function-free fragment of the
-//! LOGRES rule language to this algebra (mirroring the translation of
-//! [Ca90], *Implementing an Object-Oriented Data Model in Relational
-//! Algebra*), and benchmark E1 compares interpreted vs. compiled vs.
-//! semi-naive closure evaluation.
+//! The paper credits ALGRES's "very liberal structure of the closure
+//! operation" with making the semantics of rules easy to change. Here the
+//! closure lives one level up: `logres-engine` compiles each rule to a
+//! fixpoint-free plan (mirroring the translation of [Ca90], *Implementing an
+//! Object-Oriented Data Model in Relational Algebra*) and drives the rounds
+//! itself through a caching [`Evaluator`], rebinding the recursive relations
+//! between rounds. Whether a round reads a whole relation (naive) or only the
+//! last round's new tuples (semi-naive) is a choice of plan; benchmark E1
+//! compares the two.
 
 pub mod error;
 pub mod eval;
@@ -40,6 +36,6 @@ pub mod relation;
 
 pub use error::AlgError;
 pub use eval::{eval, Env, EvalStats, Evaluator, OpStats};
-pub use expr::{AggFun, AlgExpr, CmpOp, FixpointMode, Pred, Scalar};
+pub use expr::{AggFun, AlgExpr, CmpOp, Pred, Scalar};
 pub use optimize::{fuse_reshapes, push_selections, push_selections_with, Catalog};
 pub use relation::Relation;

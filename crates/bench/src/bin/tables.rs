@@ -1,4 +1,4 @@
-//! Regenerate every experiment table (E1–E13) for EXPERIMENTS.md.
+//! Regenerate every experiment table (E1–E16) for EXPERIMENTS.md.
 //!
 //! Usage:
 //! ```text

@@ -4,11 +4,11 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use algres::{AggFun, AlgExpr, CmpOp, FixpointMode, Pred as APred, Scalar};
+use algres::{AggFun, AlgExpr, CmpOp, Pred as APred, Scalar};
 use logres::engine::{
-    answer_goal, compile_program, compile_program_with, compile_ruleset, env_from_instance,
-    evaluate, evaluate_demand, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
-    EvalOptions, MetricsRegistry,
+    answer_goal, compile_program, compile_program_with, env_from_instance, evaluate,
+    evaluate_demand, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
+    CompiledProgram, EvalOptions, MetricsRegistry,
 };
 use logres::lang::analyze::{flow_program, infer, render_all_json, seeds_from_instance};
 use logres::lang::parse_program;
@@ -102,10 +102,13 @@ pub fn all() -> Vec<(&'static str, Runner)> {
     ]
 }
 
-/// E1 — transitive closure: naive interpreter vs semi-naive vs
-/// ALGRES-compiled (naive and delta fixpoints). Claim (paper §1, §5): the
-/// switchable ALGRES closure makes semi-naive evaluation a drop-in; shape:
-/// semi-naive/delta win by a factor growing with the recursion depth.
+/// E1 — transitive closure: naive interpreter vs semi-naive vs the
+/// ALGRES-compiled planner, run with naive and with semi-naive (delta)
+/// rounds. Claim (paper §1, §5): the "very liberal" ALGRES closure makes
+/// semi-naive evaluation a drop-in; shape: semi-naive/delta win by a factor
+/// growing with the recursion depth. The naive-rounds program is the
+/// planner's own, with each recursive rule's delta plans replaced by its full
+/// plan, so both compiled rows run through the same `run_compiled`.
 pub fn e1_closure() -> Table {
     let mut t = Table::new(
         "E1 — transitive closure over chains and random graphs",
@@ -117,42 +120,42 @@ pub fn e1_closure() -> Table {
         let src = closure_program(&edges);
         let (schema, edb, rules) = loaded(&src);
         let tc = Sym::new("tc");
+        let mut rows: Vec<(&str, Duration, usize)> = Vec::new();
 
         if heavy_engines {
             let (d, (inst, _)) =
                 time(|| evaluate_inflationary(&schema, &rules, &edb, opts.clone()).expect("naive"));
-            t.row(vec![
-                workload.into(),
-                n.to_string(),
-                "interpreter (naive)".into(),
-                fmt_duration(d),
-                inst.assoc_len(tc).to_string(),
-            ]);
+            rows.push(("interpreter (naive)", d, inst.assoc_len(tc)));
         }
         let (d, (inst, _)) =
             time(|| evaluate_seminaive(&schema, &rules, &edb, opts.clone()).expect("semi-naive"));
-        t.row(vec![
-            workload.into(),
-            n.to_string(),
-            "semi-naive".into(),
-            fmt_duration(d),
-            inst.assoc_len(tc).to_string(),
-        ]);
-        for (mode, name) in [
-            (FixpointMode::Naive, "compiled (naive fixpoint)"),
-            (FixpointMode::Delta, "compiled (delta fixpoint)"),
-        ] {
-            if mode == FixpointMode::Naive && !heavy_engines {
-                continue;
-            }
-            let compiled = compile_ruleset(&schema, &rules, mode).expect("compiles");
-            let (d, out) = time(|| compiled.run(&schema, &edb).expect("compiled runs"));
+        let seminaive_len = inst.assoc_len(tc);
+        rows.push(("semi-naive", d, seminaive_len));
+
+        let delta = compile_program(&schema, &rules, Semantics::Stratified).expect("compiles");
+        let mut programs = Vec::new();
+        if heavy_engines {
+            programs.push(("compiled (naive rounds)", naive_rounds(&delta)));
+        }
+        programs.push(("compiled (delta rounds)", delta));
+        for (name, program) in &programs {
+            let (d, (out, _)) = time(|| {
+                run_compiled(&schema, program, &rules, &edb, &opts).expect("compiled runs")
+            });
+            rows.push((*name, d, out.assoc_len(tc)));
+        }
+
+        for (engine, d, len) in rows {
+            assert_eq!(
+                len, seminaive_len,
+                "{engine} disagrees with semi-naive on {workload} n={n}"
+            );
             t.row(vec![
                 workload.into(),
                 n.to_string(),
-                name.into(),
+                engine.into(),
                 fmt_duration(d),
-                out.assoc_len(tc).to_string(),
+                len.to_string(),
             ]);
         }
     };
@@ -164,6 +167,18 @@ pub fn e1_closure() -> Table {
     }
     run("random(64 nodes)", random_edges(64, 128, 11), true);
     t
+}
+
+/// `program` with naive rounds: every recursive rule runs its full plan each
+/// round instead of its semi-naive delta plans.
+fn naive_rounds(program: &CompiledProgram) -> CompiledProgram {
+    let mut naive = program.clone();
+    for step in naive.strata.iter_mut().flat_map(|s| &mut s.steps) {
+        if !step.deltas.is_empty() {
+            step.deltas = vec![step.full.clone()];
+        }
+    }
+    naive
 }
 
 /// E2 — the powerset program (Example 3.3): facts and runtime double with
@@ -475,8 +490,9 @@ pub fn e9_nesting() -> Table {
         let (schema2, edb2, rules2) = loaded(&flat_src);
         let (d, nested_len) = time(|| {
             let compiled =
-                compile_ruleset(&schema2, &rules2, FixpointMode::Delta).expect("compiles");
-            let out = compiled.run(&schema2, &edb2).expect("closure runs");
+                compile_program(&schema2, &rules2, Semantics::Stratified).expect("compiles");
+            let (out, _) = run_compiled(&schema2, &compiled, &rules2, &edb2, &bench_opts())
+                .expect("closure runs");
             let env = env_from_instance(&schema2, &out);
             let nest = AlgExpr::Nest {
                 input: Box::new(AlgExpr::Rel(Sym::new("tc"))),
@@ -1415,7 +1431,7 @@ mod tests {
     use super::*;
 
     /// Smoke-run the cheap experiments end to end (the expensive sweeps are
-    /// exercised by the `tables` binary and the Criterion benches).
+    /// exercised by the `tables` binary).
     #[test]
     fn e2_powerset_shape_is_exponential() {
         let t = e2_powerset();

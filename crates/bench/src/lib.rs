@@ -5,15 +5,12 @@
 //! Workload generators and experiment runners for the LOGRES reproduction.
 //!
 //! The paper (SIGMOD 1990) is a design overview and publishes **no
-//! measured tables or figures**; the experiment suite E1–E11 defined in
+//! measured tables or figures**; the experiment suite E1–E16 defined in
 //! DESIGN.md §4 turns every worked example and every performance-relevant
-//! prose claim into a measured table. Each experiment exists twice:
-//!
-//! * as a Criterion bench target under `benches/` (statistical timing of
-//!   the core comparison at a fixed size);
-//! * as a row generator in [`experiments`], used by the `tables` binary to
-//!   print the full parameter sweeps recorded in EXPERIMENTS.md
-//!   (`cargo run -p logres-bench --release --bin tables`).
+//! prose claim into a measured table. Each experiment is a row generator in
+//! [`experiments`], used by the `tables` binary to print the parameter
+//! sweeps recorded in EXPERIMENTS.md
+//! (`cargo run -p logres-bench --release --bin tables`).
 
 pub mod experiments;
 pub mod table;

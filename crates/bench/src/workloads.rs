@@ -154,8 +154,7 @@ pub const ANCESTOR_MODULE: &str = r#"
 /// Set up one E4 module application: a fresh base database (with the
 /// ancestor module pre-installed for RDDI, which otherwise has nothing to
 /// delete) and the module to apply — goal-bearing only for the two
-/// goal-answering modes. Shared by the E4 experiment and its Criterion
-/// bench so the two cannot diverge.
+/// goal-answering modes.
 pub fn e4_setup(base: &str, mode: logres::Mode) -> (logres::Database, logres::Module) {
     use logres::Mode;
     let mut db = logres::Database::from_source(base).expect("base loads");
@@ -173,9 +172,8 @@ pub fn e4_setup(base: &str, mode: logres::Mode) -> (logres::Database, logres::Mo
 }
 
 /// The E6 fixture schema (teams + fixtures with a distinguishing day
-/// column) and one generated fixture tuple. Shared by the E6 experiment and
-/// its Criterion bench. `dangling_pct` percent of tuples reference a
-/// non-existent guest team.
+/// column) and one generated fixture tuple, for the E6 experiment.
+/// `dangling_pct` percent of tuples reference a non-existent guest team.
 pub fn e6_schema() -> logres::Schema {
     let mut s = logres::Schema::new();
     s.add_class(

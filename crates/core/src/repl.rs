@@ -11,6 +11,8 @@
 //!   automatically when the buffer is a pure goal.
 
 use std::fmt::Write as _;
+use std::io::Write as _;
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -136,7 +138,7 @@ impl Repl {
                 Err(e) => format!("error reading {arg}: {e}"),
             },
             "save" => match &self.db {
-                Some(db) => match std::fs::write(arg, db.save()) {
+                Some(db) => match save_atomically(Path::new(arg), &db.save()) {
                     Ok(()) => format!("state saved to {arg}"),
                     Err(e) => format!("error writing {arg}: {e}"),
                 },
@@ -553,6 +555,43 @@ impl Repl {
     }
 }
 
+/// Write `text` to `path` so that a save cut off midway leaves the previous
+/// file intact: the text goes to a temp file beside `path`, which is synced
+/// to disk and then renamed over `path`. On error the temp file is removed
+/// and `path` is left as it was.
+fn save_atomically(path: &Path, text: &str) -> std::io::Result<()> {
+    let Some(name) = path.file_name() else {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "not a file path",
+        ));
+    };
+    let mut tmp_name = std::ffi::OsString::from(".");
+    tmp_name.push(name);
+    tmp_name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    let written = std::fs::File::create(&tmp)
+        .and_then(|mut f| {
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+        return written;
+    }
+    // Sync the directory too, so the rename itself survives a crash.
+    #[cfg(unix)]
+    {
+        let dir = path
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
 fn facts_of(db: &Database, pred: &str) -> String {
     let Ok((inst, _)) = db.instance() else {
         return "error computing the instance".to_owned();
@@ -718,6 +757,55 @@ mod tests {
         let facts = out(repl2.feed(":facts p"));
         assert!(facts.contains("p(d: 7)"), "{facts}");
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A fresh, empty scratch directory for one test.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn save_replaces_an_existing_file_and_leaves_no_temp_file() {
+        let dir = scratch_dir("logres_repl_save_replace");
+        let path = dir.join("state.lgr");
+        std::fs::write(&path, "previous state").unwrap();
+
+        let mut repl = Repl::new();
+        feed_all(
+            &mut repl,
+            "associations\n  p = (d: integer);\nfacts\n  p(d: 7).",
+        );
+        let msg = out(repl.feed(&format!(":save {}", path.display())));
+        assert!(msg.contains("saved"), "{msg}");
+        let saved = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(saved, repl.database().unwrap().save());
+        assert_eq!(dir_entries(&dir), ["state.lgr"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_into_a_missing_directory_reports_an_error_and_creates_nothing() {
+        let dir = scratch_dir("logres_repl_save_missing");
+        let path = dir.join("missing").join("state.lgr");
+
+        let mut repl = Repl::new();
+        feed_all(&mut repl, "associations\n  p = (d: integer);");
+        let msg = out(repl.feed(&format!(":save {}", path.display())));
+        assert!(msg.starts_with("error writing"), "{msg}");
+        assert!(dir_entries(&dir).is_empty(), "{:?}", dir_entries(&dir));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

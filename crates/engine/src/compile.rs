@@ -1,14 +1,14 @@
-//! Compilation of the positive association fragment to the ALGRES algebra.
+//! Lowering of rule bodies to the ALGRES algebra.
 //!
 //! The paper's prototype translates LOGRES onto ALGRES ([Ca90]); this module
-//! reproduces that path for the positive, function-free association
-//! fragment: each rule becomes a select–join–project expression, recursive
-//! predicates become ALGRES fixpoints, and the fixpoint mode (naive vs.
-//! semi-naive delta) is the "liberal closure" switch the paper highlights.
-//! Benchmark E1 compares this compiled path against direct interpretation.
+//! is the per-rule half of that translation: each association rule becomes a
+//! select–join–project plan (constants → selections, builtins →
+//! selections/extends, negated literals → antijoins, already-bound literals
+//! → semijoin reducers). [`crate::plan`] stratifies the program, derives the
+//! semi-naive delta variants, and drives the rounds.
 
-use algres::{eval, AlgExpr, Env, FixpointMode, Pred as APred, Relation, Scalar};
-use logres_lang::{Atom, BinOp, Builtin, PredArg, Rule, RuleSet, Term};
+use algres::{AlgExpr, Env, Pred as APred, Relation, Scalar};
+use logres_lang::{Atom, BinOp, Builtin, PredArg, Rule, Term};
 use logres_model::{Instance, PredKind, Schema, Sym, TypeDesc, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -21,36 +21,6 @@ pub fn pred_type(schema: &Schema, pred: Sym) -> Option<TypeDesc> {
         PredKind::Class => Some(schema.expand(schema.effective(pred)?)),
         PredKind::Assoc => Some(schema.expand(schema.assoc_type(pred)?)),
         _ => None,
-    }
-}
-
-/// A compiled rule set: one algebra expression per intensional predicate,
-/// in dependency order.
-#[derive(Debug, Clone)]
-pub struct CompiledRules {
-    /// `(predicate, expression)` in evaluation order.
-    pub exprs: Vec<(Sym, AlgExpr)>,
-}
-
-impl CompiledRules {
-    /// Evaluate over an extensional instance: binds every association as a
-    /// relation, evaluates the compiled expressions in order, and returns
-    /// the instance extended with the derived tuples.
-    pub fn run(&self, schema: &Schema, edb: &Instance) -> Result<Instance, EngineError> {
-        let mut env = env_from_instance(schema, edb);
-        let mut out = edb.clone();
-        for (pred, expr) in &self.exprs {
-            let rel = eval(expr, &env)?;
-            for t in rel.iter() {
-                out.insert_assoc(*pred, t.clone());
-            }
-            // Later predicates (and re-binding) see base ∪ derived.
-            let mut combined =
-                relation_of(schema, &out, *pred).ok_or(EngineError::UnknownPredicate(*pred))?;
-            combined.extend_from(&rel);
-            env.bind(*pred, combined);
-        }
-        Ok(out)
     }
 }
 
@@ -75,94 +45,6 @@ pub(crate) fn relation_of(schema: &Schema, inst: &Instance, assoc: Sym) -> Optio
     Some(rel)
 }
 
-/// Compile a rule set. Errors with [`EngineError::UnsupportedFragment`]
-/// outside the positive association fragment (negation, classes, data
-/// functions, tuple variables, or mutual recursion between predicates).
-pub fn compile_ruleset(
-    schema: &Schema,
-    rules: &RuleSet,
-    mode: FixpointMode,
-) -> Result<CompiledRules, EngineError> {
-    let idb: FxHashSet<Sym> = rules.rules.iter().map(|r| r.head.target()).collect();
-
-    // Group rules per intensional predicate.
-    let mut by_pred: FxHashMap<Sym, Vec<&Rule>> = FxHashMap::default();
-    for r in &rules.rules {
-        by_pred.entry(r.head.target()).or_default().push(r);
-    }
-
-    // Dependency order among IDB predicates; mutual recursion unsupported.
-    let mut order: Vec<Sym> = Vec::new();
-    let mut preds: Vec<Sym> = by_pred.keys().copied().collect();
-    preds.sort();
-    let deps = |p: Sym| -> Vec<Sym> {
-        let mut out = Vec::new();
-        for r in &by_pred[&p] {
-            for lit in &r.body {
-                if let Atom::Pred { pred, .. } = &lit.atom {
-                    if idb.contains(pred) && *pred != p && !out.contains(pred) {
-                        out.push(*pred);
-                    }
-                }
-            }
-        }
-        out
-    };
-    let mut placed: FxHashSet<Sym> = FxHashSet::default();
-    while order.len() < preds.len() {
-        let before = order.len();
-        for &p in &preds {
-            if placed.contains(&p) {
-                continue;
-            }
-            if deps(p).iter().all(|d| placed.contains(d)) {
-                order.push(p);
-                placed.insert(p);
-            }
-        }
-        if order.len() == before {
-            return Err(EngineError::UnsupportedFragment {
-                detail: "mutually recursive predicates cannot be compiled".to_owned(),
-            });
-        }
-    }
-
-    let mut exprs = Vec::new();
-    for p in order {
-        let mut base: Option<AlgExpr> = None;
-        let mut step: Option<AlgExpr> = None;
-        for r in &by_pred[&p] {
-            let expr = compile_rule(schema, r)?;
-            let recursive = r
-                .body
-                .iter()
-                .any(|lit| matches!(&lit.atom, Atom::Pred { pred, .. } if *pred == p));
-            let slot = if recursive { &mut step } else { &mut base };
-            *slot = Some(match slot.take() {
-                Some(acc) => acc.union(expr),
-                None => expr,
-            });
-        }
-        let expr = match (base, step) {
-            (Some(b), Some(s)) => AlgExpr::Fixpoint {
-                rec: p,
-                base: Box::new(b),
-                step: Box::new(s),
-                mode,
-            },
-            (Some(b), None) => b,
-            (None, Some(_)) => {
-                return Err(EngineError::UnsupportedFragment {
-                    detail: format!("recursive predicate `{p}` has no base rule"),
-                })
-            }
-            (None, None) => unreachable!("predicate without rules"),
-        };
-        exprs.push((p, expr));
-    }
-    Ok(CompiledRules { exprs })
-}
-
 /// Column name carrying a rule variable.
 fn var_col(v: Sym) -> Sym {
     Sym::new(&format!("?{v}"))
@@ -183,18 +65,6 @@ pub struct FlowHints {
     /// total (the probe side's values provably lie inside the guard's exact
     /// stored column): the reducer may be dropped entirely.
     pub skip: std::collections::BTreeSet<usize>,
-}
-
-fn compile_rule(schema: &Schema, rule: &Rule) -> Result<AlgExpr, EngineError> {
-    compile_rule_plan(schema, rule, None)
-}
-
-pub(crate) fn compile_rule_plan(
-    schema: &Schema,
-    rule: &Rule,
-    delta: Option<(usize, Sym)>,
-) -> Result<AlgExpr, EngineError> {
-    compile_rule_plan_with(schema, rule, delta, None, &mut Vec::new())
 }
 
 /// Compile one rule body to a select–join–project plan.
@@ -256,11 +126,6 @@ pub(crate) fn compile_rule_plan_with(
                         return Err(unsupported(format!(
                             "negated class literal `{pred}` cannot be compiled"
                         )));
-                    }
-                    if *pred == *head_pred {
-                        return Err(unsupported(
-                            "negation of the rule's own head predicate cannot be compiled".into(),
-                        ));
                     }
                     negations.push((*pred, args));
                     continue;
@@ -523,9 +388,11 @@ fn compile_scalar(t: &Term, bound: &FxHashSet<Sym>) -> Result<Scalar, EngineErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inflationary::{evaluate_inflationary, EvalOptions};
+    use crate::inflationary::EvalOptions;
     use crate::load::load_facts;
-    use logres_lang::parse_program;
+    use crate::plan::{compile_program, run_compiled};
+    use crate::stratified::Semantics;
+    use logres_lang::{parse_program, RuleSet};
     use logres_model::OidGen;
 
     fn setup(src: &str) -> (Schema, Instance, RuleSet) {
@@ -536,40 +403,18 @@ mod tests {
         (p.schema, edb, p.rules)
     }
 
-    const TC: &str = r#"
-        associations
-          e  = (a: integer, b: integer);
-          tc = (a: integer, b: integer);
-        facts
-          e(a: 1, b: 2).
-          e(a: 2, b: 3).
-          e(a: 3, b: 4).
-          e(a: 4, b: 5).
-        rules
-          tc(a: X, b: Y) <- e(a: X, b: Y).
-          tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
-    "#;
-
-    #[test]
-    fn compiled_closure_matches_interpreter_in_both_modes() {
-        let (schema, edb, rules) = setup(TC);
-        let (interp, _) =
-            evaluate_inflationary(&schema, &rules, &edb, EvalOptions::default()).unwrap();
-        for mode in [FixpointMode::Naive, FixpointMode::Delta] {
-            let compiled = compile_ruleset(&schema, &rules, mode).unwrap();
-            let out = compiled.run(&schema, &edb).unwrap();
-            let tc = Sym::new("tc");
-            assert_eq!(out.assoc_len(tc), interp.assoc_len(tc), "{mode:?}");
-            for t in interp.tuples_of(tc) {
-                assert!(out.has_tuple(tc, t), "{mode:?} missing {t}");
-            }
-        }
+    /// Lower a program through the planner and run it to its fixpoint.
+    fn run(src: &str) -> Instance {
+        let (schema, edb, rules) = setup(src);
+        let program = compile_program(&schema, &rules, Semantics::Stratified).expect("compiles");
+        run_compiled(&schema, &program, &rules, &edb, &EvalOptions::default())
+            .expect("compiled program runs")
+            .0
     }
 
     #[test]
     fn constants_and_comparisons_compile() {
-        let (schema, edb, rules) = setup(
-            r#"
+        let out = run(r#"
             associations
               e   = (a: integer, b: integer);
               big = (a: integer, b: integer);
@@ -579,10 +424,7 @@ mod tests {
               e(a: 1, b: 5).
             rules
               big(a: X, b: Y) <- e(a: X, b: Y), Y >= 10, X = 1.
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        "#);
         assert_eq!(out.assoc_len(Sym::new("big")), 1);
         assert!(out.has_tuple(
             Sym::new("big"),
@@ -592,8 +434,7 @@ mod tests {
 
     #[test]
     fn arithmetic_extends_compile() {
-        let (schema, edb, rules) = setup(
-            r#"
+        let out = run(r#"
             associations
               n   = (v: integer);
               inc = (v: integer, w: integer);
@@ -601,10 +442,7 @@ mod tests {
               n(v: 3).
             rules
               inc(v: X, w: Y) <- n(v: X), Y = X + 1.
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        "#);
         assert!(out.has_tuple(
             Sym::new("inc"),
             &Value::tuple([("v", Value::Int(3)), ("w", Value::Int(4))])
@@ -613,8 +451,7 @@ mod tests {
 
     #[test]
     fn repeated_variables_become_equality_selections() {
-        let (schema, edb, rules) = setup(
-            r#"
+        let out = run(r#"
             associations
               e    = (a: integer, b: integer);
               loop_t = (a: integer);
@@ -623,17 +460,13 @@ mod tests {
               e(a: 1, b: 2).
             rules
               loop_t(a: X) <- e(a: X, b: X).
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        "#);
         assert_eq!(out.assoc_len(Sym::new("loop_t")), 1);
     }
 
     #[test]
     fn stratified_negation_compiles_to_antijoin() {
-        let (schema, edb, rules) = setup(
-            r#"
+        let src = r#"
             associations
               node     = (n: integer);
               edge     = (a: integer, b: integer);
@@ -648,14 +481,13 @@ mod tests {
               covered(n: X) <- edge(a: X, b: Y).
               covered(n: X) <- edge(a: Y, b: X).
               isolated(n: X) <- node(n: X), not covered(n: X).
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        "#;
+        let out = run(src);
         // The perfect model: only node 3 is isolated.
         assert_eq!(out.assoc_len(Sym::new("isolated")), 1);
         assert!(out.has_tuple(Sym::new("isolated"), &Value::tuple([("n", Value::Int(3))])));
         // Agrees with the stratified interpreter.
+        let (schema, edb, rules) = setup(src);
         let (interp, _) =
             crate::stratified::evaluate_stratified(&schema, &rules, &edb, EvalOptions::default())
                 .unwrap();
@@ -667,8 +499,7 @@ mod tests {
 
     #[test]
     fn negated_constants_compile_as_emptiness_tests() {
-        let (schema, edb, rules) = setup(
-            r#"
+        let out = run(r#"
             associations
               p = (d: integer);
               q = (d: integer);
@@ -677,17 +508,16 @@ mod tests {
               p(d: 2).
             rules
               q(d: X) <- p(d: X), not p(d: 99).
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        let out = compiled.run(&schema, &edb).unwrap();
+        "#);
         // p(99) is absent, so the guard passes and everything copies.
         assert_eq!(out.assoc_len(Sym::new("q")), 2);
     }
 
     #[test]
     fn out_of_fragment_constructs_are_rejected() {
-        for (src, needle) in [
+        for (src, reason, needle) in [
+            // Negating the rule's own head is negation through recursion:
+            // stratification refuses it before any rule is lowered.
             (
                 r#"
                 associations
@@ -696,7 +526,8 @@ mod tests {
                 rules
                   q(d: X) <- p(d: X), not q(d: X).
                 "#,
-                "own head",
+                "unstratifiable",
+                "negation through recursion",
             ),
             (
                 r#"
@@ -707,40 +538,42 @@ mod tests {
                 rules
                   p(d: X) <- c(n: X).
                 "#,
+                "fragment",
                 "class literal",
             ),
         ] {
             let p = parse_program(src).unwrap();
-            let err = compile_ruleset(&p.schema, &p.rules, FixpointMode::Naive).unwrap_err();
-            match err {
-                EngineError::UnsupportedFragment { detail } => {
-                    assert!(detail.contains(needle), "{detail} vs {needle}")
-                }
-                other => panic!("expected UnsupportedFragment, got {other}"),
-            }
+            let err = compile_program(&p.schema, &p.rules, Semantics::Stratified).unwrap_err();
+            assert_eq!(err.reason, reason, "{}", err.detail);
+            assert!(err.detail.contains(needle), "{} vs {needle}", err.detail);
         }
     }
 
     #[test]
     fn stratified_nonrecursive_chains_compile_in_order() {
-        let (schema, edb, rules) = setup(
-            r#"
+        // `p2` reads `p1` through negation, so `p1`'s stratum must come
+        // first even though `p2`'s rule is written first.
+        let src = r#"
             associations
               e  = (a: integer, b: integer);
               p1 = (a: integer, b: integer);
               p2 = (a: integer, b: integer);
             facts
               e(a: 1, b: 2).
+              e(a: 2, b: 3).
             rules
-              p2(a: X, b: Y) <- p1(a: X, b: Y).
-              p1(a: X, b: Y) <- e(a: X, b: Y).
-        "#,
-        );
-        let compiled = compile_ruleset(&schema, &rules, FixpointMode::Naive).unwrap();
-        // p1 must come before p2 regardless of rule order.
-        let order: Vec<Sym> = compiled.exprs.iter().map(|(p, _)| *p).collect();
-        assert_eq!(order, vec![Sym::new("p1"), Sym::new("p2")]);
-        let out = compiled.run(&schema, &edb).unwrap();
+              p2(a: X, b: Y) <- e(a: X, b: Y), not p1(a: X, b: Y).
+              p1(a: X, b: Y) <- e(a: X, b: Y), X = 1.
+        "#;
+        let (schema, _, rules) = setup(src);
+        let program = compile_program(&schema, &rules, Semantics::Stratified).unwrap();
+        let order: Vec<Vec<Sym>> = program.strata.iter().map(|s| s.idb.clone()).collect();
+        assert_eq!(order, vec![vec![Sym::new("p1")], vec![Sym::new("p2")]]);
+        let out = run(src);
         assert_eq!(out.assoc_len(Sym::new("p2")), 1);
+        assert!(out.has_tuple(
+            Sym::new("p2"),
+            &Value::tuple([("a", Value::Int(2)), ("b", Value::Int(3))])
+        ));
     }
 }

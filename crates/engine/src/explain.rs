@@ -73,7 +73,6 @@ fn node_detail(e: &AlgExpr) -> String {
             let group: Vec<String> = group.iter().map(|c| c.to_string()).collect();
             format!("{agg}({on}) by {} into {into}", group.join(", "))
         }
-        AlgExpr::Fixpoint { rec, mode, .. } => format!("{rec} ({mode:?})"),
         AlgExpr::Product { .. }
         | AlgExpr::Join { .. }
         | AlgExpr::Union { .. }

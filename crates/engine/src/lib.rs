@@ -31,9 +31,9 @@
 //!   a stratified program yields the perfect model semantics" — §3.1),
 //!   falling back to whole-program inflationary evaluation when the program
 //!   is unstratifiable;
-//! * a **compiler** from the positive, function-free association fragment to
-//!   `algres` fixpoint expressions, mirroring the prototype translation of
-//!   [Ca90];
+//! * a **compiler** from stratified association programs to fixpoint-free
+//!   `algres` plans, one per rule, whose rounds [`run_compiled`] drives —
+//!   the production path, mirroring the prototype translation of [Ca90];
 //! * goal answering and extensional fact loading.
 
 pub mod binding;
@@ -58,8 +58,7 @@ pub mod stratified;
 pub mod trace;
 
 pub use binding::{Binding, Subst, SELF_LABEL};
-pub use compile::FlowHints;
-pub use compile::{compile_ruleset, env_from_instance, CompiledRules};
+pub use compile::{env_from_instance, FlowHints};
 pub use delta::{DeltaSets, OneStep};
 pub use error::EngineError;
 pub use explain::{

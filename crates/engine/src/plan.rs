@@ -4,7 +4,7 @@
 //! relational algebra and the ALGRES machine evaluates them set-at-a-time
 //! (Section 5, [Ca90]). This module is that translation for the production
 //! engine. [`compile_program`] stratifies a rule set, lowers every rule body
-//! to a select–join–project plan via [`crate::compile::compile_rule_plan`]
+//! to a select–join–project plan via [`crate::compile::compile_rule_plan_with`]
 //! (constants → selections, builtins → selections/extends, stratified
 //! negation → antijoins, already-bound literals such as magic-set `@magic_*`
 //! guards → semijoin reducers), derives the semi-naive *delta* variants of
@@ -561,7 +561,6 @@ pub fn run_compiled(
             }
         }
         let s = ev.stats();
-        plan_stats.rounds += s.rounds;
         plan_stats.hash_builds += s.hash_builds;
         plan_stats.probes += s.probes;
         plan_stats.memo_hits += s.memo_hits;

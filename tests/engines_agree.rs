@@ -1,17 +1,17 @@
 //! Cross-engine agreement: the inflationary interpreter, the semi-naive
-//! evaluator, and the ALGRES-compiled path (in both fixpoint modes) must
-//! compute identical fact sets on the shared fragment — and all must match
-//! an independent graph-algorithm reference. The production dispatcher's
-//! compiled fast path (`EvalOptions::compiled`) is held to the same
-//! standard: bit-identical instances against the interpreted oracle at
+//! evaluator, and the ALGRES-compiled planner (with semi-naive rounds, and
+//! with naive rounds that re-run every recursive rule over the full
+//! relations) must compute identical fact sets on the shared fragment — and
+//! all must match an independent graph-algorithm reference. The production
+//! dispatcher's compiled fast path (`EvalOptions::compiled`) is held to the
+//! same standard: bit-identical instances against the interpreted oracle at
 //! every thread count, with every fallback accounted for by reason.
 
 use std::sync::Arc;
 
-use algres::FixpointMode;
 use logres::engine::{
-    compile_ruleset, evaluate, evaluate_inflationary, evaluate_seminaive, load_facts, EvalOptions,
-    MetricsRegistry, Semantics,
+    compile_program, evaluate, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
+    EvalOptions, MetricsRegistry, Semantics,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym, Value};
@@ -55,14 +55,28 @@ fn closure_with_all_engines(edges: &[(i64, i64)]) {
     let (par_semi, _) = evaluate_seminaive(&program.schema, &program.rules, &edb, par_opts)
         .expect("parallel semi-naive");
     assert_eq!(par_semi, semi, "parallel semi-naive diverged from serial");
-    let naive_compiled = compile_ruleset(&program.schema, &program.rules, FixpointMode::Naive)
-        .expect("compiles")
-        .run(&program.schema, &edb)
-        .expect("compiled naive runs");
-    let delta_compiled = compile_ruleset(&program.schema, &program.rules, FixpointMode::Delta)
-        .expect("compiles")
-        .run(&program.schema, &edb)
-        .expect("compiled delta runs");
+    let delta_program =
+        compile_program(&program.schema, &program.rules, Semantics::Stratified).expect("compiles");
+    // Naive rounds: every recursive rule re-runs its full plan each round.
+    let mut naive_program = delta_program.clone();
+    for step in naive_program.strata.iter_mut().flat_map(|s| &mut s.steps) {
+        if !step.deltas.is_empty() {
+            step.deltas = vec![step.full.clone()];
+        }
+    }
+    let run = |compiled| {
+        run_compiled(
+            &program.schema,
+            compiled,
+            &program.rules,
+            &edb,
+            &EvalOptions::default(),
+        )
+        .expect("compiled program runs")
+        .0
+    };
+    let naive_compiled = run(&naive_program);
+    let delta_compiled = run(&delta_program);
 
     let reference = reference_closure(edges);
     let tc = Sym::new("tc");
