@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use algres::{AggFun, AlgExpr, CmpOp, Pred as APred, Scalar};
 use logres::engine::{
     answer_goal, compile_program, compile_program_with, env_from_instance, evaluate,
-    evaluate_demand, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
-    CompiledProgram, EvalOptions, MetricsRegistry,
+    evaluate_demand, evaluate_inflationary, load_facts, run_compiled, CompiledProgram, EvalOptions,
+    MetricsRegistry,
 };
 use logres::lang::analyze::{flow_program, infer, render_all_json, seeds_from_instance};
 use logres::lang::parse_program;
@@ -102,39 +102,37 @@ pub fn all() -> Vec<(&'static str, Runner)> {
     ]
 }
 
-/// E1 — transitive closure: naive interpreter vs semi-naive vs the
-/// ALGRES-compiled planner, run with naive and with semi-naive (delta)
-/// rounds. Claim (paper §1, §5): the "very liberal" ALGRES closure makes
-/// semi-naive evaluation a drop-in; shape: semi-naive/delta win by a factor
-/// growing with the recursion depth. The naive-rounds program is the
-/// planner's own, with each recursive rule's delta plans replaced by its full
-/// plan, so both compiled rows run through the same `run_compiled`.
+/// E1 — transitive closure: naive interpreter vs the ALGRES-compiled
+/// planner, run with naive and with semi-naive (delta) rounds. Claim (paper
+/// §1, §5): the "very liberal" ALGRES closure makes semi-naive evaluation a
+/// drop-in; shape: delta rounds win by a factor growing with the recursion
+/// depth. The naive-rounds program is the planner's own, with each recursive
+/// rule's delta plans replaced by its full plan, so both compiled rows run
+/// through the same `run_compiled`. Every row's `tc` size must equal the
+/// naive interpreter's.
 pub fn e1_closure() -> Table {
     let mut t = Table::new(
         "E1 — transitive closure over chains and random graphs",
         &["workload", "n", "engine", "time", "tc tuples"],
     );
     let opts = bench_opts();
-    let mut run = |workload: &str, edges: Vec<(i64, i64)>, heavy_engines: bool| {
+    // `closed_form` skips the naive engines, too slow on long chains, and
+    // checks the delta rounds against the chain's closure size instead.
+    let mut run = |workload: &str, edges: Vec<(i64, i64)>, closed_form: Option<usize>| {
         let n = edges.len();
         let src = closure_program(&edges);
         let (schema, edb, rules) = loaded(&src);
         let tc = Sym::new("tc");
         let mut rows: Vec<(&str, Duration, usize)> = Vec::new();
 
-        if heavy_engines {
+        if closed_form.is_none() {
             let (d, (inst, _)) =
                 time(|| evaluate_inflationary(&schema, &rules, &edb, opts.clone()).expect("naive"));
             rows.push(("interpreter (naive)", d, inst.assoc_len(tc)));
         }
-        let (d, (inst, _)) =
-            time(|| evaluate_seminaive(&schema, &rules, &edb, opts.clone()).expect("semi-naive"));
-        let seminaive_len = inst.assoc_len(tc);
-        rows.push(("semi-naive", d, seminaive_len));
-
         let delta = compile_program(&schema, &rules, Semantics::Stratified).expect("compiles");
         let mut programs = Vec::new();
-        if heavy_engines {
+        if closed_form.is_none() {
             programs.push(("compiled (naive rounds)", naive_rounds(&delta)));
         }
         programs.push(("compiled (delta rounds)", delta));
@@ -145,10 +143,11 @@ pub fn e1_closure() -> Table {
             rows.push((*name, d, out.assoc_len(tc)));
         }
 
+        let want = closed_form.unwrap_or(rows[0].2);
         for (engine, d, len) in rows {
             assert_eq!(
-                len, seminaive_len,
-                "{engine} disagrees with semi-naive on {workload} n={n}"
+                len, want,
+                "{engine} has the wrong closure size on {workload} n={n}"
             );
             t.row(vec![
                 workload.into(),
@@ -160,12 +159,12 @@ pub fn e1_closure() -> Table {
         }
     };
     for n in [32, 64, 128] {
-        run("chain", chain_edges(n), true);
+        run("chain", chain_edges(n), None);
     }
     for n in [256, 512] {
-        run("chain", chain_edges(n), false);
+        run("chain", chain_edges(n), Some(n * (n + 1) / 2));
     }
-    run("random(64 nodes)", random_edges(64, 128, 11), true);
+    run("random(64 nodes)", random_edges(64, 128, 11), None);
     t
 }
 
@@ -675,9 +674,10 @@ pub fn e11_governor() -> Table {
     // Overhead: a terminating closure under a never-tripping deadline must
     // cost the same as an ungoverned run (and produce the same instance).
     let (schema2, edb2, rules2) = loaded(&closure_program(&chain_edges(128)));
-    let (d_plain, (inst_plain, report)) = time(|| {
-        evaluate_seminaive(&schema2, &rules2, &edb2, EvalOptions::default()).expect("closure runs")
-    });
+    let closure = |opts: EvalOptions| {
+        evaluate(&schema2, &rules2, &edb2, Semantics::Inflationary, opts).expect("closure runs")
+    };
+    let (d_plain, (inst_plain, report)) = time(|| closure(EvalOptions::default()));
     t.row(vec![
         "chain 128 (terminating)".into(),
         "none".into(),
@@ -690,8 +690,7 @@ pub fn e11_governor() -> Table {
         max_value_nodes: Some(usize::MAX),
         ..EvalOptions::default()
     };
-    let (d_gov, (inst_gov, report)) =
-        time(|| evaluate_seminaive(&schema2, &rules2, &edb2, governed).expect("closure runs"));
+    let (d_gov, (inst_gov, report)) = time(|| closure(governed));
     assert_eq!(inst_plain, inst_gov, "governed run must not change results");
     t.row(vec![
         "chain 128 (terminating)".into(),
@@ -704,75 +703,81 @@ pub fn e11_governor() -> Table {
 }
 
 /// E12 — observability overhead: the E1 chain-128 closure with metrics
-/// off, metrics on, and metrics + provenance, on both engines (DESIGN.md
-/// §8). Claim: the pre-resolved atomic counter handles keep the
-/// metrics-on, provenance-off overhead small (target < 5% on this
-/// workload); provenance recording is the explicitly expensive tier.
-/// Setting `LOGRES_E12_MAX_OVERHEAD=<pct>` turns the combined metrics-on
-/// overhead into a hard failure (the CI smoke threshold).
+/// off, metrics on, and metrics + provenance on the inflationary
+/// interpreter, and with metrics off and on along the production path
+/// (`evaluate`, compiled), which has no provenance row because provenance
+/// forces the interpreter (DESIGN.md §8). Claim: the pre-resolved atomic
+/// counter handles keep the metrics-on, provenance-off overhead small
+/// (target < 5% on this workload); provenance recording is the explicitly
+/// expensive tier. Setting `LOGRES_E12_MAX_OVERHEAD=<pct>` turns the
+/// combined metrics-on overhead into a hard failure (the CI smoke
+/// threshold).
 pub fn e12_observability() -> Table {
     let mut t = Table::new(
         "E12 — instrumentation overhead on the chain-128 closure",
         &["engine", "variant", "time", "overhead %"],
     );
     let (schema, edb, rules) = loaded(&closure_program(&chain_edges(128)));
-
-    let best_of = |opts: &EvalOptions, seminaive: bool| {
-        let mut best: Option<(Duration, Instance)> = None;
-        for _ in 0..5 {
-            let (d, (inst, _)) = time(|| {
-                if seminaive {
-                    evaluate_seminaive(&schema, &rules, &edb, opts.clone()).expect("closure runs")
-                } else {
-                    evaluate_inflationary(&schema, &rules, &edb, opts.clone())
-                        .expect("closure runs")
-                }
-            });
-            if best.as_ref().is_none_or(|(b, _)| d < *b) {
-                best = Some((d, inst));
-            }
-        }
-        best.expect("five runs")
+    let metrics = || EvalOptions {
+        metrics: Some(Arc::new(MetricsRegistry::new())),
+        ..bench_opts()
     };
-
-    let mut base_total = 0f64;
-    let mut metrics_total = 0f64;
-    for (engine, seminaive) in [("inflationary", false), ("semi-naive", true)] {
-        let (d_base, inst_base) = best_of(&bench_opts(), seminaive);
-        base_total += d_base.as_secs_f64();
-        t.row(vec![
-            engine.into(),
-            "baseline".into(),
-            fmt_duration(d_base),
-            "—".into(),
-        ]);
-
-        let with_metrics = EvalOptions {
-            metrics: Some(Arc::new(MetricsRegistry::new())),
-            ..bench_opts()
+    // (engine, variant, options); each engine's baseline comes first.
+    let configs = [
+        ("inflationary", "baseline", bench_opts()),
+        ("inflationary", "metrics", metrics()),
+        (
+            "inflationary",
+            "metrics + provenance",
+            EvalOptions {
+                provenance: true,
+                ..metrics()
+            },
+        ),
+        ("compiled", "baseline", bench_opts()),
+        ("compiled", "metrics", metrics()),
+    ];
+    let run = |engine: &str, opts: &EvalOptions| {
+        let out = if engine == "compiled" {
+            evaluate(&schema, &rules, &edb, Semantics::Inflationary, opts.clone())
+        } else {
+            evaluate_inflationary(&schema, &rules, &edb, opts.clone())
         };
-        let (d_m, inst_m) = best_of(&with_metrics, seminaive);
-        assert_eq!(inst_base, inst_m, "metrics must not change results");
-        metrics_total += d_m.as_secs_f64();
-        t.row(vec![
-            engine.into(),
-            "metrics".into(),
-            fmt_duration(d_m),
-            overhead_pct(d_base, d_m),
-        ]);
-
-        let with_prov = EvalOptions {
-            metrics: Some(Arc::new(MetricsRegistry::new())),
-            provenance: true,
-            ..bench_opts()
+        out.expect("closure runs").0
+    };
+    // Correctness first, untimed: every configuration produces the
+    // interpreter's instance.
+    let want = run("inflationary", &bench_opts());
+    for (engine, variant, opts) in &configs {
+        assert_eq!(
+            run(engine, opts),
+            want,
+            "{engine} {variant} changed results"
+        );
+    }
+    drop(want);
+    // Then timing, as in E15: configurations interleaved within each
+    // repetition and every result dropped before the next measurement.
+    let mut best = [Duration::MAX; 5];
+    for _ in 0..7 {
+        for (slot, (engine, _, opts)) in best.iter_mut().zip(&configs) {
+            let (d, _) = time(|| run(engine, opts));
+            *slot = (*slot).min(d);
+        }
+    }
+    let mut base = Duration::ZERO;
+    for ((engine, variant, _), d) in configs.iter().zip(best) {
+        let overhead = if *variant == "baseline" {
+            base = d;
+            "—".into()
+        } else {
+            overhead_pct(base, d)
         };
-        let (d_p, inst_p) = best_of(&with_prov, seminaive);
-        assert_eq!(inst_base, inst_p, "provenance must not change results");
         t.row(vec![
-            engine.into(),
-            "metrics + provenance".into(),
-            fmt_duration(d_p),
-            overhead_pct(d_base, d_p),
+            (*engine).into(),
+            (*variant).into(),
+            fmt_duration(d),
+            overhead,
         ]);
     }
 
@@ -780,6 +785,8 @@ pub fn e12_observability() -> Table {
         let max: f64 = max
             .parse()
             .expect("LOGRES_E12_MAX_OVERHEAD is a percentage");
+        let base_total = (best[0] + best[3]).as_secs_f64();
+        let metrics_total = (best[1] + best[4]).as_secs_f64();
         let pct = (metrics_total - base_total) / base_total * 100.0;
         assert!(
             pct <= max,
@@ -856,30 +863,6 @@ pub fn e13_goal_directed() -> Table {
             "—".into(),
         ]);
 
-        // Second reference point: the best full-materialization driver the
-        // engine has (semi-naive), so the speedup is not just an artifact
-        // of comparing against the naive interpreter.
-        let (d_sn, (sn_rows, sn_tc)) = best_of(&|| {
-            let (inst, _) = evaluate_seminaive(&p.schema, &p.rules, &edb, opts.clone())
-                .expect("semi-naive evaluation runs");
-            let rows = answer_goal(&p.schema, &inst, goal).expect("goal answers");
-            let tuples = inst.assoc_len(tc);
-            (rows, tuples)
-        });
-        assert_eq!(sn_rows, full_rows, "drivers must agree on answers");
-        t.row(vec![
-            workload.into(),
-            n.to_string(),
-            "full semi-naive".into(),
-            fmt_duration(d_sn),
-            sn_tc.to_string(),
-            sn_rows.len().to_string(),
-            format!(
-                "{:.1}x",
-                d_full.as_secs_f64() / d_sn.as_secs_f64().max(f64::EPSILON)
-            ),
-        ]);
-
         // Demand-driven: rewrite for the goal, evaluate only the demanded
         // cone, answer against the partial instance.
         let (d_magic, (magic_rows, magic_tc)) = best_of(&|| {
@@ -934,18 +917,14 @@ pub fn e13_goal_directed() -> Table {
     t
 }
 
-/// E14 — the compiled production path (PR 7 tentpole; paper §5's
-/// translation-to-ALGRES). The *same* `evaluate` call production makes runs
-/// once with `EvalOptions::compiled` on (stratified planner → select–join–
-/// project plans with fused emit reshapes, semi-naive delta rounds over a
-/// caching evaluator) and once with it off (the tuple-at-a-time
-/// interpreter), plus the semi-naive interpreter for reference. Claims:
-/// set-at-a-time plans win by ≥10× at n≥512 (`LOGRES_E14_MIN_SPEEDUP` turns
-/// that into a CI floor), and since the emit fusion removed the per-round
-/// reshape churn, the compiled path also holds its own against the
-/// semi-naive interpreter on the n=64 micro chain
-/// (`LOGRES_E14_MIN_VS_SEMINAIVE` gates that ratio — 1.0 means "no slower").
-/// All paths must produce the identical instance.
+/// E14 — the compiled production path (paper §5's translation-to-ALGRES).
+/// The *same* `evaluate` call production makes runs once with
+/// `EvalOptions::compiled` on (stratified planner → select–join–project
+/// plans with fused emit reshapes, semi-naive delta rounds over a caching
+/// evaluator) and once with it off (the tuple-at-a-time interpreter).
+/// Claim: set-at-a-time plans win by ≥10× at n≥512
+/// (`LOGRES_E14_MIN_SPEEDUP` turns that into a CI floor). Both paths must
+/// produce the identical instance.
 pub fn e14_compiled_path() -> Table {
     let mut t = Table::new(
         "E14 — compiled ALGRES plans vs interpreted evaluation (chain closure)",
@@ -953,13 +932,12 @@ pub fn e14_compiled_path() -> Table {
     );
     let tc = Sym::new("tc");
     let mut chain_512_speedup = None;
-    let mut micro_vs_seminaive = None;
     for n in [64usize, 256, 512] {
         let src = closure_program(&chain_edges(n));
         let (schema, edb, rules) = loaded(&src);
-        // The n=64 micro rows finish in single-digit milliseconds; take the
-        // best of several runs so the gated ratio measures the paths, not
-        // the scheduler.
+        // The n=64 compiled row finishes in single-digit milliseconds; take
+        // the best of several runs so it measures the path, not the
+        // scheduler.
         let runs = if n == 64 { 5 } else { 1 };
 
         let interp_opts = EvalOptions {
@@ -977,21 +955,6 @@ pub fn e14_compiled_path() -> Table {
             fmt_duration(d_interp),
             interp_inst.assoc_len(tc).to_string(),
             "1.0x".into(),
-        ]);
-
-        let (d_semi, (semi_inst, _)) = best_of(runs, || {
-            evaluate_seminaive(&schema, &rules, &edb, bench_opts()).expect("semi-naive evaluates")
-        });
-        t.row(vec![
-            "chain".into(),
-            n.to_string(),
-            "semi-naive interpreter".into(),
-            fmt_duration(d_semi),
-            semi_inst.assoc_len(tc).to_string(),
-            format!(
-                "{:.1}x",
-                d_interp.as_secs_f64() / d_semi.as_secs_f64().max(f64::EPSILON)
-            ),
         ]);
 
         let (d_comp, (comp_inst, _)) = best_of(runs, || {
@@ -1013,10 +976,6 @@ pub fn e14_compiled_path() -> Table {
         if n == 512 {
             chain_512_speedup = Some(speedup);
         }
-        if n == 64 {
-            micro_vs_seminaive =
-                Some(d_semi.as_secs_f64() / d_comp.as_secs_f64().max(f64::EPSILON));
-        }
         t.row(vec![
             "chain".into(),
             n.to_string(),
@@ -1035,18 +994,6 @@ pub fn e14_compiled_path() -> Table {
             "chain-512 compiled speedup {got:.1}x is below LOGRES_E14_MIN_SPEEDUP={min}x"
         );
     }
-    if let Ok(min) = std::env::var("LOGRES_E14_MIN_VS_SEMINAIVE") {
-        let min: f64 = min
-            .parse()
-            .expect("LOGRES_E14_MIN_VS_SEMINAIVE is a factor");
-        let got = micro_vs_seminaive.expect("chain-64 row ran");
-        assert!(
-            got >= min,
-            "chain-64 compiled path runs at {got:.2}x the semi-naive interpreter, \
-             below LOGRES_E14_MIN_VS_SEMINAIVE={min}x — the emit fusion \
-             (fuse_reshapes) no longer covers the per-round reshape cost"
-        );
-    }
     t
 }
 
@@ -1058,8 +1005,7 @@ pub fn e14_compiled_path() -> Table {
 /// opt-in diagnostic). Part two points the profiler at the micro chain
 /// closure — the workload whose profile attributed ~79% of round time to
 /// the per-rule reshape chain and motivated the emit fusion — and ranks
-/// operators by self time; with the fused plans the compiled path holds
-/// its own here (E14's `LOGRES_E14_MIN_VS_SEMINAIVE` gate keeps it so).
+/// operators by self time.
 pub fn e15_plan_profiling() -> Table {
     let mut t = Table::new(
         "E15 — EXPLAIN ANALYZE: profiler price, then micro-closure attribution",
@@ -1154,16 +1100,6 @@ pub fn e15_plan_profiling() -> Table {
     // it now shows where the fused rounds actually spend their time.
     let n_micro = 48usize;
     let (schema, edb, rules) = loaded(&closure_program(&chain_edges(n_micro)));
-    let (d_semi, _) = time(|| {
-        evaluate_seminaive(&schema, &rules, &edb, bench_opts()).expect("semi-naive evaluates")
-    });
-    t.row(vec![
-        "micro gap".into(),
-        "semi-naive interpreter".into(),
-        fmt_duration(d_semi),
-        "1.0x".into(),
-        format!("chain {n_micro}"),
-    ]);
     let profiled = EvalOptions {
         profile: true,
         ..bench_opts()
@@ -1173,13 +1109,10 @@ pub fn e15_plan_profiling() -> Table {
             .expect("compiled closure runs")
     });
     t.row(vec![
-        "micro gap".into(),
+        "micro closure".into(),
         "compiled, profile on".into(),
         fmt_duration(d_comp),
-        format!(
-            "{:.1}x vs semi-naive",
-            d_comp.as_secs_f64() / d_semi.as_secs_f64().max(f64::EPSILON)
-        ),
+        "—".into(),
         format!("chain {n_micro}"),
     ]);
 

@@ -216,6 +216,7 @@ impl Database {
             rules: &state.rules,
             constraints: &state.constraints,
             goal: None,
+            facts: &[],
             edb,
         });
         if let Some(registry) = &self.opts.metrics {
@@ -303,6 +304,7 @@ impl Database {
         let trimmed = src.trim().trim_end_matches('.');
         let wrapped = format!("facts\n  {trimmed}.\n");
         let program = logres_lang::parse_rules(&wrapped, schema).map_err(CoreError::Lang)?;
+        logres_lang::check_program(&program).map_err(CoreError::Lang)?;
         let Some(gf) = program.facts.first() else {
             return Err(lang_err(format!("expected a ground fact, got `{trimmed}`")));
         };
@@ -1347,6 +1349,10 @@ mod tests {
         assert!(!d.is_edb());
         assert_eq!(d.depth(), 3);
         assert_eq!(d.edb_leaves(), 2);
+        // A fact naming an attribute twice is a type error, not a panic.
+        assert!(db
+            .why_source(r#"parent(par: "adam", par: "cain")"#)
+            .is_err());
         // The textual form resolves to the same chain.
         let text = db
             .why_source(r#"ancestor(anc: "adam", des: "enoch")"#)

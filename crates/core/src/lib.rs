@@ -21,8 +21,8 @@
 //! * [`logres_lang`] — the rule language: parser, type checking, safety,
 //!   stratification (paper §3);
 //! * [`logres_engine`] — the deterministic inflationary semantics with oid
-//!   invention, plus semi-naive / stratified / compiled evaluation
-//!   (Appendix B);
+//!   invention, plus stratified and compiled evaluation and incremental
+//!   view maintenance (Appendix B);
 //! * [`algres`] — the main-memory NF² extended relational algebra the
 //!   original prototype was built on (paper §1, §5).
 //!

@@ -19,6 +19,8 @@ pub enum EngineError {
     TooManyFacts { limit: usize },
     /// A rule references a predicate missing from the schema.
     UnknownPredicate(Sym),
+    /// A ground fact names the same attribute twice.
+    DuplicateAttribute { pred: Sym, label: Sym },
     /// A body literal could not be scheduled: its variables never become
     /// bound and no active domain could be computed for them.
     Unevaluable { detail: String },
@@ -53,6 +55,9 @@ impl fmt::Display for EngineError {
                 write!(f, "fact limit {limit} exceeded (runaway derivation)")
             }
             EngineError::UnknownPredicate(p) => write!(f, "unknown predicate `{p}`"),
+            EngineError::DuplicateAttribute { pred, label } => {
+                write!(f, "fact over `{pred}` names attribute `{label}` twice")
+            }
             EngineError::Unevaluable { detail } => {
                 write!(f, "body literal not evaluable: {detail}")
             }

@@ -25,16 +25,20 @@
 //! On top of the faithful semantics the crate provides the machinery the
 //! paper attributes to the surrounding system:
 //!
-//! * a **semi-naive** evaluator for the positive association fragment
-//!   (the classical optimization the ALGRES closure enables);
 //! * a **stratified** driver ("inflationary semantics within each stratum of
 //!   a stratified program yields the perfect model semantics" — §3.1),
 //!   falling back to whole-program inflationary evaluation when the program
 //!   is unstratifiable;
 //! * a **compiler** from stratified association programs to fixpoint-free
 //!   `algres` plans, one per rule, whose rounds [`run_compiled`] drives —
-//!   the production path, mirroring the prototype translation of [Ca90];
-//! * goal answering and extensional fact loading.
+//!   the production path, mirroring the prototype translation of [Ca90].
+//!   It and the inflationary interpreter (reference and fallback) are the
+//!   engine's only fixpoint drivers;
+//! * **incremental maintenance** of a materialized view on the positive
+//!   association fragment, whose semi-naive insertion rounds also derive
+//!   the view in the first place;
+//! * goal answering (demand-driven through the magic-set rewrite) and
+//!   extensional fact loading.
 
 pub mod binding;
 pub mod builtins;
@@ -53,7 +57,6 @@ pub mod metrics;
 pub mod parallel;
 pub mod plan;
 pub mod provenance;
-pub mod seminaive;
 pub mod stratified;
 pub mod trace;
 
@@ -73,8 +76,9 @@ pub use inflationary::{
 pub use load::load_facts;
 pub use magic::{answer_goal_demand, evaluate_demand};
 pub use maintain::{
-    apply_batch, apply_update, batch_conflicts, is_ground_batch_rule, maintainable, note_fallback,
-    BatchEffect, MaintainResult, MaterializedView, UpdateSpec,
+    apply_batch, apply_update, batch_conflicts, evaluate_seminaive, is_ground_batch_rule,
+    maintainable, note_fallback, seminaive_applicable, BatchEffect, MaintainResult,
+    MaterializedView, UpdateSpec,
 };
 pub use matcher::{rule_access_plan, AccessPlan};
 pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, ProbeTally};
@@ -84,6 +88,5 @@ pub use plan::{
     CompiledProgram, CompiledStep, StratumPlan,
 };
 pub use provenance::{Derivation, ProvEntry, Provenance};
-pub use seminaive::{evaluate_seminaive, seminaive_applicable};
 pub use stratified::{evaluate, evaluate_stratified, Semantics};
 pub use trace::{TraceEvent, Tracer};

@@ -3,7 +3,7 @@
 //! Class facts invent a fresh oid per fact (oids are system-managed and
 //! never appear in source text); association facts insert their tuple;
 //! facts over data functions are rejected (functions are populated only by
-//! `member` rule heads).
+//! `member` rule heads), and so are facts that name an attribute twice.
 
 use logres_lang::GroundFact;
 use logres_model::{Instance, OidGen, PredKind, Schema, Value};
@@ -22,11 +22,11 @@ pub fn load_facts(
         match schema.kind(f.pred) {
             Some(PredKind::Class) => {
                 let oid = gen.fresh();
-                inst.insert_object(schema, f.pred, oid, Value::tuple(f.args.clone()));
+                inst.insert_object(schema, f.pred, oid, fact_tuple(f)?);
                 n += 1;
             }
             Some(PredKind::Assoc) => {
-                if inst.insert_assoc(f.pred, Value::tuple(f.args.clone())) {
+                if inst.insert_assoc(f.pred, fact_tuple(f)?) {
                     n += 1;
                 }
             }
@@ -34,6 +34,19 @@ pub fn load_facts(
         }
     }
     Ok(n)
+}
+
+/// The tuple a fact's attributes denote, in canonical label order.
+fn fact_tuple(f: &GroundFact) -> Result<Value, EngineError> {
+    let mut fields = f.args.clone();
+    fields.sort_by_key(|(l, _)| *l);
+    if let Some(w) = fields.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(EngineError::DuplicateAttribute {
+            pred: f.pred,
+            label: w[0].0,
+        });
+    }
+    Ok(Value::Tuple(fields))
 }
 
 #[cfg(test)]
@@ -66,6 +79,26 @@ mod tests {
         assert_eq!(inst.class_len(Sym::new("person")), 2);
         assert_eq!(inst.assoc_len(Sym::new("likes")), 1);
         inst.validate(&p.schema).expect("loaded instance is legal");
+    }
+
+    #[test]
+    fn facts_naming_an_attribute_twice_are_rejected() {
+        let p = parse_program(
+            r#"
+            associations
+              p = (a: integer);
+            facts
+              p(a: 1, a: 2).
+        "#,
+        )
+        .unwrap();
+        let mut inst = Instance::new();
+        let mut gen = OidGen::new();
+        assert!(matches!(
+            load_facts(&p.schema, &mut inst, &p.facts, &mut gen),
+            Err(EngineError::DuplicateAttribute { .. })
+        ));
+        assert_eq!(inst.assoc_len(Sym::new("p")), 0);
     }
 
     #[test]

@@ -2,12 +2,13 @@
 //!
 //! [`evaluate_demand`] plans a goal with
 //! [`logres_lang::analyze::plan_goal`], and — when the plan produced a
-//! rewrite — runs the magic-transformed program through the ordinary
-//! drivers: semi-naive when the rewritten rules stay inside that fragment,
-//! the requested semantics otherwise. The rewritten program is evaluated
-//! under the same [`EvalOptions`] as a full run, so the governor's budgets,
-//! tracing, metrics, provenance, and the thread-count-determinism guarantee
-//! all carry over unchanged.
+//! rewrite — runs the magic-transformed program through [`evaluate`] under
+//! the requested semantics: the compiled path, where the `@magic_*` guards
+//! lower to semijoin reducers, or the interpreter when the compiled path
+//! falls back. The rewritten program is evaluated under the same
+//! [`EvalOptions`] as a full run, so the governor's budgets, tracing,
+//! metrics, provenance, and the thread-count-determinism guarantee all
+//! carry over unchanged.
 //!
 //! The partial instance it returns contains, for every original predicate,
 //! exactly the demanded part of the full model (plus the `@magic_*` demand
@@ -23,7 +24,6 @@ use logres_model::{Instance, Schema, Sym, Value};
 use crate::error::EngineError;
 use crate::goal::answer_goal;
 use crate::inflationary::{EvalOptions, EvalReport};
-use crate::seminaive::{evaluate_seminaive, seminaive_applicable};
 use crate::stratified::{evaluate, Semantics};
 
 /// Evaluate only the demanded part of the model for a goal. Returns
@@ -39,14 +39,13 @@ pub fn evaluate_demand(
     opts: EvalOptions,
 ) -> Result<Option<(Instance, EvalReport)>, EngineError> {
     let plan = plan_goal(schema, rules, goal);
-    let metrics = opts.metrics.clone();
     let Some(rw) = plan.rewrite else {
-        if let Some(m) = &metrics {
+        if let Some(m) = &opts.metrics {
             m.counter("logres_magic_fallbacks_total").inc();
         }
         return Ok(None);
     };
-    if let Some(m) = &metrics {
+    if let Some(m) = &opts.metrics {
         m.counter("logres_magic_rewrites_total").inc();
         m.counter("logres_magic_demand_rules_total")
             .add(rw.demand_rules as u64);
@@ -55,25 +54,7 @@ pub fn evaluate_demand(
         m.counter("logres_magic_dropped_rules_total")
             .add(rw.dropped_rules as u64);
     }
-    // Compiled fast path first: the rewritten program's `@magic_*` guards
-    // lower to semijoin reducers there. On fallback (already counted under
-    // `logres_compile_fallbacks_total`) run the interpreter with `compiled`
-    // off so the dispatcher does not re-attempt and double-count.
-    if opts.compiled {
-        if let Some(result) =
-            crate::plan::try_evaluate_compiled(&rw.schema, &rw.rules, edb, semantics, &opts)
-        {
-            return Ok(Some(result?));
-        }
-    }
-    let mut opts = opts;
-    opts.compiled = false;
-    let result = if seminaive_applicable(&rw.schema, &rw.rules) {
-        evaluate_seminaive(&rw.schema, &rw.rules, edb, opts)
-    } else {
-        evaluate(&rw.schema, &rw.rules, edb, semantics, opts)
-    }?;
-    Ok(Some(result))
+    evaluate(&rw.schema, &rw.rules, edb, semantics, opts).map(Some)
 }
 
 /// Goal answer rows: per row, `(variable, value)` bindings in the goal's

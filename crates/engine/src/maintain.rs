@@ -18,45 +18,97 @@
 //!   dependents pended into later strata.
 //! * **recursive strata — Delete-and-Rederive (DRed).** Overdelete the
 //!   transitive support closure of the candidates through the recorded
-//!   provenance edges, then rederive: a head-inversion pass over the
+//!   derivation edges, then rederive: a head-inversion pass over the
 //!   overdeleted set seeds a semi-naive delta iteration confined (by the
 //!   valuation-domain condition) to facts that were actually overdeleted.
-//! * **insertions** run classic incremental semi-naive: each rule fires
-//!   once per body position bound to the delta of genuinely new facts, per
-//!   round, until the delta drains.
+//! * **insertions** run classic incremental semi-naive: a rule new to the
+//!   view first fires over the whole instance (round 0), then each rule
+//!   fires once per body position bound to the delta of genuinely new
+//!   facts, per round, until the delta drains.
 //!
-//! The support graph ([`MaterializedView`]) is populated from the
-//! first-derivation-wins provenance store of PR 3, which makes the premise
-//! DAG acyclic and the whole maintenance pass deterministic: parallel match
-//! phases go through [`ordered_map_cancellable`] and every merge runs
-//! serially in canonical [`Fact`] order, so results are bit-identical at
-//! any thread count — the same contract the fixpoint drivers give.
+//! The support graph ([`MaterializedView`]) records, for every derived fact,
+//! the rule and premises of the round that first inserted it, which makes
+//! the premise DAG acyclic. A view derives itself with the same insertion
+//! rounds: [`MaterializedView::build`] starts from the EDB and treats every
+//! rule as new. The whole pass is deterministic: parallel match phases go
+//! through [`ordered_map_cancellable`] and every merge runs serially in
+//! canonical [`Fact`] order, so results are bit-identical at any thread
+//! count — the same contract the fixpoint drivers give.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use logres_lang::{Atom, PredArg, Rule, RuleSet, Term};
-use logres_model::{Fact, Instance, PredKind, Schema, Sym, Value};
+use logres_model::{Fact, Instance, OidGen, PredKind, Schema, Sym, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::binding::{match_term, Subst};
 use crate::delta::{fact_nodes, instantiate_head, InventionMemo};
 use crate::error::EngineError;
-use crate::governor::Governor;
+use crate::governor::{CancelToken, Governor};
 use crate::inflationary::{EvalOptions, EvalReport, RuleProfile};
 use crate::matcher::{eval_body, BodyView};
 use crate::parallel::{effective_threads, ordered_map_cancellable};
 use crate::provenance::premises_of;
-use crate::seminaive::{evaluate_seminaive, seminaive_applicable};
-use crate::trace::{self, TraceEvent};
+use crate::stratified::{evaluate, Semantics};
+use crate::trace::{self, TraceEvent, Tracer};
+
+/// Is the rule set inside the semi-naive fragment: positive heads over
+/// associations, positive bodies over associations and builtins — no
+/// negation, no classes, no data functions, no deletions? This is the
+/// fragment the insertion rounds below evaluate.
+pub fn seminaive_applicable(schema: &Schema, rules: &RuleSet) -> bool {
+    rules.rules.iter().all(|r| rule_applicable(schema, r))
+}
+
+fn rule_applicable(schema: &Schema, rule: &Rule) -> bool {
+    if rule.head.negated {
+        return false;
+    }
+    let head_ok = match &rule.head.atom {
+        Atom::Pred { pred, args, .. } => {
+            schema.kind(*pred) == Some(PredKind::Assoc)
+                && args.iter().all(|a| !matches!(a, PredArg::SelfArg(_)))
+        }
+        _ => false,
+    };
+    head_ok
+        && rule.body.iter().all(|lit| {
+            !lit.negated
+                && match &lit.atom {
+                    Atom::Pred { pred, .. } => schema.kind(*pred) == Some(PredKind::Assoc),
+                    Atom::Member { .. } => false,
+                    Atom::Builtin { .. } => lit.atom.functions().is_empty(),
+                }
+        })
+}
+
+/// Evaluate a rule set inside the semi-naive fragment under inflationary
+/// semantics (the compiled path when [`EvalOptions::compiled`] is on).
+/// Errors with [`EngineError::UnsupportedFragment`] outside the fragment.
+/// Kept, with its signature, for the `perfbench` replay, which calls it.
+pub fn evaluate_seminaive(
+    schema: &Schema,
+    rules: &RuleSet,
+    edb: &Instance,
+    opts: EvalOptions,
+) -> Result<(Instance, EvalReport), EngineError> {
+    if !seminaive_applicable(schema, rules) {
+        return Err(EngineError::UnsupportedFragment {
+            detail: "semi-naive evaluation needs positive association rules".to_owned(),
+        });
+    }
+    evaluate(schema, rules, edb, Semantics::Inflationary, opts)
+}
 
 /// Is the rule set inside the maintainable fragment?
 ///
-/// The semi-naive fragment (positive association rules) further restricted
+/// The semi-naive fragment ([`seminaive_applicable`]) further restricted
 /// to *invertible* heads: every head argument is a labeled variable,
 /// constant, or `nil`, or a tuple variable — so a stored tuple determines
 /// the head valuation exactly and recounting a fact reduces to one body
-/// evaluation. Oid invention (class heads) and data functions are already
-/// outside the semi-naive fragment and take the full-rederivation path.
+/// evaluation — and to rules free of data functions and arithmetic. Oid
+/// invention (class heads) is already outside the semi-naive fragment;
+/// programs outside take the full-rederivation path.
 pub fn maintainable(schema: &Schema, rules: &RuleSet) -> bool {
     seminaive_applicable(schema, rules)
         && rules
@@ -235,9 +287,12 @@ pub struct MaterializedView {
 }
 
 impl MaterializedView {
-    /// Build a view by full semi-naive evaluation with provenance, then
-    /// index the provenance entries into the support graph. Errors outside
-    /// the maintainable fragment.
+    /// Build a view by deriving it from the EDB with the insertion rounds
+    /// every update runs: per maintenance stratum, round 0 fires each rule
+    /// over the whole instance and the delta rounds run to the fixpoint.
+    /// Each derivation the rounds record is indexed into the support graph
+    /// only once they return, so the graph's allocations do not interleave
+    /// with the instance's tuples. Errors outside the maintainable fragment.
     pub fn build(
         schema: &Schema,
         rules: &RuleSet,
@@ -251,22 +306,24 @@ impl MaterializedView {
                     .to_owned(),
             });
         }
-        let mut o = opts.clone();
-        o.provenance = true;
-        let (inst, report) = evaluate_seminaive(schema, rules, edb, o)?;
         let mut view = MaterializedView {
-            inst,
+            inst: edb.clone(),
             rules: rules.rules.clone(),
             active: vec![true; rules.rules.len()],
             support: FxHashMap::default(),
             dependents: FxHashMap::default(),
             by_rule: FxHashMap::default(),
         };
-        if let Some(p) = &report.provenance {
-            for (fact, e) in p.entries_iter() {
-                view.record(fact.clone(), e.rule, e.premises.clone());
-            }
+        let mut pass = Pass::new(schema, &view, opts);
+        pass.deferred = Some(Vec::new());
+        for stratum in maintenance_strata(&view.rules, &view.active) {
+            let delta = pass.fire_new_rules(&mut view, &stratum.rule_idxs)?;
+            pass.run_delta_rounds(&mut view, &stratum, delta, None)?;
         }
+        for (fact, rule, premises) in pass.deferred.take().unwrap_or_default() {
+            view.record(fact, rule, premises);
+        }
+        let report = pass.finish(&view);
         Ok((view, report))
     }
 
@@ -566,7 +623,7 @@ fn mark_removed(
     present
 }
 
-/// Per-rule counters accumulated across one update, folded into the
+/// Per-rule counters accumulated across one pass, folded into the
 /// synthesized report's rule profiles. Indexed by view rule slot.
 #[derive(Default)]
 struct RuleTallies {
@@ -580,6 +637,281 @@ impl RuleTallies {
         self.fired.resize(n, 0);
         self.derived.resize(n, 0);
         self.deleted.resize(n, 0);
+    }
+}
+
+/// A recorded derivation: the fact, its rule index, its ground premises.
+type Record = (Fact, usize, Vec<Fact>);
+
+/// The state one maintenance pass (an update or a view build) threads
+/// through its rounds: budgets, the invention memo, and what it derived.
+struct Pass<'a> {
+    schema: &'a Schema,
+    opts: &'a EvalOptions,
+    tracer: Option<&'a Tracer>,
+    threads: usize,
+    governor: Governor,
+    token: CancelToken,
+    /// Delta rounds completed.
+    steps: usize,
+    memo: InventionMemo,
+    gen: OidGen,
+    tallies: RuleTallies,
+    /// Overdeleted facts the rounds put back.
+    rederived: u64,
+    /// Facts new to the instance, in arrival order: the update's
+    /// consistency-check delta and the seed of later strata's rounds.
+    added: Vec<Fact>,
+    /// A build's derivations, indexed into the support graph after its
+    /// rounds return. `None` in an update, which indexes each derivation at
+    /// once and lists the fact in `added`.
+    deferred: Option<Vec<Record>>,
+}
+
+impl<'a> Pass<'a> {
+    fn new(schema: &'a Schema, view: &MaterializedView, opts: &'a EvalOptions) -> Pass<'a> {
+        let governor = Governor::new(opts);
+        let token = governor.token().clone();
+        let tracer = opts.trace.as_deref();
+        let rules = view.active.iter().filter(|a| **a).count();
+        trace::emit(tracer, || TraceEvent::EvalStart {
+            engine: "maintain",
+            rules,
+            facts: view.inst.fact_count(),
+        });
+        let mut tallies = RuleTallies::default();
+        tallies.ensure(view.rules.len());
+        Pass {
+            schema,
+            opts,
+            tracer,
+            threads: effective_threads(opts.threads),
+            governor,
+            token,
+            steps: 0,
+            memo: InventionMemo::new(),
+            gen: view.inst.oid_gen(),
+            tallies,
+            rederived: 0,
+            added: Vec::new(),
+            deferred: None,
+        }
+    }
+
+    /// The error for a pass the governor stopped.
+    fn cancel(&self, facts: usize) -> EngineError {
+        let cause = self
+            .governor
+            .check()
+            .expect("cancel taken only when tripped");
+        trace::emit(self.tracer, || TraceEvent::Cancelled {
+            step: self.steps,
+            cause: cause.to_string(),
+        });
+        EngineError::Cancelled {
+            cause,
+            partial: Box::new(EvalReport {
+                steps: self.steps,
+                facts,
+                ..EvalReport::default()
+            }),
+        }
+    }
+
+    /// Fire rule `idx` for one body valuation: insert the facts its head
+    /// derives, record each new one and add it to `delta`. Reinsertions of
+    /// `over_set` facts (DRed rederivation) count as rederived; every other
+    /// new fact is genuinely new. Returns the value nodes inserted.
+    fn fire(
+        &mut self,
+        view: &mut MaterializedView,
+        idx: usize,
+        theta: &Subst,
+        delta: &mut Instance,
+        over_set: Option<&FxHashSet<Fact>>,
+    ) -> Result<usize, EngineError> {
+        let schema = self.schema;
+        let rule = &view.rules[idx];
+        self.tallies.fired[idx] += 1;
+        let facts = instantiate_head(
+            schema,
+            &view.inst,
+            rule,
+            idx,
+            theta,
+            &mut self.memo,
+            &mut self.gen,
+        )?;
+        if facts.is_empty() {
+            return Ok(0);
+        }
+        let premises = premises_of(schema, &view.inst, rule, theta);
+        let mut nodes = 0;
+        for fact in facts {
+            if !view.inst.insert_fact(schema, &fact) {
+                continue;
+            }
+            nodes += fact_nodes(&fact);
+            self.tallies.derived[idx] += 1;
+            if let Fact::Assoc { assoc, tuple } = &fact {
+                delta.insert_assoc(*assoc, tuple.clone());
+            }
+            if over_set.is_some_and(|s| s.contains(&fact)) {
+                self.rederived += 1;
+                view.record(fact, idx, premises.clone());
+            } else if let Some(records) = &mut self.deferred {
+                records.push((fact, idx, premises.clone()));
+            } else {
+                view.record(fact.clone(), idx, premises.clone());
+                self.added.push(fact);
+            }
+        }
+        Ok(nodes)
+    }
+
+    /// Round 0 for rules new to the view: each body evaluated over the
+    /// whole instance. Returns the facts it inserted, the first delta.
+    fn fire_new_rules(
+        &mut self,
+        view: &mut MaterializedView,
+        rule_idxs: &[usize],
+    ) -> Result<Instance, EngineError> {
+        let mut delta = Instance::new();
+        if rule_idxs.is_empty() {
+            return Ok(delta);
+        }
+        let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
+        token.reset_item();
+        let subs_per_rule = ordered_map_cancellable(self.threads, rule_idxs, token, |_, &idx| {
+            token.note_item(idx);
+            eval_body(
+                schema,
+                BodyView::plain(inst),
+                &rules[idx].body,
+                Subst::new(),
+            )
+        });
+        if self.governor.check().is_some() {
+            return Err(self.cancel(view.inst.fact_count()));
+        }
+        let mut nodes = 0;
+        for (&idx, slot) in rule_idxs.iter().zip(subs_per_rule) {
+            let Some(subs) = slot else {
+                return Err(self.cancel(view.inst.fact_count()));
+            };
+            for theta in subs? {
+                nodes += self.fire(view, idx, &theta, &mut delta, None)?;
+            }
+        }
+        self.governor.charge_nodes(nodes);
+        if self.governor.check().is_some() {
+            return Err(self.cancel(view.inst.fact_count()));
+        }
+        Ok(delta)
+    }
+
+    /// Incremental semi-naive delta rounds over one stratum's rules: each
+    /// rule fires once per body position bound to the delta, and the facts
+    /// the round inserts become the next delta, until it drains.
+    fn run_delta_rounds(
+        &mut self,
+        view: &mut MaterializedView,
+        stratum: &Stratum,
+        mut delta: Instance,
+        over_set: Option<&FxHashSet<Fact>>,
+    ) -> Result<(), EngineError> {
+        loop {
+            let jobs: Vec<(usize, usize)> = stratum
+                .rule_idxs
+                .iter()
+                .flat_map(|&idx| {
+                    let delta = &delta;
+                    view.rules[idx]
+                        .body
+                        .iter()
+                        .enumerate()
+                        .filter_map(move |(li, lit)| match &lit.atom {
+                            Atom::Pred { pred, .. } if delta.assoc_len(*pred) > 0 => {
+                                Some((idx, li))
+                            }
+                            _ => None,
+                        })
+                })
+                .collect();
+            if jobs.is_empty() {
+                return Ok(());
+            }
+            if self.steps >= self.opts.max_steps {
+                return Err(EngineError::NoFixpoint {
+                    steps: self.opts.max_steps,
+                });
+            }
+            if view.inst.fact_count() > self.opts.max_facts {
+                return Err(EngineError::TooManyFacts {
+                    limit: self.opts.max_facts,
+                });
+            }
+            let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
+            token.reset_item();
+            let subs_per_job =
+                ordered_map_cancellable(self.threads, &jobs, token, |_, &(idx, li)| {
+                    token.note_item(idx);
+                    let bv = BodyView {
+                        full: inst,
+                        delta: Some((li, &delta)),
+                        tally: None,
+                    };
+                    eval_body(schema, bv, &rules[idx].body, Subst::new())
+                });
+            if self.governor.check().is_some() {
+                return Err(self.cancel(view.inst.fact_count()));
+            }
+            let mut next_delta = Instance::new();
+            let mut nodes = 0;
+            for (&(idx, _), slot) in jobs.iter().zip(subs_per_job) {
+                let Some(subs) = slot else {
+                    return Err(self.cancel(view.inst.fact_count()));
+                };
+                for theta in subs? {
+                    nodes += self.fire(view, idx, &theta, &mut next_delta, over_set)?;
+                }
+            }
+            self.governor.charge_nodes(nodes);
+            self.steps += 1;
+            if self.governor.check().is_some() {
+                return Err(self.cancel(view.inst.fact_count()));
+            }
+            delta = next_delta;
+        }
+    }
+
+    /// Close the pass: the trace's end event and the synthesized report
+    /// (`steps` counts delta rounds, `facts` the view's size).
+    fn finish(&self, view: &MaterializedView) -> EvalReport {
+        let (steps, facts) = (self.steps, view.inst.fact_count());
+        trace::emit(self.tracer, || TraceEvent::EvalEnd {
+            steps,
+            facts,
+            fixpoint: true,
+        });
+        let rule_profiles = view
+            .rules
+            .iter()
+            .enumerate()
+            .map(|(i, r)| RuleProfile {
+                rule: r.to_string(),
+                firings: self.tallies.fired[i],
+                derived: self.tallies.derived[i],
+                deleted: self.tallies.deleted[i],
+                ..RuleProfile::default()
+            })
+            .collect();
+        EvalReport {
+            steps,
+            facts,
+            rule_profiles,
+            ..EvalReport::default()
+        }
     }
 }
 
@@ -600,23 +932,8 @@ pub fn apply_update(
     edb_before: &Instance,
     opts: &EvalOptions,
 ) -> Result<MaintainResult, EngineError> {
-    let threads = effective_threads(opts.threads);
-    let governor = Governor::new(opts);
-    let token = governor.token().clone();
-    let tracer = opts.trace.as_deref();
-    let mut governor = governor;
-
-    let active_rules = view.active.iter().filter(|a| **a).count();
-    trace::emit(tracer, || TraceEvent::EvalStart {
-        engine: "maintain",
-        rules: active_rules,
-        facts: view.inst.fact_count(),
-    });
-
-    let mut steps = 0usize;
+    let mut pass = Pass::new(schema, view, opts);
     let mut removed_total = 0u64;
-    let mut rederived_total = 0u64;
-    let mut added: Vec<Fact> = Vec::new();
     let mut pending: BTreeMap<Sym, BTreeSet<Fact>> = BTreeMap::new();
 
     // Rule deletion (RDDV): tombstone the slot and pend everything whose
@@ -658,9 +975,7 @@ pub fn apply_update(
             added_idxs.push(view.rules.len() - 1);
         }
     }
-
-    let mut tallies = RuleTallies::default();
-    tallies.ensure(view.rules.len());
+    pass.tallies.ensure(view.rules.len());
 
     let ins_set: FxHashSet<Fact> = spec.inserts.iter().cloned().collect();
     let del_set: FxHashSet<Fact> = spec.deletes.iter().cloned().collect();
@@ -680,11 +995,9 @@ pub fn apply_update(
     // loses its support entry (it no longer depends on anything).
     let mut ins_sorted: Vec<Fact> = ins_set.iter().cloned().collect();
     ins_sorted.sort();
-    let mut delta_plus: Vec<Fact> = Vec::new();
     for f in &ins_sorted {
         if view.inst.insert_fact(schema, f) {
-            delta_plus.push(f.clone());
-            added.push(f.clone());
+            pass.added.push(f.clone());
         }
         view.drop_support(f);
     }
@@ -729,28 +1042,9 @@ pub fn apply_update(
             }
         }
     };
-    drain(view, &mut pending, &mut removed_total, &mut tallies);
+    drain(view, &mut pending, &mut removed_total, &mut pass.tallies);
 
     let strata = maintenance_strata(&view.rules, &view.active);
-    let mut memo = InventionMemo::new();
-    let mut gen = view.inst.oid_gen();
-
-    let cancel = |governor: &Governor, steps: usize, facts: usize| -> EngineError {
-        let cause = governor.check().expect("cancel taken only when tripped");
-        trace::emit(tracer, || TraceEvent::Cancelled {
-            step: steps,
-            cause: cause.to_string(),
-        });
-        EngineError::Cancelled {
-            cause,
-            partial: Box::new(EvalReport {
-                steps,
-                facts,
-                ..EvalReport::default()
-            }),
-        }
-    };
-
     for stratum in &strata {
         // ---- deletion phase ----
         let mut cands: Vec<Fact> = Vec::new();
@@ -772,19 +1066,18 @@ pub fn apply_update(
             for f in &kept_edb {
                 view.drop_support(f);
             }
-            let inst = &view.inst;
-            let rules = &view.rules;
+            let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
             token.reset_item();
-            let per_fact = ordered_map_cancellable(threads, &check, &token, |i, f| {
+            let per_fact = ordered_map_cancellable(pass.threads, &check, token, |i, f| {
                 token.note_item(i);
                 derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f)
             });
-            if governor.check().is_some() {
-                return Err(cancel(&governor, steps, view.inst.fact_count()));
+            if pass.governor.check().is_some() {
+                return Err(pass.cancel(view.inst.fact_count()));
             }
             for (f, slot) in check.iter().zip(per_fact) {
                 let Some(cs) = slot else {
-                    return Err(cancel(&governor, steps, view.inst.fact_count()));
+                    return Err(pass.cancel(view.inst.fact_count()));
                 };
                 let cs = cs?;
                 // Verify with the fact absent so the valuation-domain
@@ -796,13 +1089,19 @@ pub fn apply_update(
                 for (idx, theta) in &cs {
                     let rule = &view.rules[*idx];
                     let facts = instantiate_head(
-                        schema, &view.inst, rule, *idx, theta, &mut memo, &mut gen,
+                        schema,
+                        &view.inst,
+                        rule,
+                        *idx,
+                        theta,
+                        &mut pass.memo,
+                        &mut pass.gen,
                     )?;
                     if facts.iter().any(|g| g == f) {
                         let premises = premises_of(schema, &view.inst, rule, theta);
                         view.inst.insert_fact(schema, f);
                         view.record(f.clone(), *idx, premises);
-                        tallies.fired[*idx] += 1;
+                        pass.tallies.fired[*idx] += 1;
                         kept = true;
                         break;
                     }
@@ -810,7 +1109,7 @@ pub fn apply_update(
                 if !kept {
                     removed_total += 1;
                     if let Some((i, _)) = view.support.get(f) {
-                        tallies.deleted[*i] += 1;
+                        pass.tallies.deleted[*i] += 1;
                     }
                     if let Some(deps) = view.dependents.remove(f) {
                         let mut ds: Vec<Fact> = deps.into_iter().collect();
@@ -840,7 +1139,7 @@ pub fn apply_update(
                 view.inst.remove_fact(schema, &f);
                 removed_total += 1;
                 if let Some((i, _)) = view.support.get(&f) {
-                    tallies.deleted[*i] += 1;
+                    pass.tallies.deleted[*i] += 1;
                 }
                 if let Some(deps) = view.dependents.remove(&f) {
                     let mut ds: Vec<Fact> = deps.into_iter().collect();
@@ -861,34 +1160,39 @@ pub fn apply_update(
 
             // Rederive round 0: head inversion over the overdeleted set
             // against the instance with all overdeleted facts absent.
-            let inst = &view.inst;
-            let rules = &view.rules;
+            let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
             token.reset_item();
-            let per_fact = ordered_map_cancellable(threads, &overdeleted, &token, |i, f| {
+            let per_fact = ordered_map_cancellable(pass.threads, &overdeleted, token, |i, f| {
                 token.note_item(i);
                 derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f)
             });
-            if governor.check().is_some() {
-                return Err(cancel(&governor, steps, view.inst.fact_count()));
+            if pass.governor.check().is_some() {
+                return Err(pass.cancel(view.inst.fact_count()));
             }
             let mut delta = Instance::new();
             for (f, slot) in overdeleted.iter().zip(per_fact) {
                 let Some(cs) = slot else {
-                    return Err(cancel(&governor, steps, view.inst.fact_count()));
+                    return Err(pass.cancel(view.inst.fact_count()));
                 };
                 let cs = cs?;
                 for (idx, theta) in &cs {
                     let rule = &view.rules[*idx];
                     let facts = instantiate_head(
-                        schema, &view.inst, rule, *idx, theta, &mut memo, &mut gen,
+                        schema,
+                        &view.inst,
+                        rule,
+                        *idx,
+                        theta,
+                        &mut pass.memo,
+                        &mut pass.gen,
                     )?;
                     if facts.iter().any(|g| g == f) {
                         let premises = premises_of(schema, &view.inst, rule, theta);
                         view.inst.insert_fact(schema, f);
                         view.record(f.clone(), *idx, premises);
-                        tallies.fired[*idx] += 1;
-                        tallies.derived[*idx] += 1;
-                        rederived_total += 1;
+                        pass.tallies.fired[*idx] += 1;
+                        pass.tallies.derived[*idx] += 1;
+                        pass.rederived += 1;
                         if let Fact::Assoc { assoc, tuple } = f {
                             delta.insert_assoc(*assoc, tuple.clone());
                         }
@@ -901,82 +1205,18 @@ pub fn apply_update(
             // condition confines reinsertions to facts actually absent,
             // i.e. the overdeleted set (plus genuinely new consequences of
             // this update's insertions, which are classified as such).
-            run_delta_rounds(
-                schema,
-                view,
-                stratum,
-                delta,
-                Some(&over_set),
-                &mut delta_plus,
-                &mut added,
-                &mut rederived_total,
-                &mut tallies,
-                &mut memo,
-                &mut gen,
-                opts,
-                threads,
-                &token,
-                &mut governor,
-                &mut steps,
-                tracer,
-            )?;
+            pass.run_delta_rounds(view, stratum, delta, Some(&over_set))?;
         }
 
         // ---- insertion phase ----
-        // Round 0 for rules added by this update: full body evaluation.
+        // Round 0 for rules added by this update, then seed from everything
+        // genuinely new so far that the stratum's bodies can read.
         let new_here: Vec<usize> = added_idxs
             .iter()
             .copied()
             .filter(|i| stratum.rule_idxs.contains(i))
             .collect();
-        let mut delta = Instance::new();
-        if !new_here.is_empty() {
-            let inst = &view.inst;
-            let rules = &view.rules;
-            token.reset_item();
-            let subs_per_rule = ordered_map_cancellable(threads, &new_here, &token, |_, &idx| {
-                token.note_item(idx);
-                eval_body(
-                    schema,
-                    BodyView::plain(inst),
-                    &rules[idx].body,
-                    Subst::new(),
-                )
-            });
-            if governor.check().is_some() {
-                return Err(cancel(&governor, steps, view.inst.fact_count()));
-            }
-            for (&idx, slot) in new_here.iter().zip(subs_per_rule) {
-                let Some(subs) = slot else {
-                    return Err(cancel(&governor, steps, view.inst.fact_count()));
-                };
-                for theta in subs? {
-                    let rule = &view.rules[idx];
-                    tallies.fired[idx] += 1;
-                    let facts = instantiate_head(
-                        schema, &view.inst, rule, idx, &theta, &mut memo, &mut gen,
-                    )?;
-                    let premises = if facts.is_empty() {
-                        Vec::new()
-                    } else {
-                        premises_of(schema, &view.inst, rule, &theta)
-                    };
-                    for fact in facts {
-                        if view.inst.insert_fact(schema, &fact) {
-                            view.record(fact.clone(), idx, premises.clone());
-                            tallies.derived[idx] += 1;
-                            if let Fact::Assoc { assoc, tuple } = &fact {
-                                delta.insert_assoc(*assoc, tuple.clone());
-                            }
-                            delta_plus.push(fact.clone());
-                            added.push(fact);
-                        }
-                    }
-                }
-            }
-        }
-        // Seed from everything genuinely new so far that the stratum's
-        // bodies can read.
+        let mut delta = pass.fire_new_rules(view, &new_here)?;
         let body_preds: FxHashSet<Sym> = stratum
             .rule_idxs
             .iter()
@@ -986,208 +1226,41 @@ pub fn apply_update(
                 _ => None,
             })
             .collect();
-        for f in &delta_plus {
+        for f in &pass.added {
             if body_preds.contains(&f.predicate()) {
                 if let Fact::Assoc { assoc, tuple } = f {
                     delta.insert_assoc(*assoc, tuple.clone());
                 }
             }
         }
-        run_delta_rounds(
-            schema,
-            view,
-            stratum,
-            delta,
-            None,
-            &mut delta_plus,
-            &mut added,
-            &mut rederived_total,
-            &mut tallies,
-            &mut memo,
-            &mut gen,
-            opts,
-            threads,
-            &token,
-            &mut governor,
-            &mut steps,
-            tracer,
-        )?;
+        pass.run_delta_rounds(view, stratum, delta, None)?;
     }
 
     // Cascades out of the strata can only land on rule-less predicates.
-    drain(view, &mut pending, &mut removed_total, &mut tallies);
+    drain(view, &mut pending, &mut removed_total, &mut pass.tallies);
 
     if let Some(m) = &opts.metrics {
         m.counter("logres_maintain_applies_total").inc();
         m.counter("logres_maintain_deleted_total")
             .add(removed_total);
         m.counter("logres_maintain_rederived_total")
-            .add(rederived_total);
+            .add(pass.rederived);
         m.counter("logres_maintain_inserted_total")
-            .add(added.len() as u64);
+            .add(pass.added.len() as u64);
     }
-    let facts = view.inst.fact_count();
-    trace::emit(tracer, || TraceEvent::EvalEnd {
-        steps,
-        facts,
-        fixpoint: true,
-    });
-    let rule_profiles: Vec<RuleProfile> = view
-        .rules
-        .iter()
-        .enumerate()
-        .map(|(i, r)| RuleProfile {
-            rule: r.to_string(),
-            firings: tallies.fired[i],
-            derived: tallies.derived[i],
-            deleted: tallies.deleted[i],
-            ..RuleProfile::default()
-        })
-        .collect();
+    let report = pass.finish(view);
     Ok(MaintainResult {
-        report: EvalReport {
-            steps,
-            facts,
-            rule_profiles,
-            ..EvalReport::default()
-        },
-        added,
+        report,
+        added: pass.added,
     })
-}
-
-/// Incremental semi-naive delta rounds over one stratum's rules: each rule
-/// fires once per body position bound to the delta, new facts are recorded
-/// and become the next delta. With `over_set` given (DRed rederivation),
-/// reinsertions of overdeleted facts count as rederived; everything else
-/// is a genuinely new fact and joins `delta_plus`/`added`.
-#[allow(clippy::too_many_arguments)]
-fn run_delta_rounds(
-    schema: &Schema,
-    view: &mut MaterializedView,
-    stratum: &Stratum,
-    mut delta: Instance,
-    over_set: Option<&FxHashSet<Fact>>,
-    delta_plus: &mut Vec<Fact>,
-    added: &mut Vec<Fact>,
-    rederived_total: &mut u64,
-    tallies: &mut RuleTallies,
-    memo: &mut InventionMemo,
-    gen: &mut logres_model::OidGen,
-    opts: &EvalOptions,
-    threads: usize,
-    token: &crate::governor::CancelToken,
-    governor: &mut Governor,
-    steps: &mut usize,
-    tracer: Option<&crate::trace::Tracer>,
-) -> Result<(), EngineError> {
-    let cancel = |governor: &Governor, steps: usize, facts: usize| -> EngineError {
-        let cause = governor.check().expect("cancel taken only when tripped");
-        trace::emit(tracer, || TraceEvent::Cancelled {
-            step: steps,
-            cause: cause.to_string(),
-        });
-        EngineError::Cancelled {
-            cause,
-            partial: Box::new(EvalReport {
-                steps,
-                facts,
-                ..EvalReport::default()
-            }),
-        }
-    };
-    loop {
-        let jobs: Vec<(usize, usize)> = stratum
-            .rule_idxs
-            .iter()
-            .flat_map(|&idx| {
-                let delta = &delta;
-                view.rules[idx]
-                    .body
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(li, lit)| match &lit.atom {
-                        Atom::Pred { pred, .. } if delta.assoc_len(*pred) > 0 => Some((idx, li)),
-                        _ => None,
-                    })
-            })
-            .collect();
-        if jobs.is_empty() {
-            break;
-        }
-        if *steps >= opts.max_steps {
-            return Err(EngineError::NoFixpoint {
-                steps: opts.max_steps,
-            });
-        }
-        if view.inst.fact_count() > opts.max_facts {
-            return Err(EngineError::TooManyFacts {
-                limit: opts.max_facts,
-            });
-        }
-        let inst = &view.inst;
-        let rules = &view.rules;
-        token.reset_item();
-        let subs_per_job = ordered_map_cancellable(threads, &jobs, token, |_, &(idx, li)| {
-            token.note_item(idx);
-            let bv = BodyView {
-                full: inst,
-                delta: Some((li, &delta)),
-                tally: None,
-            };
-            eval_body(schema, bv, &rules[idx].body, Subst::new())
-        });
-        if governor.check().is_some() {
-            return Err(cancel(governor, *steps, view.inst.fact_count()));
-        }
-        let mut next_delta = Instance::new();
-        let mut round_nodes = 0usize;
-        for (&(idx, _), slot) in jobs.iter().zip(subs_per_job) {
-            let Some(subs) = slot else {
-                return Err(cancel(governor, *steps, view.inst.fact_count()));
-            };
-            for theta in subs? {
-                let rule = &view.rules[idx];
-                tallies.fired[idx] += 1;
-                let facts = instantiate_head(schema, &view.inst, rule, idx, &theta, memo, gen)?;
-                let premises = if facts.is_empty() {
-                    Vec::new()
-                } else {
-                    premises_of(schema, &view.inst, rule, &theta)
-                };
-                for fact in facts {
-                    if view.inst.insert_fact(schema, &fact) {
-                        round_nodes += fact_nodes(&fact);
-                        view.record(fact.clone(), idx, premises.clone());
-                        tallies.derived[idx] += 1;
-                        if let Fact::Assoc { assoc, tuple } = &fact {
-                            next_delta.insert_assoc(*assoc, tuple.clone());
-                        }
-                        if over_set.is_some_and(|s| s.contains(&fact)) {
-                            *rederived_total += 1;
-                        } else {
-                            delta_plus.push(fact.clone());
-                            added.push(fact);
-                        }
-                    }
-                }
-            }
-        }
-        governor.charge_nodes(round_nodes);
-        *steps += 1;
-        if governor.check().is_some() {
-            return Err(cancel(governor, *steps, view.inst.fact_count()));
-        }
-        delta = next_delta;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inflationary::evaluate_inflationary;
     use crate::load::load_facts;
     use logres_lang::parse_program;
-    use logres_model::OidGen;
 
     fn setup(src: &str) -> (Schema, Instance, RuleSet) {
         let p = parse_program(src).expect("parses");
@@ -1224,7 +1297,7 @@ mod tests {
     }
 
     fn rebuilt(schema: &Schema, rules: &RuleSet, edb: &Instance) -> Instance {
-        evaluate_seminaive(schema, rules, edb, EvalOptions::default())
+        evaluate_inflationary(schema, rules, edb, EvalOptions::default())
             .unwrap()
             .0
     }
@@ -1233,6 +1306,26 @@ mod tests {
     fn maintainable_accepts_the_positive_fragment() {
         let (schema, _, rules) = setup(&tc_program(2));
         assert!(maintainable(&schema, &rules));
+    }
+
+    #[test]
+    fn out_of_fragment_rules_are_rejected() {
+        let (schema, edb, rules) = setup(
+            r#"
+            associations
+              p = (d: integer);
+              q = (d: integer);
+            facts
+              p(d: 1).
+            rules
+              q(d: X) <- p(d: X), not q(d: X).
+        "#,
+        );
+        assert!(!seminaive_applicable(&schema, &rules));
+        assert!(matches!(
+            evaluate_seminaive(&schema, &rules, &edb, EvalOptions::default()),
+            Err(EngineError::UnsupportedFragment { .. })
+        ));
     }
 
     #[test]

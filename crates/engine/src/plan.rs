@@ -714,6 +714,45 @@ mod tests {
     }
 
     #[test]
+    fn nonlinear_rules_are_handled() {
+        // tc(X,Z) <- tc(X,Y), tc(Y,Z): two same-stratum occurrences, so the
+        // rule gets one delta plan per occurrence.
+        let src = r#"
+            associations
+              e  = (a: integer, b: integer);
+              tc = (a: integer, b: integer);
+            facts
+              e(a: 1, b: 2).
+              e(a: 2, b: 3).
+              e(a: 3, b: 4).
+              e(a: 4, b: 5).
+            rules
+              tc(a: X, b: Y) <- e(a: X, b: Y).
+              tc(a: X, b: Z) <- tc(a: X, b: Y), tc(a: Y, b: Z).
+        "#;
+        let (schema, edb, rules) = setup(src);
+        let reg = Arc::new(MetricsRegistry::new());
+        let (compiled, _) = evaluate(
+            &schema,
+            &rules,
+            &edb,
+            Semantics::Inflationary,
+            opts_with(&reg),
+        )
+        .unwrap();
+        assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
+        let (interp, _) = crate::inflationary::evaluate_inflationary(
+            &schema,
+            &rules,
+            &edb,
+            EvalOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(compiled, interp);
+        assert_eq!(compiled.assoc_len(Sym::new("tc")), 5 * 4 / 2);
+    }
+
+    #[test]
     fn stratified_negation_runs_compiled_and_matches_the_perfect_model() {
         let (schema, edb, rules) = setup(
             r#"

@@ -25,7 +25,7 @@ use crate::binding::{as_oid_like, eval_term, match_term, normalize_arg, self_lab
 pub struct ProvEntry {
     /// Canonical rule index (into the owning store's rule table).
     pub rule: usize,
-    /// 0-based step (inflationary) or round (semi-naive) of first derivation.
+    /// 0-based step of first derivation.
     pub step: usize,
     /// Ground positive premises of the first deriving valuation.
     pub premises: Vec<Fact>,
@@ -72,12 +72,6 @@ impl Provenance {
     /// The entry for a derived fact, if any.
     pub fn entry(&self, fact: &Fact) -> Option<&ProvEntry> {
         self.entries.get(fact)
-    }
-
-    /// Iterate over every recorded (fact, entry) pair, in no particular
-    /// order. Incremental maintenance uses this to index the support graph.
-    pub fn entries_iter(&self) -> impl Iterator<Item = (&Fact, &ProvEntry)> {
-        self.entries.iter()
     }
 
     /// The (rule, step) that invented an oid, if any.

@@ -21,7 +21,9 @@ use std::sync::{Arc, Mutex};
 pub enum TraceEvent {
     /// An evaluation run began.
     EvalStart {
-        /// Which driver: `"inflationary"`, `"seminaive"`, or `"stratified"`.
+        /// Which driver: `"inflationary"` (the interpreter, also per stratum
+        /// of a stratified run), `"compiled"`, or `"maintain"` (a view
+        /// build or update).
         engine: &'static str,
         /// Number of rules in the program.
         rules: usize,

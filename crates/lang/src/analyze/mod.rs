@@ -54,7 +54,7 @@ pub use graph::{DepGraph, EdgeKind};
 use logres_model::{Schema, Sym};
 use rustc_hash::FxHashSet;
 
-use crate::ast::{Denial, Goal, Program, RuleSet};
+use crate::ast::{Denial, Goal, GroundFact, Program, RuleSet};
 use crate::{safety, typecheck};
 
 /// Everything the whole-program analyzer looks at.
@@ -72,6 +72,8 @@ pub struct AnalysisInput<'a> {
     pub constraints: &'a [Denial],
     /// The goal, if any.
     pub goal: Option<&'a Goal>,
+    /// Ground facts to typecheck (a parsed program's `facts` section).
+    pub facts: &'a [GroundFact],
     /// Predicates and data functions with extensional data (declared facts
     /// or a non-empty stored extension). Only these are assumed derivable
     /// without a rule.
@@ -96,7 +98,7 @@ pub fn analyze_program(program: &Program) -> Vec<Diagnostic> {
 
 /// Only the error-level checks (typing `E001`, safety `E002`), in the
 /// legacy emission order: per rule typecheck then safety, then constraint
-/// bodies, then the goal body. [`crate::check_program`] delegates here, so
+/// bodies, then the goal body, then the ground facts. [`crate::check_program`] delegates here, so
 /// the rejected/accepted verdict cannot drift from `analyze`'s.
 pub fn error_diagnostics(program: &Program) -> Vec<Diagnostic> {
     error_diagnostics_input(&input_of(program))
@@ -108,6 +110,7 @@ fn input_of(program: &Program) -> AnalysisInput<'_> {
         rules: &program.rules,
         constraints: &program.constraints,
         goal: program.goal.as_ref(),
+        facts: &program.facts,
         edb: program.facts.iter().map(|f| f.pred).collect(),
     }
 }
@@ -144,6 +147,14 @@ fn error_diagnostics_input(input: &AnalysisInput<'_>) -> Vec<Diagnostic> {
             );
         }
     }
+    for fact in input.facts {
+        if let Err(errs) = typecheck::check_fact(input.schema, fact) {
+            out.extend(
+                errs.into_iter()
+                    .map(|e| Diagnostic::error("E001", e.span, e.message)),
+            );
+        }
+    }
     out
 }
 
@@ -174,6 +185,52 @@ mod tests {
             let b = diag::render_all_json(&analyze_program(&program));
             assert_eq!(a, b, "fixture `{}` renders nondeterministically", fx.name);
         }
+    }
+
+    /// The E001 messages `error_diagnostics` reports for a program text.
+    fn e001(src: &str) -> Vec<String> {
+        let program = parse_program(src).expect("program parses");
+        error_diagnostics(&program)
+            .into_iter()
+            .filter(|d| d.code == "E001")
+            .map(|d| d.message)
+            .collect()
+    }
+
+    const P: &str = "associations\n  p = (a: integer, b: string);\n  q = (a: integer);\n";
+
+    #[test]
+    fn facts_naming_an_attribute_twice_are_e001() {
+        let errs = e001(&format!("{P}facts\n  p(a: 1, a: 2).\n"));
+        assert_eq!(errs, ["attribute `a` appears twice in `p`"]);
+    }
+
+    #[test]
+    fn literals_naming_an_attribute_twice_are_e001() {
+        let errs = e001(&format!(
+            "{P}rules\n  q(a: X, a: Y) <- p(a: X, b: \"s\"), q(a: Y).\n"
+        ));
+        assert_eq!(errs, ["attribute `a` appears twice in `q`"]);
+        let errs = e001(&format!("{P}rules\n  q(a: X) <- p(a: X, a: Y), q(a: Y).\n"));
+        assert_eq!(errs, ["attribute `a` appears twice in `p`"]);
+    }
+
+    #[test]
+    fn facts_with_an_unknown_attribute_are_e001() {
+        let errs = e001(&format!("{P}facts\n  p(c: 1).\n"));
+        assert_eq!(errs, ["predicate `p` has no attribute `c`"]);
+    }
+
+    #[test]
+    fn facts_with_a_mistyped_value_are_e001() {
+        let errs = e001(&format!("{P}facts\n  p(a: \"x\").\n"));
+        assert_eq!(errs.len(), 1);
+        assert!(errs[0].contains("does not match expected type"), "{errs:?}");
+    }
+
+    #[test]
+    fn facts_may_leave_attributes_out() {
+        assert!(e001(&format!("{P}facts\n  p(a: 1).\n  p(b: \"s\").\n")).is_empty());
     }
 
     #[test]

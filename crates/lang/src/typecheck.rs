@@ -10,7 +10,7 @@
 
 use logres_model::{PredKind, Schema, Sym, TypeDesc, Value};
 
-use crate::ast::{Atom, BodyLiteral, Builtin, PredArg, Rule, Term};
+use crate::ast::{Atom, BodyLiteral, Builtin, GroundFact, PredArg, Rule, Term};
 use crate::error::{LangError, Span};
 
 /// How a variable is used: as a value of a type, as the oid of a class, or
@@ -53,6 +53,34 @@ pub fn check_body(schema: &Schema, body: &[BodyLiteral]) -> Result<(), Vec<LangE
         ctx.atom(&lit.atom, false);
     }
     ctx.finish()
+}
+
+/// Check one ground fact: each attribute it names must exist on the
+/// predicate, appear once, and hold a constant of the attribute's type.
+/// Attributes the fact leaves out are allowed.
+pub fn check_fact(schema: &Schema, fact: &GroundFact) -> Result<(), Vec<LangError>> {
+    let pred = fact.pred;
+    let tuple_ty = pred_tuple_type(schema, pred);
+    let mut errs = Vec::new();
+    for (i, (label, value)) in fact.args.iter().enumerate() {
+        let err = if fact.args[..i].iter().any(|(l, _)| l == label) {
+            format!("attribute `{label}` appears twice in `{pred}`")
+        } else {
+            match tuple_ty.as_ref().map(|tt| tt.field(*label)) {
+                Some(None) => format!("predicate `{pred}` has no attribute `{label}`"),
+                Some(Some(ty)) if !const_matches(schema, value, ty) => {
+                    format!("constant `{value}` does not match expected type `{ty}`")
+                }
+                _ => continue,
+            }
+        };
+        errs.push(LangError::new(fact.span, err));
+    }
+    if errs.is_empty() {
+        Ok(())
+    } else {
+        Err(errs)
+    }
 }
 
 /// The visible tuple type of a predicate: effective type for classes,
@@ -184,7 +212,7 @@ impl Ctx<'_> {
             Atom::Pred { pred, args, span } => {
                 let kind = self.schema.kind(*pred);
                 let tuple_ty = pred_tuple_type(self.schema, *pred);
-                for arg in args {
+                for (i, arg) in args.iter().enumerate() {
                     match arg {
                         PredArg::SelfArg(t) => {
                             if kind != Some(PredKind::Class) {
@@ -206,6 +234,15 @@ impl Ctx<'_> {
                             self.uses.push((*v, VarUse::TupleOf(*pred), *span));
                         }
                         PredArg::Labeled(label, t) => {
+                            if args[..i]
+                                .iter()
+                                .any(|a| matches!(a, PredArg::Labeled(l, _) if l == label))
+                            {
+                                self.errs.push(LangError::new(
+                                    *span,
+                                    format!("attribute `{label}` appears twice in `{pred}`"),
+                                ));
+                            }
                             let attr_ty =
                                 tuple_ty.as_ref().and_then(|tt| tt.field(*label).cloned());
                             match attr_ty {

@@ -6,7 +6,7 @@
 //! in canonical rule order.
 
 use logres::engine::{
-    evaluate_inflationary, evaluate_seminaive, evaluate_stratified, load_facts, EvalOptions,
+    evaluate_inflationary, evaluate_stratified, load_facts, EvalOptions, MaterializedView,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, Oid, OidGen, Sym};
@@ -141,15 +141,23 @@ fn closure_workload_is_thread_count_invariant() {
     assert_inflationary_deterministic(&closure_program(&random_edges(14, 28, 11)));
 }
 
+/// The maintenance view build runs its match phases in parallel; the view
+/// and its support graph must not depend on the thread count.
 #[test]
-fn seminaive_is_thread_count_invariant() {
+fn view_build_is_thread_count_invariant() {
     let (schema, edb, rules) = edb_of(&closure_program(&random_edges(14, 28, 12)));
     let (baseline, base_report) =
-        evaluate_seminaive(&schema, &rules, &edb, opts(1)).expect("serial run");
+        MaterializedView::build(&schema, &rules, &edb, &opts(1)).expect("serial build");
+    assert!(baseline.supported_count() > 0);
     for threads in THREAD_COUNTS {
-        let (inst, report) =
-            evaluate_seminaive(&schema, &rules, &edb, opts(threads)).expect("parallel run");
-        assert_eq!(inst, baseline, "instance differs at threads={threads}");
+        let (view, report) =
+            MaterializedView::build(&schema, &rules, &edb, &opts(threads)).expect("parallel build");
+        assert_eq!(
+            view.instance(),
+            baseline.instance(),
+            "instance differs at threads={threads}"
+        );
+        assert_eq!(view.supported_count(), baseline.supported_count());
         assert_eq!(report.steps, base_report.steps);
     }
 }

@@ -31,6 +31,24 @@ fn goal_bodies_are_type_checked_on_module_parse() {
     }
 }
 
+/// A fact or a rule head naming an attribute twice is a type error caught
+/// before anything loads or evaluates, not a panic.
+#[test]
+fn attributes_named_twice_are_rejected_at_load() {
+    const SCHEMA: &str = "associations\n  p = (a: integer);\n  q = (a: integer);\n";
+    for tail in [
+        "facts\n  p(a: 1, a: 2).\n",
+        "facts\n  p(a: 1).\nrules\n  q(a: X, a: Y) <- p(a: X), p(a: Y).\n",
+    ] {
+        match Database::from_source(&format!("{SCHEMA}{tail}")) {
+            Err(CoreError::Lang(errs)) => {
+                assert!(errs[0].message.contains("appears twice"), "{errs:?}")
+            }
+            other => panic!("expected a type error for {tail:?}, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn deeply_nested_type_constructors_parse_and_print() {
     let db = Database::from_source(

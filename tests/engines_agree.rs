@@ -1,8 +1,8 @@
-//! Cross-engine agreement: the inflationary interpreter, the semi-naive
-//! evaluator, and the ALGRES-compiled planner (with semi-naive rounds, and
-//! with naive rounds that re-run every recursive rule over the full
-//! relations) must compute identical fact sets on the shared fragment — and
-//! all must match an independent graph-algorithm reference. The production
+//! Cross-engine agreement: the inflationary interpreter and the
+//! ALGRES-compiled planner (with semi-naive rounds, and with naive rounds
+//! that re-run every recursive rule over the full relations) must compute
+//! identical fact sets on the shared fragment — and all must match an
+//! independent graph-algorithm reference. The production
 //! dispatcher's compiled fast path (`EvalOptions::compiled`) is held to the
 //! same standard: bit-identical instances against the interpreted oracle at
 //! every thread count, with every fallback accounted for by reason.
@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use logres::engine::{
-    compile_program, evaluate, evaluate_inflationary, evaluate_seminaive, load_facts, run_compiled,
-    EvalOptions, MetricsRegistry, Semantics,
+    compile_program, evaluate, evaluate_inflationary, evaluate_stratified, load_facts,
+    run_compiled, EvalOptions, MetricsRegistry, Semantics,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym, Value};
@@ -38,23 +38,12 @@ fn closure_with_all_engines(edges: &[(i64, i64)]) {
         threads: 4,
         ..EvalOptions::default()
     };
-    let (par_interp, _) =
-        evaluate_inflationary(&program.schema, &program.rules, &edb, par_opts.clone())
-            .expect("parallel interpreter");
+    let (par_interp, _) = evaluate_inflationary(&program.schema, &program.rules, &edb, par_opts)
+        .expect("parallel interpreter");
     assert_eq!(
         par_interp, interp,
         "parallel interpreter diverged from serial"
     );
-    let (semi, _) = evaluate_seminaive(
-        &program.schema,
-        &program.rules,
-        &edb,
-        EvalOptions::default(),
-    )
-    .expect("semi-naive");
-    let (par_semi, _) = evaluate_seminaive(&program.schema, &program.rules, &edb, par_opts)
-        .expect("parallel semi-naive");
-    assert_eq!(par_semi, semi, "parallel semi-naive diverged from serial");
     let delta_program =
         compile_program(&program.schema, &program.rules, Semantics::Stratified).expect("compiles");
     // Naive rounds: every recursive rule re-runs its full plan each round.
@@ -82,7 +71,6 @@ fn closure_with_all_engines(edges: &[(i64, i64)]) {
     let tc = Sym::new("tc");
     for (name, inst) in [
         ("interpreter", &interp),
-        ("semi-naive", &semi),
         ("compiled-naive", &naive_compiled),
         ("compiled-delta", &delta_compiled),
     ] {
@@ -161,11 +149,10 @@ fn invention_is_determinate() {
     assert!(a.isomorphic(&schema, &b));
 }
 
-/// `:why` agrees across engines: the inflationary and semi-naive drivers
-/// record the same first derivation (rule text and ground premises,
-/// recursively) for every closure fact. Step and round numbering differ by
-/// construction — one counts inflationary steps, the other semi-naive
-/// rounds — so only the shape of the chain is compared.
+/// `:why` agrees across engines: the inflationary and stratified
+/// interpreters record the same first derivation (rule text and ground
+/// premises, recursively) for every closure fact. Only the shape of the
+/// chain is compared: step numbers and rule indices are each driver's own.
 #[test]
 fn why_agrees_across_engines() {
     use logres::engine::Derivation;
@@ -199,10 +186,10 @@ fn why_agrees_across_engines() {
     };
     let (infl, infl_report) =
         evaluate_inflationary(&p.schema, &p.rules, &edb, opts.clone()).unwrap();
-    let (semi, semi_report) = evaluate_seminaive(&p.schema, &p.rules, &edb, opts).unwrap();
-    assert_eq!(infl, semi);
+    let (strat, strat_report) = evaluate_stratified(&p.schema, &p.rules, &edb, opts).unwrap();
+    assert_eq!(infl, strat);
     let infl_prov = infl_report.provenance.expect("inflationary provenance");
-    let semi_prov = semi_report.provenance.expect("semi-naive provenance");
+    let strat_prov = strat_report.provenance.expect("stratified provenance");
     let tc = Sym::new("tc");
     let mut tuples: Vec<_> = infl.tuples_of(tc).collect();
     tuples.sort();
@@ -213,7 +200,7 @@ fn why_agrees_across_engines() {
             tuple: tuple.clone(),
         };
         let a = infl_prov.explain(&fact);
-        let b = semi_prov.explain(&fact);
+        let b = strat_prov.explain(&fact);
         assert!(!a.is_edb(), "{fact} should be derived");
         assert_same_shape(&a, &b);
         assert_eq!(a.edb_leaves(), b.edb_leaves());
@@ -234,8 +221,7 @@ fn semantics_coincide_on_positive_programs() {
     let (infl, _) =
         evaluate_inflationary(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
     let (strat, _) =
-        logres::engine::evaluate_stratified(&p.schema, &p.rules, &edb, EvalOptions::default())
-            .unwrap();
+        evaluate_stratified(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
     let tc = Sym::new("tc");
     assert_eq!(infl.assoc_len(tc), strat.assoc_len(tc));
     for t in infl.tuples_of(tc) {

@@ -7,8 +7,8 @@
 use std::time::Duration;
 
 use logres::engine::{
-    evaluate, evaluate_inflationary, load_facts, CancelCause, EngineError, EvalOptions, Semantics,
-    TraceEvent, Tracer,
+    evaluate, evaluate_inflationary, load_facts, CancelCause, EngineError, EvalOptions,
+    MaterializedView, Semantics, TraceEvent, Tracer,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen, Sym};
@@ -211,21 +211,17 @@ fn cancelled_runs_emit_a_cancelled_event() {
     }
 }
 
-/// The diverging counter touches no associations, so semi-naive evaluation
-/// does not apply — but the seminaive driver still honors deadlines on the
-/// workloads it does run (exercised via the closure program).
+/// Budgets bound the maintenance view build too: a 0 ms deadline cancels
+/// it at its first round boundary.
 #[test]
-fn seminaive_honors_the_deadline() {
-    // A big enough random graph that a 0ms deadline trips before the
-    // fixpoint: the budget is checked at round boundaries.
+fn view_build_honors_the_deadline() {
     let src = closure_program(&random_edges(64, 256, 5));
     let (schema, edb, rules) = edb_of(&src);
     let opts = EvalOptions {
         deadline: Some(Duration::from_millis(0)),
         ..EvalOptions::default()
     };
-    let err = logres::engine::evaluate_seminaive(&schema, &rules, &edb, opts)
-        .expect_err("0ms must cancel");
+    let err = MaterializedView::build(&schema, &rules, &edb, &opts).expect_err("0ms must cancel");
     assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
 }
 

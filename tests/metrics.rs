@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use logres::engine::{
-    evaluate_inflationary, evaluate_seminaive, load_facts, EvalOptions, MetricsRegistry, Provenance,
-};
+use logres::engine::{evaluate_inflationary, load_facts, EvalOptions, MetricsRegistry, Provenance};
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen};
 use logres_repro::generators::{closure_program, random_edges};
@@ -61,7 +59,6 @@ fn edb_of(src: &str) -> (logres::Schema, Instance, logres::lang::RuleSet) {
 /// (counter snapshot + provenance store) plus the instance.
 fn instrumented_run(
     src: &str,
-    seminaive: bool,
     threads: usize,
 ) -> (Vec<(String, u64)>, Option<Provenance>, Instance) {
     let (schema, edb, rules) = edb_of(src);
@@ -72,22 +69,19 @@ fn instrumented_run(
         provenance: true,
         ..EvalOptions::default()
     };
-    let (inst, report) = if seminaive {
-        evaluate_seminaive(&schema, &rules, &edb, opts).expect("semi-naive runs")
-    } else {
-        evaluate_inflationary(&schema, &rules, &edb, opts).expect("inflationary runs")
-    };
+    let (inst, report) =
+        evaluate_inflationary(&schema, &rules, &edb, opts).expect("inflationary runs");
     (registry.counter_snapshot(), report.provenance, inst)
 }
 
-fn assert_observably_deterministic(src: &str, seminaive: bool) {
-    let (base_counters, base_prov, base_inst) = instrumented_run(src, seminaive, 1);
+fn assert_observably_deterministic(src: &str) {
+    let (base_counters, base_prov, base_inst) = instrumented_run(src, 1);
     assert!(
         base_prov.as_ref().is_some_and(|p| !p.is_empty()),
         "provenance recorded something"
     );
     for threads in THREAD_COUNTS {
-        let (counters, prov, inst) = instrumented_run(src, seminaive, threads);
+        let (counters, prov, inst) = instrumented_run(src, threads);
         assert_eq!(inst, base_inst, "instance differs at threads={threads}");
         assert_eq!(
             counters, base_counters,
@@ -100,23 +94,22 @@ fn assert_observably_deterministic(src: &str, seminaive: bool) {
 #[test]
 fn closure_metrics_are_thread_count_invariant() {
     let src = closure_program(&random_edges(14, 28, 11));
-    assert_observably_deterministic(&src, false);
-    assert_observably_deterministic(&src, true);
+    assert_observably_deterministic(&src);
 }
 
 #[test]
 fn deletion_metrics_are_thread_count_invariant() {
-    assert_observably_deterministic(UPDATE, false);
+    assert_observably_deterministic(UPDATE);
 }
 
 #[test]
 fn invention_metrics_are_thread_count_invariant() {
-    assert_observably_deterministic(INVENTION, false);
+    assert_observably_deterministic(INVENTION);
 }
 
 #[test]
 fn counters_reflect_the_work_done() {
-    let (counters, prov, inst) = instrumented_run(INVENTION, false, 1);
+    let (counters, prov, inst) = instrumented_run(INVENTION, 1);
     let get = |name: &str| {
         counters
             .iter()
@@ -207,7 +200,7 @@ fn why_walks_a_deep_chain_to_edb() {
     // A 6-link chain: tc(0,6) needs the full genealogy of hops.
     let edges: Vec<(i64, i64)> = (0..6).map(|i| (i, i + 1)).collect();
     let src = closure_program(&edges);
-    let (_, prov, _) = instrumented_run(&src, false, 1);
+    let (_, prov, _) = instrumented_run(&src, 1);
     let prov = prov.expect("provenance on");
     let fact = logres::model::Fact::Assoc {
         assoc: logres::Sym::new("tc"),

@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 
-use logres::engine::{evaluate_inflationary, evaluate_seminaive, load_facts, EvalOptions};
+use logres::engine::{
+    evaluate, evaluate_inflationary, load_facts, maintainable, EvalOptions, MaterializedView,
+    Semantics,
+};
 use logres::lang::parse_program;
 use logres::model::{Instance, Oid, OidGen, Schema, Sym, TypeDesc, Value};
 use logres_repro::generators::{closure_program, reference_closure};
@@ -263,8 +266,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Interpreter and semi-naive evaluation agree with a graph-theoretic
-    /// reference on arbitrary small digraphs.
+    /// The interpreter, the compiled path and a maintenance view build
+    /// agree with a graph-theoretic reference on arbitrary small digraphs.
     #[test]
     fn closure_engines_match_reference(
         edges in proptest::collection::btree_set((0i64..8, 0i64..8), 1..20)
@@ -276,18 +279,19 @@ proptest! {
         let mut edb = Instance::new();
         let mut gen = OidGen::new();
         load_facts(&p.schema, &mut edb, &p.facts, &mut gen).unwrap();
-        let (interp, _) =
-            evaluate_inflationary(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
-        let (semi, _) =
-            evaluate_seminaive(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
+        let opts = EvalOptions::default();
+        let (interp, _) = evaluate_inflationary(&p.schema, &p.rules, &edb, opts.clone()).unwrap();
+        let (compiled, _) =
+            evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, opts.clone()).unwrap();
+        let (view, _) = MaterializedView::build(&p.schema, &p.rules, &edb, &opts).unwrap();
         let reference = reference_closure(&edges);
         let tc = Sym::new("tc");
-        prop_assert_eq!(interp.assoc_len(tc), reference.len());
-        prop_assert_eq!(semi.assoc_len(tc), reference.len());
-        for (a, b) in reference {
-            let t = Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))]);
-            prop_assert!(interp.has_tuple(tc, &t));
-            prop_assert!(semi.has_tuple(tc, &t));
+        for inst in [&interp, &compiled, view.instance()] {
+            prop_assert_eq!(inst.assoc_len(tc), reference.len());
+            for &(a, b) in &reference {
+                let t = Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))]);
+                prop_assert!(inst.has_tuple(tc, &t));
+            }
         }
     }
 }
@@ -332,9 +336,10 @@ fn ruleset_src(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// On random positive rule sets the semi-naive evaluator, the serial
-    /// inflationary interpreter, and the parallel inflationary interpreter
-    /// all produce the same instance.
+    /// On random positive rule sets the serial and parallel inflationary
+    /// interpreter, the compiled path, and a maintenance view build at
+    /// threads 1 and 8 all produce the same instance, and the view records
+    /// a derivation for every fact beyond the EDB.
     #[test]
     fn random_positive_rulesets_agree(
         rules in proptest::collection::vec(
@@ -348,19 +353,31 @@ proptest! {
     ) {
         let src = ruleset_src(&rules, &facts);
         let p = parse_program(&src).unwrap();
-        prop_assert!(logres::engine::seminaive_applicable(&p.schema, &p.rules));
+        prop_assert!(maintainable(&p.schema, &p.rules));
         let mut edb = Instance::new();
         let mut gen = OidGen::new();
         load_facts(&p.schema, &mut edb, &p.facts, &mut gen).unwrap();
         let (infl, _) =
             evaluate_inflationary(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
-        let (semi, _) =
-            evaluate_seminaive(&p.schema, &p.rules, &edb, EvalOptions::default()).unwrap();
-        prop_assert_eq!(&infl, &semi, "semi-naive disagrees on:\n{}", src);
+        let (compiled, _) = evaluate(
+            &p.schema, &p.rules, &edb, Semantics::Stratified, EvalOptions::default(),
+        ).unwrap();
+        prop_assert_eq!(&compiled, &infl, "compiled path disagrees on:\n{}", src);
         let par_opts = EvalOptions { threads: 8, ..EvalOptions::default() };
         let (par, _) =
             evaluate_inflationary(&p.schema, &p.rules, &edb, par_opts).unwrap();
         prop_assert_eq!(&par, &infl, "parallel run disagrees on:\n{}", src);
+        for threads in [1, 8] {
+            let opts = EvalOptions { threads, ..EvalOptions::default() };
+            let (view, _) = MaterializedView::build(&p.schema, &p.rules, &edb, &opts).unwrap();
+            prop_assert_eq!(
+                view.instance(), &infl, "view build at threads={} disagrees on:\n{}", threads, src
+            );
+            prop_assert_eq!(
+                view.supported_count(), infl.fact_count() - edb.fact_count(),
+                "view build at threads={} misses a derivation on:\n{}", threads, src
+            );
+        }
     }
 }
 
