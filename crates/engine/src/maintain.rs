@@ -24,7 +24,9 @@
 //! * **insertions** run classic incremental semi-naive: a rule new to the
 //!   view first fires over the whole instance (round 0), then each rule
 //!   fires once per body position bound to the delta of genuinely new
-//!   facts, per round, until the delta drains.
+//!   facts, per round, until the delta drains. The matcher expands the
+//!   delta literal first and probes the view instance's indexes, which
+//!   updates maintain in place, so a round costs O(|delta| × fan-out).
 //!
 //! The support graph ([`MaterializedView`]) records, for every derived fact,
 //! the rule and premises of the round that first inserted it, which makes
@@ -37,7 +39,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use logres_lang::{Atom, PredArg, Rule, RuleSet, Term};
+use logres_lang::{Atom, BodyLiteral, PredArg, Rule, RuleSet, Term};
 use logres_model::{Fact, Instance, OidGen, PredKind, Schema, Sym, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -47,6 +49,7 @@ use crate::error::EngineError;
 use crate::governor::{CancelToken, Governor};
 use crate::inflationary::{EvalOptions, EvalReport, RuleProfile};
 use crate::matcher::{eval_body, BodyView};
+use crate::metrics::{EngineMetrics, ProbeTally};
 use crate::parallel::{effective_threads, ordered_map_cancellable};
 use crate::provenance::premises_of;
 use crate::stratified::{evaluate, Semantics};
@@ -421,6 +424,24 @@ fn bind_head(args: &[PredArg], tuple: &Value, inst: &Instance) -> Option<Subst> 
     Some(s)
 }
 
+/// [`eval_body`] with its access-path decisions counted into `metrics`:
+/// a local tally per call, flushed once, as the one-step match phase does
+/// (per-probe updates of the shared atomics would dominate the match).
+fn eval_counted(
+    schema: &Schema,
+    view: BodyView<'_>,
+    body: &[BodyLiteral],
+    init: Subst,
+    metrics: Option<&EngineMetrics>,
+) -> Result<Vec<Subst>, EngineError> {
+    let tally = ProbeTally::default();
+    let subs = eval_body(schema, view.with_tally(metrics.map(|_| &tally)), body, init);
+    if let Some(m) = metrics {
+        tally.flush(m);
+    }
+    subs
+}
+
 /// For each candidate rule (ascending index) whose head can denote `fact`,
 /// the first body valuation extending the head inversion. Verification
 /// (head instantiation must reproduce the fact exactly, including fields
@@ -431,6 +452,7 @@ fn derivation_candidates(
     rules: &[Rule],
     rule_idxs: &[usize],
     fact: &Fact,
+    metrics: Option<&EngineMetrics>,
 ) -> Result<Vec<(usize, Subst)>, EngineError> {
     let Fact::Assoc { assoc, tuple } = fact else {
         return Ok(Vec::new());
@@ -447,7 +469,7 @@ fn derivation_candidates(
         let Some(theta0) = bind_head(args, tuple, inst) else {
             continue;
         };
-        let subs = eval_body(schema, BodyView::plain(inst), &rule.body, theta0)?;
+        let subs = eval_counted(schema, BodyView::plain(inst), &rule.body, theta0, metrics)?;
         if let Some(theta) = subs.into_iter().next() {
             out.push((idx, theta));
         }
@@ -649,6 +671,8 @@ struct Pass<'a> {
     schema: &'a Schema,
     opts: &'a EvalOptions,
     tracer: Option<&'a Tracer>,
+    /// Matcher counters (`logres_matcher_*`), when metrics are on.
+    metrics: Option<EngineMetrics>,
     threads: usize,
     governor: Governor,
     token: CancelToken,
@@ -685,6 +709,7 @@ impl<'a> Pass<'a> {
             schema,
             opts,
             tracer,
+            metrics: opts.metrics.as_ref().map(EngineMetrics::new),
             threads: effective_threads(opts.threads),
             governor,
             token,
@@ -781,14 +806,16 @@ impl<'a> Pass<'a> {
             return Ok(delta);
         }
         let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
+        let metrics = self.metrics.as_ref();
         token.reset_item();
         let subs_per_rule = ordered_map_cancellable(self.threads, rule_idxs, token, |_, &idx| {
             token.note_item(idx);
-            eval_body(
+            eval_counted(
                 schema,
                 BodyView::plain(inst),
                 &rules[idx].body,
                 Subst::new(),
+                metrics,
             )
         });
         if self.governor.check().is_some() {
@@ -852,6 +879,7 @@ impl<'a> Pass<'a> {
                 });
             }
             let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
+            let metrics = self.metrics.as_ref();
             token.reset_item();
             let subs_per_job =
                 ordered_map_cancellable(self.threads, &jobs, token, |_, &(idx, li)| {
@@ -861,7 +889,7 @@ impl<'a> Pass<'a> {
                         delta: Some((li, &delta)),
                         tally: None,
                     };
-                    eval_body(schema, bv, &rules[idx].body, Subst::new())
+                    eval_counted(schema, bv, &rules[idx].body, Subst::new(), metrics)
                 });
             if self.governor.check().is_some() {
                 return Err(self.cancel(view.inst.fact_count()));
@@ -1067,10 +1095,11 @@ pub fn apply_update(
                 view.drop_support(f);
             }
             let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
+            let metrics = pass.metrics.as_ref();
             token.reset_item();
             let per_fact = ordered_map_cancellable(pass.threads, &check, token, |i, f| {
                 token.note_item(i);
-                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f)
+                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
             });
             if pass.governor.check().is_some() {
                 return Err(pass.cancel(view.inst.fact_count()));
@@ -1161,10 +1190,11 @@ pub fn apply_update(
             // Rederive round 0: head inversion over the overdeleted set
             // against the instance with all overdeleted facts absent.
             let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
+            let metrics = pass.metrics.as_ref();
             token.reset_item();
             let per_fact = ordered_map_cancellable(pass.threads, &overdeleted, token, |i, f| {
                 token.note_item(i);
-                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f)
+                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
             });
             if pass.governor.check().is_some() {
                 return Err(pass.cancel(view.inst.fact_count()));

@@ -3,11 +3,14 @@
 //! Literals are scheduled greedily: at each step the first *ready* literal
 //! is consumed — positive ordinary literals are always ready (they
 //! enumerate), builtins are ready once their inputs are bound, negated
-//! literals once all their variables are bound. A negated literal whose
-//! variables never become bound is evaluated last by enumerating the
-//! **active domain** of the variable's type (Section 2.1: "variables which
-//! are only present in negated literals [are] restricted to their current
-//! active domain").
+//! literals once all their variables are bound. A [`BodyView`] delta
+//! literal comes first in that order, so a delta round enumerates the delta
+//! and probes the full instance with its bindings: it costs
+//! O(|delta| × fan-out), not a scan of the body's first literal. A negated
+//! literal whose variables never become bound is evaluated last by
+//! enumerating the **active domain** of the variable's type (Section 2.1:
+//! "variables which are only present in negated literals [are] restricted
+//! to their current active domain").
 
 use std::fmt;
 
@@ -31,7 +34,7 @@ pub struct BodyView<'a> {
     /// The full fact set (used for tests, negation, function reads).
     pub full: &'a Instance,
     /// When set, the literal at this index enumerates from this instance
-    /// instead of `full`.
+    /// instead of `full`, and is expanded before every other literal.
     pub delta: Option<(usize, &'a Instance)>,
     /// When set, probe/scan decisions are counted into this local tally
     /// (the caller flushes it to the shared counters once per rule).
@@ -70,7 +73,11 @@ pub fn eval_body(
     init: Subst,
 ) -> Result<Vec<Subst>, EngineError> {
     let mut results = Vec::new();
-    let remaining: Vec<usize> = (0..body.len()).collect();
+    let delta = view.delta.map(|(i, _)| i);
+    let remaining: Vec<usize> = delta
+        .into_iter()
+        .chain((0..body.len()).filter(|&i| Some(i) != delta))
+        .collect();
     solve_rec(schema, view, body, init, remaining, &mut results)?;
     Ok(results)
 }
@@ -920,6 +927,47 @@ mod tests {
         // Only (1,2) joins e, yielding X=1, Z=3. The (9,9) row is invisible.
         assert_eq!(subs.len(), 1);
         assert_eq!(subs[0].get(Sym::new("Z")), Some(&Value::Int(3)));
+    }
+
+    #[test]
+    fn the_delta_literal_expands_first() {
+        let (schema, inst, rules) = setup(
+            r#"
+            associations
+              e  = (a: integer, b: integer);
+              tc = (a: integer, b: integer);
+            facts
+              e(a: 0, b: 1). e(a: 1, b: 2). e(a: 2, b: 3). e(a: 3, b: 4).
+              e(a: 4, b: 5). e(a: 5, b: 6). e(a: 6, b: 7). e(a: 7, b: 8).
+            rules
+              tc(a: X, b: Z) <- e(a: X, b: Y), tc(a: Y, b: Z).
+        "#,
+        );
+        // The delta sits at body position 1, after the eight-tuple `e`.
+        let tc = |a, b| Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))]);
+        let mut delta = Instance::new();
+        let mut full = inst.clone();
+        for t in [tc(3, 9), tc(5, 9)] {
+            delta.insert_assoc(Sym::new("tc"), t.clone());
+            full.insert_assoc(Sym::new("tc"), t);
+        }
+        let tally = ProbeTally::default();
+        let view = BodyView {
+            full: &full,
+            delta: Some((1, &delta)),
+            tally: Some(&tally),
+        };
+        let subs = eval_body(&schema, view, &rules.rules[0].body, Subst::new()).unwrap();
+        let mut xs: Vec<&Value> = subs.iter().map(|s| s.get(Sym::new("X")).unwrap()).collect();
+        xs.sort();
+        assert_eq!(xs, [&Value::Int(2), &Value::Int(4)]);
+        // One scan of the delta, then one probe of `e` per delta tuple —
+        // not a scan of `e` and one probe of the delta per `e` tuple.
+        let reg = std::sync::Arc::new(crate::metrics::MetricsRegistry::new());
+        let em = crate::metrics::EngineMetrics::new(&reg);
+        tally.flush(&em);
+        assert_eq!(em.scan_fallbacks.get(), 1);
+        assert_eq!(em.probe_hits.get() + em.probe_misses.get(), 2);
     }
 
     #[test]

@@ -678,8 +678,11 @@ fn magic_atom(magic: Sym, bound: &BTreeSet<Sym>, args: &[PredArg], span: Span) -
 }
 
 /// The demand rule for one site: `@magic_q(bound args) <- guard?, prefix.`
-/// Returns `None` for predicates without demand or for the degenerate
-/// self-demand `@magic_p(…) <- @magic_p(…).`.
+/// Returns `None` for predicates without demand or for a tautological
+/// rule, whose head is one of its own positive body literals — such as
+/// `@magic_p(b: Z) <- @magic_p(b: Z), e(a: X, b: Y).` from a recursive
+/// call that passes its bound labels through unchanged. It can never
+/// derive a new fact, yet every round would still join its body.
 fn demand_rule(
     magic: &BTreeMap<Sym, Sym>,
     bound: &BTreeMap<Sym, BTreeSet<Sym>>,
@@ -696,7 +699,7 @@ fn demand_rule(
         body.push(g.clone());
     }
     body.extend(site.prefix.iter().cloned());
-    if body.len() == 1 && !body[0].negated && body[0].atom == head.atom {
+    if body.iter().any(|l| !l.negated && l.atom == head.atom) {
         return None;
     }
     Some(Rule {
@@ -793,6 +796,39 @@ mod tests {
             printed.contains(&"@magic_tc(a: Y) <- @magic_tc(a: X), e(a: X, b: Y).".to_owned()),
             "{printed:?}"
         );
+    }
+
+    #[test]
+    fn tautological_demand_rules_are_dropped() {
+        // With `b` bound, the recursive call passes its demand through
+        // unchanged: `@magic_tc(b: Z) <- @magic_tc(b: Z), e(a: X, b: Y).`
+        // derives nothing, so only the goal's seed remains.
+        let (plan, _) = plan(
+            r#"
+            associations
+              e = (a: integer, b: integer);
+              tc = (a: integer, b: integer);
+            rules
+              tc(a: X, b: Y) <- e(a: X, b: Y).
+              tc(a: X, b: Z) <- e(a: X, b: Y), tc(a: Y, b: Z).
+            goal tc(a: A, b: 0)?
+        "#,
+        );
+        let rw = plan.rewrite.expect("rewrite");
+        let printed: Vec<String> = rw.rules.rules.iter().map(|r| r.to_string()).collect();
+        assert_eq!(rw.demand_rules, 1, "{printed:?}");
+        assert!(
+            printed.contains(&"@magic_tc(b: 0) <- .".to_owned()),
+            "{printed:?}"
+        );
+        assert!(
+            rw.rules
+                .rules
+                .iter()
+                .all(|r| !r.body.iter().any(|l| l.atom == r.head.atom)),
+            "{printed:?}"
+        );
+        assert_eq!(rw.guarded_rules, 2);
     }
 
     #[test]

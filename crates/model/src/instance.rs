@@ -115,21 +115,68 @@ impl fmt::Display for Fact {
     }
 }
 
+/// The tuples of one association sharing one key value. A hash set, so a
+/// removal finds its tuple without scanning: a probe keys on the first
+/// ground argument whatever its selectivity, so one bucket can hold most of
+/// a relation.
+type Bucket = Arc<FxHashSet<Value>>;
+
 /// One per-argument hash index over an association extension: normalized
 /// key value → the tuples carrying that key (see [`Value::index_key`]).
-type ArgIndex = Arc<FxHashMap<Value, Arc<Vec<Value>>>>;
+type ArgIndex = FxHashMap<Value, Bucket>;
 
 /// Lazily built secondary indexes over the association assignment ρ.
 ///
-/// Entries are valid only while `built_at` equals the owning instance's
-/// `epoch`; any mutation bumps the epoch, so stale entries are discarded
-/// wholesale the next time an index is requested.
+/// An index is built on the first probe of its (association, label) and
+/// from then on kept in step with the extension: [`Instance::insert_assoc`]
+/// and [`Instance::remove_assoc`] edit the buckets of their own association
+/// in place, and no other mutation touches them. An index is dropped only
+/// with its instance: clones and [`Instance::compose`] results start cold.
+///
+/// Bucket order is the iteration order of an unseeded hash set, so it is a
+/// deterministic function of the mutation sequence (and of the point at
+/// which the index was built); answers never depend on it, because every
+/// candidate is verified by the full match.
 #[derive(Debug, Default)]
 struct IndexCache {
-    /// The `Instance::epoch` these entries were built against.
-    built_at: u64,
-    /// (association, attribute label) → per-key tuple buckets.
-    by_arg: FxHashMap<(Sym, Sym), ArgIndex>,
+    /// association → attribute label → per-key tuple buckets.
+    by_assoc: FxHashMap<Sym, FxHashMap<Sym, ArgIndex>>,
+}
+
+impl IndexCache {
+    /// Add `tuple`, new to `assoc`'s extension, to every built index of
+    /// `assoc`.
+    fn insert(&mut self, assoc: Sym, tuple: &Value) {
+        let Some(indexes) = self.by_assoc.get_mut(&assoc) else {
+            return;
+        };
+        for (label, index) in indexes {
+            if let Some(fv) = tuple.field(*label) {
+                Arc::make_mut(index.entry(fv.index_key()).or_default()).insert(tuple.clone());
+            }
+        }
+    }
+
+    /// Remove `tuple`, just removed from `assoc`'s extension, from every
+    /// built index of `assoc`, dropping buckets it leaves empty (a fresh
+    /// build has none, so a probe for their key stays a miss).
+    fn remove(&mut self, assoc: Sym, tuple: &Value) {
+        let Some(indexes) = self.by_assoc.get_mut(&assoc) else {
+            return;
+        };
+        for (label, index) in indexes {
+            let Some(key) = tuple.field(*label).map(Value::index_key) else {
+                continue;
+            };
+            if let Some(bucket) = index.get_mut(&key) {
+                let bucket = Arc::make_mut(bucket);
+                bucket.remove(tuple);
+                if bucket.is_empty() {
+                    index.remove(&key);
+                }
+            }
+        }
+    }
 }
 
 /// A database instance `(π, ν, ρ)` plus data-function extensions.
@@ -144,9 +191,6 @@ pub struct Instance {
     rho: FxHashMap<Sym, FxHashSet<Value>>,
     /// Data-function extensions: f → (args → elements).
     fun: FxHashMap<Sym, FxHashMap<Vec<Value>, BTreeSet<Value>>>,
-    /// Mutation counter: bumped by every state change so [`IndexCache`]
-    /// staleness is a single integer comparison.
-    epoch: u64,
     /// Lazy secondary indexes. Deliberately excluded from `Clone` (a clone
     /// starts with a cold cache) and from `PartialEq` (the cache is derived
     /// state), so the fixpoint loop's clone-and-compare stays cheap.
@@ -160,7 +204,6 @@ impl Clone for Instance {
             nu: self.nu.clone(),
             rho: self.rho.clone(),
             fun: self.fun.clone(),
-            epoch: self.epoch,
             cache: RwLock::new(IndexCache::default()),
         }
     }
@@ -242,51 +285,44 @@ impl Instance {
 
     /// Tuples of `assoc` whose attribute `label` has `key` as its
     /// normalized value ([`Value::index_key`]). Probes a per-(association,
-    /// label) hash index built lazily on first use and invalidated by any
-    /// mutation, turning a selective literal match from an extension scan
-    /// into a bucket lookup. `None` means no tuple matches.
-    ///
-    /// The returned bucket preserves the extension's iteration order, so a
-    /// probe enumerates candidates in the same relative order a full scan
-    /// would — evaluation stays deterministic whichever path runs.
-    pub fn tuples_matching(&self, assoc: Sym, label: Sym, key: &Value) -> Option<Arc<Vec<Value>>> {
-        self.arg_index(assoc, label).get(key).map(Arc::clone)
-    }
-
-    /// The per-key index for `(assoc, label)`, building it if the cache is
-    /// cold or stale. Concurrent readers may race to build the same index;
-    /// both compute identical maps and the first writer wins.
-    fn arg_index(&self, assoc: Sym, label: Sym) -> ArgIndex {
+    /// label) hash index built on first use and maintained in place by
+    /// later association updates ([`IndexCache`]), turning a selective
+    /// literal match from an extension scan into a bucket lookup. `None`
+    /// means no tuple matches.
+    pub fn tuples_matching(
+        &self,
+        assoc: Sym,
+        label: Sym,
+        key: &Value,
+    ) -> Option<Arc<FxHashSet<Value>>> {
         {
             let cache = self.cache.read().expect("index cache poisoned");
-            if cache.built_at == self.epoch {
-                if let Some(idx) = cache.by_arg.get(&(assoc, label)) {
-                    return Arc::clone(idx);
-                }
+            if let Some(index) = cache.by_assoc.get(&assoc).and_then(|m| m.get(&label)) {
+                return index.get(key).map(Arc::clone);
             }
         }
-        let mut buckets: FxHashMap<Value, Vec<Value>> = FxHashMap::default();
+        // Cold: build outside the lock. Concurrent readers may race to
+        // build the same index; both compute identical maps from the same
+        // immutable state and the first writer wins.
+        let mut buckets: FxHashMap<Value, FxHashSet<Value>> = FxHashMap::default();
         for tuple in self.tuples_of(assoc) {
             if let Some(fv) = tuple.field(label) {
                 buckets
                     .entry(fv.index_key())
                     .or_default()
-                    .push(tuple.clone());
+                    .insert(tuple.clone());
             }
         }
-        let built: ArgIndex =
-            Arc::new(buckets.into_iter().map(|(k, v)| (k, Arc::new(v))).collect());
+        let built: ArgIndex = buckets.into_iter().map(|(k, v)| (k, Arc::new(v))).collect();
         let mut cache = self.cache.write().expect("index cache poisoned");
-        if cache.built_at != self.epoch {
-            cache.by_arg.clear();
-            cache.built_at = self.epoch;
-        }
-        Arc::clone(cache.by_arg.entry((assoc, label)).or_insert(built))
-    }
-
-    /// Record a state change: invalidates every cached index.
-    fn touch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
+        cache
+            .by_assoc
+            .entry(assoc)
+            .or_default()
+            .entry(label)
+            .or_insert(built)
+            .get(key)
+            .map(Arc::clone)
     }
 
     /// The materialized set value `f(args)` of a data function (empty set if
@@ -438,9 +474,6 @@ impl Instance {
                 changed = true;
             }
         }
-        if changed {
-            self.touch();
-        }
         changed
     }
 
@@ -464,56 +497,52 @@ impl Instance {
         if !still_member && self.nu.remove(&oid).is_some() {
             changed = true;
         }
-        if changed {
-            self.touch();
-        }
         changed
     }
 
-    /// Insert an association tuple. Returns whether it was new.
+    /// Insert an association tuple, and into every built index of the
+    /// association. Returns whether it was new.
     pub fn insert_assoc(&mut self, assoc: Sym, tuple: Value) -> bool {
-        let changed = self.rho.entry(assoc).or_default().insert(tuple);
-        if changed {
-            self.touch();
+        let extent = self.rho.entry(assoc).or_default();
+        let cache = self.cache.get_mut().expect("index cache poisoned");
+        if cache.by_assoc.contains_key(&assoc) {
+            if extent.contains(&tuple) {
+                return false;
+            }
+            cache.insert(assoc, &tuple);
         }
-        changed
+        extent.insert(tuple)
     }
 
-    /// Remove an association tuple. Returns whether it was present.
+    /// Remove an association tuple, and from every built index of the
+    /// association. Returns whether it was present.
     pub fn remove_assoc(&mut self, assoc: Sym, tuple: &Value) -> bool {
         let changed = self.rho.get_mut(&assoc).is_some_and(|s| s.remove(tuple));
         if changed {
-            self.touch();
+            self.cache
+                .get_mut()
+                .expect("index cache poisoned")
+                .remove(assoc, tuple);
         }
         changed
     }
 
     /// Insert a data-function member. Returns whether it was new.
     pub fn insert_member(&mut self, fun: Sym, args: Vec<Value>, elem: Value) -> bool {
-        let changed = self
-            .fun
+        self.fun
             .entry(fun)
             .or_default()
             .entry(args)
             .or_default()
-            .insert(elem);
-        if changed {
-            self.touch();
-        }
-        changed
+            .insert(elem)
     }
 
     /// Remove a data-function member. Returns whether it was present.
     pub fn remove_member(&mut self, fun: Sym, args: &[Value], elem: &Value) -> bool {
-        let changed = self
-            .fun
+        self.fun
             .get_mut(&fun)
             .and_then(|m| m.get_mut(args))
-            .is_some_and(|s| s.remove(elem));
-        if changed {
-            self.touch();
-        }
-        changed
+            .is_some_and(|s| s.remove(elem))
     }
 
     /// Enumerate every fact in a deterministic order. Class facts are
@@ -569,7 +598,9 @@ impl Instance {
     /// The non-commutative composition `G ⊕ G'`:
     /// `ρ` and `π` are unioned; for o-values, an oid present in `G'` takes
     /// `G'`'s value (facts of `G` with the same oid but different o-value
-    /// are superseded). Function extensions are unioned.
+    /// are superseded). Function extensions are unioned. The result starts
+    /// with no index (it is built from a clone), so editing its maps
+    /// directly leaves none stale.
     pub fn compose(&self, right: &Instance) -> Instance {
         let mut out = self.clone();
         for (class, oids) in &right.pi {
@@ -596,8 +627,6 @@ impl Instance {
                     .extend(elems.iter().cloned());
             }
         }
-        // The maps were edited directly, bypassing the tracked mutators.
-        out.touch();
         out
     }
 
@@ -1152,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn arg_index_probes_and_invalidates() {
+    fn arg_index_probes_and_follows_mutations() {
         let mut i = Instance::new();
         let a = sym("edge");
         let (fa, fb) = (sym("a"), sym("b"));
@@ -1166,19 +1195,62 @@ mod tests {
         assert_eq!(bucket.len(), 2);
         assert!(bucket.iter().all(|t| t.field(fa) == Some(&Value::Int(1))));
         assert!(i.tuples_matching(a, fa, &Value::Int(9)).is_none());
-        assert_eq!(i.tuples_matching(a, fb, &Value::Int(3)).unwrap().len(), 2);
+        let b3 = i.tuples_matching(a, fb, &Value::Int(3)).unwrap();
+        assert_eq!(b3.len(), 2);
 
-        // A mutation invalidates the cache; the next probe sees new state.
+        // Association updates edit the built indexes in place: both stay
+        // built and a bucket the update does not touch is the same
+        // allocation, not a rebuilt copy.
+        let kept = |i: &Instance, label: Sym, key: i64, before: &Bucket| {
+            assert!(built_index(i, a, fa).is_some() && built_index(i, a, fb).is_some());
+            let now = &built_index(i, a, label).unwrap()[&Value::Int(key)];
+            assert!(Arc::ptr_eq(before, now), "bucket {label}={key} was rebuilt");
+        };
         i.insert_assoc(
             a,
             Value::tuple([("a", Value::Int(1)), ("b", Value::Int(9))]),
         );
+        kept(&i, fb, 3, &b3);
         assert_eq!(i.tuples_matching(a, fa, &Value::Int(1)).unwrap().len(), 3);
+        // A bucket handed out earlier keeps the state it was read at.
+        assert_eq!(bucket.len(), 2);
         i.remove_assoc(
             a,
             &Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]),
         );
-        assert_eq!(i.tuples_matching(a, fa, &Value::Int(1)).unwrap().len(), 2);
+        kept(&i, fb, 3, &b3);
+        let a1 = i.tuples_matching(a, fa, &Value::Int(1)).unwrap();
+        assert_eq!(a1.len(), 2);
+        // Emptying a bucket drops its key: the probe is a miss again.
+        i.remove_assoc(
+            a,
+            &Value::tuple([("a", Value::Int(2)), ("b", Value::Int(3))]),
+        );
+        kept(&i, fa, 1, &a1);
+        assert!(i.tuples_matching(a, fa, &Value::Int(2)).is_none());
+    }
+
+    #[test]
+    fn other_mutations_leave_built_indexes_alone() {
+        let s = schema();
+        let mut i = Instance::new();
+        let a = sym("edge");
+        i.insert_assoc(
+            a,
+            Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]),
+        );
+        let before = i.tuples_matching(a, sym("a"), &Value::Int(1)).unwrap();
+        i.insert_object(
+            &s,
+            sym("person"),
+            Oid(1),
+            Value::tuple([("name", Value::str("Ceri"))]),
+        );
+        i.insert_member(sym("f"), vec![Value::Int(1)], Value::Int(2));
+        i.insert_assoc(sym("advises"), Value::tuple([("who", Value::Oid(Oid(1)))]));
+        i.remove_object(&s, sym("person"), Oid(1));
+        let after = i.tuples_matching(a, sym("a"), &Value::Int(1)).unwrap();
+        assert!(Arc::ptr_eq(&before, &after), "the bucket was rebuilt");
     }
 
     #[test]
@@ -1242,5 +1314,114 @@ mod tests {
         );
         let mut g = i.oid_gen();
         assert_eq!(g.fresh(), Oid(42));
+    }
+
+    /// The index of `(assoc, label)` if one is built.
+    fn built_index(i: &Instance, assoc: Sym, label: Sym) -> Option<ArgIndex> {
+        let cache = i.cache.read().unwrap();
+        cache.by_assoc.get(&assoc)?.get(&label).cloned()
+    }
+
+    /// The index a first probe builds on a clone of `i`.
+    fn fresh_index(i: &Instance, assoc: Sym, label: Sym) -> ArgIndex {
+        let cold = i.clone();
+        assert!(
+            built_index(&cold, assoc, label).is_none(),
+            "clones start cold"
+        );
+        cold.tuples_matching(assoc, label, &Value::Nil);
+        built_index(&cold, assoc, label).unwrap()
+    }
+
+    /// Each bucket of each built index, in iteration order.
+    fn bucket_orders(i: &Instance, assoc: Sym, labels: [Sym; 2]) -> Vec<(Sym, Value, Vec<Value>)> {
+        let mut out = Vec::new();
+        for label in labels {
+            let Some(index) = built_index(i, assoc, label) else {
+                continue;
+            };
+            let mut keys: Vec<&Value> = index.keys().collect();
+            keys.sort();
+            for k in keys {
+                out.push((label, k.clone(), index[k].iter().cloned().collect()));
+            }
+        }
+        out
+    }
+
+    /// Apply one step of the interleaving below.
+    fn step(s: &Schema, i: &mut Instance, (op, x, y): (u8, i64, i64)) {
+        let (edge, f) = (sym("edge"), sym("f"));
+        let t = Value::tuple([("a", Value::Int(x)), ("b", Value::Int(y))]);
+        match op {
+            0 | 1 => {
+                i.insert_assoc(edge, t);
+            }
+            2 => {
+                i.remove_assoc(edge, &t);
+            }
+            3 => {
+                i.insert_object(
+                    s,
+                    sym("person"),
+                    Oid(x as u64),
+                    Value::tuple([("name", Value::str(format!("n{y}")))]),
+                );
+                i.insert_member(f, vec![Value::Int(x)], Value::Int(y));
+            }
+            4 => {
+                i.remove_member(f, &[Value::Int(x)], &Value::Int(y));
+            }
+            5 => {
+                let mut right = Instance::new();
+                right.insert_assoc(edge, t);
+                *i = i.compose(&right);
+            }
+            _ => {
+                let label = if y % 2 == 0 { sym("a") } else { sym("b") };
+                i.tuples_matching(edge, label, &Value::Int(x));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Built indexes follow every mutation exactly: an index, once
+        /// built, stays built until a `compose`; after each step every built
+        /// index holds the buckets a first probe would build on a clone; and
+        /// replaying the same steps reproduces every bucket's iteration
+        /// order.
+        #[test]
+        fn maintained_indexes_match_fresh_builds(
+            ops in proptest::collection::vec((0u8..8, 0i64..4, 0i64..4), 0..48)
+        ) {
+            let s = schema();
+            let (edge, labels) = (sym("edge"), [sym("a"), sym("b")]);
+            let (mut live, mut replay) = (Instance::new(), Instance::new());
+            let mut built = [false; 2];
+            for &o in &ops {
+                step(&s, &mut live, o);
+                step(&s, &mut replay, o);
+                match o {
+                    (5, ..) => built = [false; 2],
+                    (6.., _, y) => built[(y % 2) as usize] = true,
+                    _ => {}
+                }
+                proptest::prop_assert_eq!(
+                    labels.map(|l| built_index(&live, edge, l).is_some()),
+                    built
+                );
+                for label in labels {
+                    if let Some(index) = built_index(&live, edge, label) {
+                        proptest::prop_assert_eq!(&index, &fresh_index(&live, edge, label));
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    bucket_orders(&live, edge, labels),
+                    bucket_orders(&replay, edge, labels)
+                );
+            }
+        }
     }
 }

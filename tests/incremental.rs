@@ -428,6 +428,74 @@ fn ground_batches_take_the_incremental_path() {
     assert_eq!(rows.len(), 1, "only edge(2,3) remains");
 }
 
+/// E5's forest under the persistent ancestor view: `n` parent edges in
+/// chains of ten, chain `k` rooted at `p{1000k}`.
+fn ancestor_forest(n: usize) -> Database {
+    let mut src = String::from("associations\n  parent = (par: string, chil: string);\nfacts\n");
+    for i in 0..n {
+        let node = (i / 10) * 1000 + i % 10;
+        src.push_str(&format!(
+            "  parent(par: \"p{node}\", chil: \"p{}\").\n",
+            node + 1
+        ));
+    }
+    let mut db = Database::from_source(&src).expect("forest loads");
+    db.apply_source(
+        r#"
+        associations
+          ancestor = (anc: string, des: string);
+        rules
+          ancestor(anc: X, des: Y) <- parent(par: X, chil: Y).
+          ancestor(anc: X, des: Z) <- parent(par: X, chil: Y), ancestor(anc: Y, des: Z).
+    "#,
+        Mode::Radi,
+    )
+    .expect("view installs");
+    db
+}
+
+/// The matcher's probe-hit, probe-miss and scan totals for one singleton
+/// insert and delete at the root of the forest's first chain.
+fn root_cycle_matching(n: usize) -> [u64; 3] {
+    let mut db = ancestor_forest(n);
+    let registry = db.enable_metrics();
+    let cycle = |db: &mut Database| {
+        for src in [
+            r#"rules parent(par: "x", chil: "p0") <- ."#,
+            r#"rules -parent(par: "x", chil: "p0") <- ."#,
+        ] {
+            db.apply_source(src, Mode::Ridv).expect("update applies");
+        }
+    };
+    // The first cycle builds the maintained view, whose round 0 reads the
+    // whole instance; only the second is pure maintenance.
+    cycle(&mut db);
+    let before = registry.counter_snapshot();
+    cycle(&mut db);
+    let after = registry.counter_snapshot();
+    assert_eq!(
+        series(&after, "logres_maintain_applies_total"),
+        4,
+        "{after:?}"
+    );
+    [
+        "logres_matcher_probe_hits_total",
+        "logres_matcher_probe_misses_total",
+        "logres_matcher_scan_fallbacks_total",
+    ]
+    .map(|name| series(&after, name) - series(&before, name))
+}
+
+#[test]
+fn maintenance_matching_is_proportional_to_the_change() {
+    // The same update touches the same ten-node chain at both sizes, so
+    // O(change) maintenance must record identical access-path counts.
+    let small = root_cycle_matching(128);
+    let large = root_cycle_matching(2_048);
+    assert_eq!(small, large, "[hits, misses, scans]");
+    assert!(small[0] > 0, "maintenance probes are counted: {small:?}");
+}
+
 #[test]
 fn disabling_incremental_maintenance_forces_the_full_path() {
     let mut db = Database::from_source(
