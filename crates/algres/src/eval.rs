@@ -4,39 +4,93 @@
 //! evaluation rounds and repeated calls, the results of sub-expressions that
 //! do not depend on any *volatile* relation (one the engine rebinds between
 //! rounds, such as a recursive predicate or its delta), along with the hash
-//! tables built for `Join`/`SemiJoin`/`AntiJoin` right sides. The one-shot
-//! [`eval`] wrapper keeps the original convenience API.
+//! tables built for `Join`/`SemiJoin`/`AntiJoin` right sides. A join whose
+//! right side reads a stored association ([`Env::bind_stored`]) may instead
+//! probe that association's argument index once per distinct left key. The
+//! one-shot [`eval`] wrapper keeps the original convenience API.
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use logres_model::{Sym, Value};
+use logres_model::{Instance, Sym, Value};
 
 use crate::error::AlgError;
 use crate::expr::{AggFun, AlgExpr, CmpOp, Pred, Scalar};
+use crate::optimize::out_cols;
 use crate::relation::Relation;
 
-/// Named relations visible to an expression.
+/// Named relations visible to an expression. A name is bound either to a
+/// materialized [`Relation`] or, through [`Env::bind_stored`], to an
+/// association of an [`Instance`], which is read in place: it becomes a
+/// relation only when a plan scans it in full, and a join whose right side
+/// reads it can probe the instance's argument indexes instead.
 #[derive(Debug, Clone, Default)]
-pub struct Env {
+pub struct Env<'s> {
     rels: FxHashMap<Sym, Relation>,
+    stored: FxHashMap<Sym, Stored<'s>>,
 }
 
-impl Env {
+/// An association read straight from an instance.
+#[derive(Debug, Clone)]
+struct Stored<'s> {
+    inst: &'s Instance,
+    cols: Vec<Sym>,
+    /// The extension as a relation, built on the first full scan.
+    scanned: OnceLock<Relation>,
+}
+
+impl<'s> Env<'s> {
     /// Empty environment.
-    pub fn new() -> Env {
+    pub fn new() -> Env<'s> {
         Env::default()
     }
 
     /// Bind (or rebind) a relation.
     pub fn bind(&mut self, name: impl Into<Sym>, rel: Relation) {
-        self.rels.insert(name.into(), rel);
+        let name = name.into();
+        self.stored.remove(&name);
+        self.rels.insert(name, rel);
     }
 
-    /// Look up a relation.
+    /// Bind `name` to the association of the same name in `inst`, whose
+    /// tuples carry exactly the labels `cols`. Nothing is copied here.
+    pub fn bind_stored(&mut self, name: impl Into<Sym>, cols: Vec<Sym>, inst: &'s Instance) {
+        let name = name.into();
+        self.rels.remove(&name);
+        self.stored.insert(
+            name,
+            Stored {
+                inst,
+                cols,
+                scanned: OnceLock::new(),
+            },
+        );
+    }
+
+    /// Is `name` bound?
+    pub fn contains(&self, name: Sym) -> bool {
+        self.rels.contains_key(&name) || self.stored.contains_key(&name)
+    }
+
+    /// Look up a relation, materializing a stored binding on first use.
     pub fn get(&self, name: Sym) -> Option<&Relation> {
-        self.rels.get(&name)
+        if let Some(rel) = self.rels.get(&name) {
+            return Some(rel);
+        }
+        let s = self.stored.get(&name)?;
+        Some(s.scanned.get_or_init(|| {
+            Relation::from_rows(s.cols.iter().copied(), s.inst.tuples_of(name).cloned())
+        }))
+    }
+
+    /// The columns of a bound name, without materializing anything.
+    fn cols_of(&self, name: Sym) -> Option<Vec<Sym>> {
+        match self.rels.get(&name) {
+            Some(rel) => Some(rel.cols().to_vec()),
+            None => self.stored.get(&name).map(|s| s.cols.clone()),
+        }
     }
 }
 
@@ -47,7 +101,8 @@ impl Env {
 pub struct EvalStats {
     /// Hash tables built for `Join`/`SemiJoin`/`AntiJoin` right sides.
     pub hash_builds: u64,
-    /// Probes against those tables (one per left tuple).
+    /// Probes: one per left tuple against a hash table, or one per distinct
+    /// left key against a stored association's argument index.
     pub probes: u64,
     /// Sub-expression evaluations answered from the memo.
     pub memo_hits: u64,
@@ -70,12 +125,98 @@ pub struct OpStats {
     pub rows_out: u64,
     /// Hash tables built for this node's right side (joins only).
     pub hash_builds: u64,
-    /// Probes against this node's hash table (joins only).
+    /// Probes against this node's hash table or argument index (joins
+    /// only).
     pub probes: u64,
     /// Evaluations of this node answered from the memo.
     pub memo_hits: u64,
+    /// Evaluations of this join that probed a hash table, built or cached.
+    pub hash_evals: u64,
+    /// Evaluations of this join that probed a stored association's
+    /// argument index instead.
+    pub index_evals: u64,
+    /// The `(association, label)` index those evaluations probed.
+    pub index: Option<(Sym, Sym)>,
     /// Inclusive wall-clock nanoseconds spent evaluating this node.
     pub nanos: u64,
+}
+
+/// A join's right side that can be read from a stored association's
+/// argument index: a pure column remap (an `Emit` with no predicate whose
+/// outputs are bare source columns) over a stored name never rebound as
+/// volatile.
+struct IndexSide<'s> {
+    inst: &'s Instance,
+    assoc: Sym,
+    /// Output columns in the remap's order (the right relation's columns).
+    cols: Vec<Sym>,
+    /// Output columns in sorted label order, each with the index of the
+    /// stored tuple's field it copies (see [`pure_emit_template`]).
+    tpl: Vec<(Sym, usize)>,
+    /// The association's labels in sorted order: `labels[i]` is the label
+    /// of field `i`.
+    labels: Vec<Sym>,
+}
+
+impl IndexSide<'_> {
+    /// The part of a join table `l` can reach: for each distinct left key
+    /// on `shared`, the remapped rows whose `shared` values equal it. Probes
+    /// the argument index on the label behind `shared[0]` once per key,
+    /// checks every candidate for exact equality on all shared columns
+    /// (index keys are normalized, [`Value::index_key`]) and deduplicates
+    /// the remapped rows, as a hashed relation would hold them. Returns the
+    /// rows, the label probed, and the number of probes.
+    fn reachable_rows(
+        &self,
+        l: &Relation,
+        shared: &[Sym],
+    ) -> (FxHashMap<Vec<Value>, Vec<Value>>, Sym, u64) {
+        // The stored field behind each shared column.
+        let fields: Vec<usize> = shared
+            .iter()
+            .map(|c| {
+                let at = self.tpl.iter().position(|(o, _)| o == c);
+                self.tpl[at.expect("shared ⊆ right cols")].1
+            })
+            .collect();
+        let label = self.labels[fields[0]];
+        // A remap that copies every stored field maps distinct stored
+        // tuples to distinct rows; only one that drops a field can repeat.
+        let injective = (0..self.labels.len()).all(|i| self.tpl.iter().any(|&(_, f)| f == i));
+        let mut rows: FxHashMap<Vec<Value>, Vec<Value>> = FxHashMap::default();
+        let mut probes = 0u64;
+        for lt in l.iter() {
+            let key = join_key(lt, shared);
+            if rows.contains_key(&key) {
+                continue;
+            }
+            probes += 1;
+            let mut matched = Vec::new();
+            if let Some(bucket) = self
+                .inst
+                .tuples_matching(self.assoc, label, &key[0].index_key())
+            {
+                let mut seen: FxHashSet<Value> = FxHashSet::default();
+                for t in bucket.iter() {
+                    let fs = t.as_tuple().expect("association tuples are tuples");
+                    if !fields.iter().zip(&key).all(|(&i, k)| fs[i].1 == *k) {
+                        continue;
+                    }
+                    let row = Value::Tuple(
+                        self.tpl
+                            .iter()
+                            .map(|&(c, i)| (c, fs[i].1.clone()))
+                            .collect(),
+                    );
+                    if injective || seen.insert(row.clone()) {
+                        matched.push(row);
+                    }
+                }
+            }
+            rows.insert(key, matched);
+        }
+        (rows, label, probes)
+    }
 }
 
 /// A materialized hash table for a `Join` right side.
@@ -103,7 +244,7 @@ struct KeyTable {
 /// recomputed, but the hash tables and memo entries for their stable siblings
 /// persist across rounds, which is where the semi-naive win comes from.
 pub struct Evaluator<'a> {
-    base: &'a Env,
+    base: &'a Env<'a>,
     /// Volatile bindings, looked up before `base`. Entries are never
     /// removed, so a name is volatile exactly when it has one.
     overlay: FxHashMap<Sym, Relation>,
@@ -130,7 +271,7 @@ pub struct Evaluator<'a> {
 
 impl<'a> Evaluator<'a> {
     /// New session over `base`; all of `base`'s bindings are stable.
-    pub fn new(base: &'a Env) -> Evaluator<'a> {
+    pub fn new(base: &'a Env<'a>) -> Evaluator<'a> {
         Evaluator {
             base,
             overlay: FxHashMap::default(),
@@ -230,10 +371,109 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn note_probes(&mut self, key: u64, probes: u64) {
+    fn note_hash_probes(&mut self, key: u64, probes: u64) {
         self.stats.probes += probes;
         if self.profiling {
-            self.op_stats.entry(key).or_default().probes += probes;
+            let s = self.op_stats.entry(key).or_default();
+            s.probes += probes;
+            s.hash_evals += 1;
+        }
+    }
+
+    fn note_index_probes(&mut self, key: u64, probes: u64, index: (Sym, Sym)) {
+        self.stats.probes += probes;
+        if self.profiling {
+            let s = self.op_stats.entry(key).or_default();
+            s.probes += probes;
+            s.index_evals += 1;
+            s.index = Some(index);
+        }
+    }
+
+    /// The [`IndexSide`] a join-family right side reads, if any.
+    fn index_side(&self, right: &AlgExpr) -> Option<IndexSide<'a>> {
+        let AlgExpr::Emit {
+            input,
+            pred: Pred::True,
+            cols,
+        } = right
+        else {
+            return None;
+        };
+        let AlgExpr::Rel(name) = input.as_ref() else {
+            return None;
+        };
+        if self.overlay.contains_key(name) {
+            return None;
+        }
+        let stored = self.base.stored.get(name)?;
+        let tpl = pure_emit_template(cols, &stored.cols)?;
+        let mut labels = stored.cols.clone();
+        labels.sort();
+        Some(IndexSide {
+            inst: stored.inst,
+            assoc: *name,
+            cols: emit_out_cols(cols),
+            tpl,
+            labels,
+        })
+    }
+
+    /// The index path for join-family node `key`, which has no cached
+    /// table: taken when `right` is an [`IndexSide`] sharing a column with
+    /// `l` and `l` has fewer rows than the stored association (a tie
+    /// builds). Returns a table holding only the right rows `l` can reach;
+    /// it is never cached, because the next left side may reach others.
+    fn index_table(&mut self, key: u64, l: &Relation, right: &AlgExpr) -> Option<JoinTable> {
+        let side = self.index_side(right)?;
+        if l.len() >= side.inst.assoc_len(side.assoc) {
+            return None;
+        }
+        let shared: Vec<Sym> = l
+            .cols()
+            .iter()
+            .filter(|c| side.cols.contains(c))
+            .copied()
+            .collect();
+        if shared.is_empty() {
+            return None;
+        }
+        let right_only: Vec<Sym> = side
+            .cols
+            .iter()
+            .filter(|c| !l.has_col(**c))
+            .copied()
+            .collect();
+        let (rows, label, probes) = side.reachable_rows(l, &shared);
+        self.note_index_probes(key, probes, (side.assoc, label));
+        Some(JoinTable {
+            left_cols: l.cols().to_vec(),
+            shared,
+            right_only,
+            rows,
+        })
+    }
+
+    /// The columns `expr` produces, when known without evaluating it.
+    fn static_cols(&self, expr: &AlgExpr) -> Option<Vec<Sym>> {
+        out_cols(expr, &|name| match self.overlay.get(&name) {
+            Some(rel) => Some(rel.cols().to_vec()),
+            None => self.base.cols_of(name),
+        })
+    }
+
+    /// Credit a join node the fused emit path drives by hand with one
+    /// evaluation (see [`Evaluator::eval_emit_join`]).
+    fn credit_fused_join(&mut self, key: u64, rows_in: u64, pairs: u64, nanos: u64) {
+        if self.profiling {
+            let s = self.op_stats.entry(key).or_default();
+            s.evals += 1;
+            s.rows_in += rows_in;
+            s.rows_out += pairs;
+            s.nanos += nanos;
+            if let Some(top) = self.frames.last_mut() {
+                *top = pairs;
+            }
         }
     }
 
@@ -386,26 +626,37 @@ impl<'a> Evaluator<'a> {
             }
             AlgExpr::Join { left, right } => {
                 let (l, ldep) = self.eval_dep(left)?;
+                if l.is_empty() {
+                    if let Some(rcols) = self.static_cols(right) {
+                        // Nothing to join: leave the right side unevaluated.
+                        let mut cols = l.cols().to_vec();
+                        cols.extend(rcols.into_iter().filter(|c| !l.has_col(*c)));
+                        return Ok((Relation::new(cols), ldep));
+                    }
+                }
                 let key = self.node_id(expr);
                 let cached = self
                     .join_tables
                     .get(&key)
                     .is_some_and(|t| t.left_cols == l.cols());
                 if !cached {
+                    if let Some(table) = self.index_table(key, &l, right) {
+                        return Ok((probe_join_table(&table, &l).0, ldep));
+                    }
                     let (r, rdep) = self.eval_dep(right)?;
                     let table = build_join_table(&l, &r);
                     self.note_hash_build(key);
                     if rdep {
                         // Right side is volatile: probe once, do not cache.
                         let (out, probes) = probe_join_table(&table, &l);
-                        self.note_probes(key, probes);
+                        self.note_hash_probes(key, probes);
                         return Ok((out, true));
                     }
                     self.join_tables.insert(key, table);
                 }
                 let table = self.join_tables.get(&key).expect("cached join table");
                 let (out, probes) = probe_join_table(table, &l);
-                self.note_probes(key, probes);
+                self.note_hash_probes(key, probes);
                 Ok((out, ldep))
             }
             AlgExpr::Union { left, right } => {
@@ -446,25 +697,43 @@ impl<'a> Evaluator<'a> {
             AlgExpr::SemiJoin { left, right } | AlgExpr::AntiJoin { left, right } => {
                 let keep_matches = matches!(expr, AlgExpr::SemiJoin { .. });
                 let (l, ldep) = self.eval_dep(left)?;
+                if l.is_empty() {
+                    return Ok((l, ldep));
+                }
                 let key = self.node_id(expr);
                 let cached = self
                     .key_tables
                     .get(&key)
                     .is_some_and(|t| t.left_cols == l.cols());
                 if !cached {
+                    if let Some(table) = self.index_table(key, &l, right) {
+                        let keys = table
+                            .rows
+                            .into_iter()
+                            .filter(|(_, rows)| !rows.is_empty())
+                            .map(|(k, _)| k)
+                            .collect();
+                        let table = KeyTable {
+                            left_cols: table.left_cols,
+                            shared: table.shared,
+                            keys,
+                            right_empty: false,
+                        };
+                        return Ok((probe_key_table(&table, &l, keep_matches).0, ldep));
+                    }
                     let (r, rdep) = self.eval_dep(right)?;
                     let table = build_key_table(&l, &r);
                     self.note_hash_build(key);
                     if rdep {
                         let (out, probes) = probe_key_table(&table, &l, keep_matches);
-                        self.note_probes(key, probes);
+                        self.note_hash_probes(key, probes);
                         return Ok((out, true));
                     }
                     self.key_tables.insert(key, table);
                 }
                 let table = self.key_tables.get(&key).expect("cached key table");
                 let (out, probes) = probe_key_table(table, &l, keep_matches);
-                self.note_probes(key, probes);
+                self.note_hash_probes(key, probes);
                 Ok((out, ldep))
             }
             AlgExpr::Extend { input, col, value } => {
@@ -640,17 +909,20 @@ impl<'a> Evaluator<'a> {
 
     /// The `Emit`-over-`Join` fast path: probe the join's hash table and
     /// write head-layout tuples straight out of the probe, never
-    /// materializing the joined relation. The hash table is cached under the
-    /// *join* node's id with the same volatile-right discipline as the plain
-    /// `Join` arm, so fusion does not change how often tables are built.
+    /// materializing the joined relation. The table is chosen as in the
+    /// plain `Join` arm (empty left short-circuits, then the index path,
+    /// then a hash table cached under the *join* node's id with the same
+    /// volatile-right discipline), so fusion does not change how often
+    /// tables are built.
     ///
     /// Profiling attribution: the join node no longer passes through
-    /// [`Evaluator::eval_dep`], so its [`OpStats`] are credited here by hand —
-    /// inclusive time covers the input evaluations and the table build but
-    /// *not* the probe loop, which stays on the emit node. The emit frame's
-    /// `rows_in` is overwritten with the number of join pairs (the rows the
-    /// absorbed reshape stages consumed), keeping row conservation: child
-    /// `rows_out` == fused node `rows_in`.
+    /// [`Evaluator::eval_dep`], so its [`OpStats`] are credited here by hand,
+    /// once per evaluation, short-circuited ones included — inclusive time
+    /// covers the input evaluations and the table build but *not* the probe
+    /// loop, which stays on the emit node. The emit frame's `rows_in` is
+    /// overwritten with the number of join pairs (the rows the absorbed
+    /// reshape stages consumed), keeping row conservation: child `rows_out`
+    /// == fused node `rows_in`.
     fn eval_emit_join(
         &mut self,
         join: &'a AlgExpr,
@@ -660,45 +932,53 @@ impl<'a> Evaluator<'a> {
         cols: &[(Sym, Scalar)],
     ) -> Result<(Relation, bool), AlgError> {
         let start = self.profiling.then(Instant::now);
+        let elapsed = |start: Option<Instant>| start.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (l, ldep) = self.eval_dep(left)?;
         let key = self.node_id(join);
+        if l.is_empty() {
+            // Nothing to join: leave the right side unevaluated.
+            self.credit_fused_join(key, 0, 0, elapsed(start));
+            return Ok((Relation::new(emit_out_cols(cols)), ldep));
+        }
         let cached = self
             .join_tables
             .get(&key)
             .is_some_and(|t| t.left_cols == l.cols());
         let mut right_rows = 0u64;
-        let mut volatile_right = None;
+        // A table probed once and dropped: one restricted to what `l`
+        // reaches through an index, or one over a volatile right side.
+        let mut uncached = None;
+        let mut indexed = false;
+        let mut rdep = false;
         if !cached {
-            let (r, rdep) = self.eval_dep(right)?;
-            right_rows = r.len() as u64;
-            let table = build_join_table(&l, &r);
-            self.note_hash_build(key);
-            if rdep {
-                // Right side is volatile: probe once, do not cache.
-                volatile_right = Some(table);
+            if let Some(table) = self.index_table(key, &l, right) {
+                uncached = Some(table);
+                indexed = true;
             } else {
-                self.join_tables.insert(key, table);
+                let (r, dep) = self.eval_dep(right)?;
+                right_rows = r.len() as u64;
+                let table = build_join_table(&l, &r);
+                self.note_hash_build(key);
+                if dep {
+                    // Right side is volatile: probe once, do not cache.
+                    uncached = Some(table);
+                    rdep = true;
+                } else {
+                    self.join_tables.insert(key, table);
+                }
             }
         }
-        let join_nanos = start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let dep = ldep || volatile_right.is_some();
-        let table = match &volatile_right {
+        let join_nanos = elapsed(start);
+        let table = match &uncached {
             Some(t) => t,
             None => self.join_tables.get(&key).expect("cached join table"),
         };
         let (out, probes, pairs) = emit_probe(table, &l, pred, cols)?;
-        self.note_probes(key, probes);
-        if self.profiling {
-            let s = self.op_stats.entry(key).or_default();
-            s.evals += 1;
-            s.rows_in += l.len() as u64 + right_rows;
-            s.rows_out += pairs;
-            s.nanos += join_nanos;
-            if let Some(top) = self.frames.last_mut() {
-                *top = pairs;
-            }
+        if !indexed {
+            self.note_hash_probes(key, probes);
         }
-        Ok((out, dep))
+        self.credit_fused_join(key, l.len() as u64 + right_rows, pairs, join_nanos);
+        Ok((out, ldep || rdep))
     }
 }
 
@@ -1068,7 +1348,7 @@ mod tests {
         Relation::from_rows(["src", "dst"], pairs.iter().map(|&(a, b)| edge(a, b)))
     }
 
-    fn env_with(name: &str, rel: Relation) -> Env {
+    fn env_with(name: &str, rel: Relation) -> Env<'static> {
         let mut env = Env::new();
         env.bind(name, rel);
         env
@@ -1544,5 +1824,195 @@ mod tests {
         assert_eq!(emit_stats.rows_in, join_stats.rows_out);
         // Inclusive times nest, so self = emit − join stays non-negative.
         assert!(emit_stats.nanos >= join_stats.nanos);
+    }
+
+    fn p_row(a: Value, b: i64) -> Value {
+        Value::tuple([("a", a), ("b", Value::Int(b))])
+    }
+
+    /// Stored association `p(a, b)`: two rows share `a = 1`, and `p` has
+    /// more rows than any left side below, so the index path applies.
+    fn stored_p() -> Instance {
+        let mut inst = Instance::new();
+        for (a, b) in [(1, 100), (1, 101), (2, 200), (3, 300), (4, 400), (5, 500)] {
+            inst.insert_assoc(Sym::new("p"), p_row(Value::Int(a), b));
+        }
+        inst
+    }
+
+    /// `Emit` remapping `p`'s columns: `(output, source)` pairs.
+    fn remap(cols: &[(&str, &str)]) -> AlgExpr {
+        AlgExpr::Emit {
+            input: Box::new(AlgExpr::Rel(Sym::new("p"))),
+            pred: Pred::True,
+            cols: cols
+                .iter()
+                .map(|(o, src)| (Sym::new(o), Scalar::col(*src)))
+                .collect(),
+        }
+    }
+
+    fn left(rows: &[(i64, i64)]) -> Relation {
+        Relation::from_rows(
+            ["?x", "?z"],
+            rows.iter()
+                .map(|&(x, z)| Value::tuple([("?x", Value::Int(x)), ("?z", Value::Int(z))])),
+        )
+    }
+
+    /// Evaluate `plan` twice, with `p` stored in `inst` (index path) and
+    /// with `p` materialized (hash path); return each result with the
+    /// profile of the `join` node.
+    fn both_paths(
+        plan: &AlgExpr,
+        join: &AlgExpr,
+        l: &Relation,
+        inst: &Instance,
+    ) -> Vec<(Relation, OpStats)> {
+        let cols = vec![Sym::new("a"), Sym::new("b")];
+        let mut stored = Env::new();
+        stored.bind("l", l.clone());
+        stored.bind_stored("p", cols.clone(), inst);
+        let mut hashed = Env::new();
+        hashed.bind("l", l.clone());
+        hashed.bind(
+            "p",
+            Relation::from_rows(cols, inst.tuples_of(Sym::new("p")).cloned()),
+        );
+        [&stored, &hashed]
+            .into_iter()
+            .map(|env| {
+                let mut ev = Evaluator::new(env);
+                ev.enable_profiling();
+                let out = ev.eval(plan).expect("plan evaluates");
+                (out, ev.op_stats_for(join))
+            })
+            .collect()
+    }
+
+    /// Both paths give the same relation; the stored one probed the index
+    /// on `p.a` and built nothing, the materialized one built a table.
+    fn assert_paths_agree(runs: &[(Relation, OpStats)]) {
+        let [(indexed, is), (hashed, hs)] = runs else {
+            panic!("two runs");
+        };
+        assert_eq!(indexed, hashed);
+        assert_eq!(is.index, Some((Sym::new("p"), Sym::new("a"))), "{is:?}");
+        assert_eq!((is.index_evals, is.hash_evals, is.hash_builds), (1, 0, 0));
+        assert_eq!((hs.index_evals, hs.hash_evals, hs.hash_builds), (0, 1, 1));
+        assert_eq!(is.rows_out, hs.rows_out, "same pairs either way");
+    }
+
+    #[test]
+    fn index_and_hash_paths_agree_on_join() {
+        let inst = stored_p();
+        let l = left(&[(1, 10), (2, 20), (1, 11), (9, 90)]);
+        let join = AlgExpr::Rel(Sym::new("l")).join(remap(&[("?x", "a"), ("?y", "b")]));
+        let runs = both_paths(&join, &join, &l, &inst);
+        assert_eq!(runs[0].0.len(), 5);
+        assert_paths_agree(&runs);
+        // One probe per distinct left key (1, 2, 9), not per left row.
+        assert_eq!(runs[0].1.probes, 3);
+    }
+
+    #[test]
+    fn index_and_hash_paths_agree_on_fused_emit_join() {
+        let inst = stored_p();
+        let l = left(&[(1, 10), (2, 20), (3, 30)]);
+        for right in [
+            remap(&[("?x", "a"), ("?y", "b")]),
+            // Projecting `b` away leaves two equal right rows for `a = 1`.
+            remap(&[("?x", "a")]),
+        ] {
+            let plan = AlgExpr::Emit {
+                input: Box::new(AlgExpr::Rel(Sym::new("l")).join(right)),
+                pred: Pred::True,
+                cols: vec![
+                    (Sym::new("x"), Scalar::col("?x")),
+                    (Sym::new("z"), Scalar::col("?z")),
+                ],
+            };
+            let AlgExpr::Emit { input: join, .. } = &plan else {
+                unreachable!()
+            };
+            assert_paths_agree(&both_paths(&plan, join, &l, &inst));
+        }
+    }
+
+    #[test]
+    fn index_and_hash_paths_agree_on_semijoin_and_antijoin() {
+        let inst = stored_p();
+        let l = left(&[(1, 10), (2, 20), (1, 11), (9, 90)]);
+        for (semi, kept) in [(true, 3), (false, 1)] {
+            let (left, right) = (
+                Box::new(AlgExpr::Rel(Sym::new("l"))),
+                Box::new(remap(&[("?x", "a")])),
+            );
+            let plan = if semi {
+                AlgExpr::SemiJoin { left, right }
+            } else {
+                AlgExpr::AntiJoin { left, right }
+            };
+            let runs = both_paths(&plan, &plan, &l, &inst);
+            assert_eq!(runs[0].0.len(), kept);
+            assert_paths_agree(&runs);
+        }
+    }
+
+    #[test]
+    fn index_path_checks_normalized_keys_exactly() {
+        // Both object tuples normalize to the oid `&7`, as does the bare
+        // oid; only the exactly equal value may join.
+        let object = |name: &str| {
+            Value::tuple([
+                (logres_model::SELF_LABEL, Value::Oid(logres_model::Oid(7))),
+                ("name", Value::str(name)),
+            ])
+        };
+        let mut inst = stored_p();
+        inst.insert_assoc(Sym::new("p"), p_row(object("x"), 1));
+        inst.insert_assoc(Sym::new("p"), p_row(object("y"), 2));
+        inst.insert_assoc(Sym::new("p"), p_row(Value::Oid(logres_model::Oid(7)), 3));
+        let l = Relation::from_rows(["?x"], [Value::tuple([("?x", object("x"))])]);
+        let join = AlgExpr::Rel(Sym::new("l")).join(remap(&[("?x", "a"), ("?y", "b")]));
+        let runs = both_paths(&join, &join, &l, &inst);
+        assert_paths_agree(&runs);
+        let ys: Vec<&Value> = runs[0]
+            .0
+            .iter()
+            .map(|t| t.field(Sym::new("?y")).expect("?y"))
+            .collect();
+        assert_eq!(ys, [&Value::Int(1)]);
+    }
+
+    #[test]
+    fn empty_left_side_leaves_the_right_side_unevaluated() {
+        let inst = stored_p();
+        let l = left(&[]);
+        let right = remap(&[("?x", "a"), ("?y", "b")]);
+        let join = AlgExpr::Rel(Sym::new("l")).join(right.clone());
+        let fused = AlgExpr::Emit {
+            input: Box::new(join.clone()),
+            pred: Pred::True,
+            cols: vec![(Sym::new("y"), Scalar::col("?y"))],
+        };
+        let semi = AlgExpr::SemiJoin {
+            left: Box::new(AlgExpr::Rel(Sym::new("l"))),
+            right: Box::new(right),
+        };
+        for (plan, node) in [
+            (&join, &join),
+            (&fused, fused.children()[0]),
+            (&semi, &semi),
+        ] {
+            for (out, stats) in both_paths(plan, node, &l, &inst) {
+                assert!(out.is_empty());
+                // One evaluation with zero rows, nothing built or probed.
+                assert_eq!((stats.evals, stats.rows_in, stats.rows_out), (1, 0, 0));
+                assert_eq!((stats.hash_builds, stats.probes), (0, 0));
+            }
+        }
+        let out = eval(&join, &env_with("l", left(&[]))).expect("no lookup of `p`");
+        assert_eq!(out.cols(), ["?x", "?z", "?y"].map(Sym::new));
     }
 }

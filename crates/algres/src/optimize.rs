@@ -127,7 +127,7 @@ fn split_and(p: Pred) -> Vec<Pred> {
 /// Columns produced by an expression, when statically known. `None` means
 /// "unknown" — pushdown stops there. Named relations resolve through the
 /// catalog.
-fn out_cols(expr: &AlgExpr, catalog: Catalog<'_>) -> Option<Vec<Sym>> {
+pub(crate) fn out_cols(expr: &AlgExpr, catalog: Catalog<'_>) -> Option<Vec<Sym>> {
     match expr {
         AlgExpr::Rel(name) => catalog(*name),
         AlgExpr::Const(r) => Some(r.cols().to_vec()),

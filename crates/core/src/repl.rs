@@ -946,6 +946,13 @@ mod tests {
         assert!(analyzed.contains("[evals="), "{analyzed}");
         assert!(analyzed.contains("materialize"), "{analyzed}");
         assert!(analyzed.contains("self="), "{analyzed}");
+        // The bound goal's joins probe `parent`'s argument index instead of
+        // hashing it: the access path shows, and no table is built.
+        let indexed = analyzed
+            .lines()
+            .find(|l| l.contains("join via index parent."))
+            .unwrap_or_else(|| panic!("no index join in {analyzed}"));
+        assert!(indexed.contains("builds=0"), "{indexed}");
         let help = out(repl.feed(":help"));
         assert!(help.contains(":explain-plan"), "{help}");
     }

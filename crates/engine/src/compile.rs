@@ -25,7 +25,7 @@ pub fn pred_type(schema: &Schema, pred: Sym) -> Option<TypeDesc> {
 }
 
 /// Build an ALGRES environment with one relation per association.
-pub fn env_from_instance(schema: &Schema, inst: &Instance) -> Env {
+pub fn env_from_instance(schema: &Schema, inst: &Instance) -> Env<'static> {
     let mut env = Env::new();
     for a in schema.assocs() {
         if let Some(rel) = relation_of(schema, inst, a) {
@@ -67,12 +67,64 @@ pub struct FlowHints {
     pub skip: std::collections::BTreeSet<usize>,
 }
 
+/// The order in which the lowering visits `rule`'s body literals: `order`
+/// with its positive predicate literals permuted among their own positions.
+/// The delta literal leads (it is the smallest relation by construction);
+/// after it, the next literal is the first remaining one in `order` that
+/// shares a variable with those already joined, and only when none does
+/// the first remaining one, which forms a cross product. Natural join is
+/// commutative and associative, so only cost changes.
+fn join_order(rule: &Rule, order: Vec<usize>, delta: Option<usize>) -> Vec<usize> {
+    let positive =
+        |li: usize| !rule.body[li].negated && matches!(rule.body[li].atom, Atom::Pred { .. });
+    let vars = |li: usize| -> Vec<Sym> {
+        let Atom::Pred { args, .. } = &rule.body[li].atom else {
+            return Vec::new();
+        };
+        args.iter()
+            .filter_map(|arg| match arg {
+                PredArg::Labeled(_, Term::Var(v)) => Some(*v),
+                _ => None,
+            })
+            .collect()
+    };
+    let mut pending: Vec<usize> = order.iter().copied().filter(|&li| positive(li)).collect();
+    let mut picked: Vec<usize> = Vec::with_capacity(pending.len());
+    let mut bound: FxHashSet<Sym> = FxHashSet::default();
+    if let Some(at) = delta.and_then(|d| pending.iter().position(|&li| li == d)) {
+        picked.push(pending.remove(at));
+        bound.extend(vars(picked[0]));
+    }
+    while !pending.is_empty() {
+        let at = pending
+            .iter()
+            .position(|&li| picked.is_empty() || vars(li).iter().any(|v| bound.contains(v)))
+            .unwrap_or(0);
+        let li = pending.remove(at);
+        bound.extend(vars(li));
+        picked.push(li);
+    }
+    let mut next = picked.into_iter();
+    order
+        .into_iter()
+        .map(|li| {
+            if positive(li) {
+                next.next().expect("one picked literal per positive slot")
+            } else {
+                li
+            }
+        })
+        .collect()
+}
+
 /// Compile one rule body to a select–join–project plan.
 ///
 /// `delta` optionally names a body literal (by its index in `rule.body`) whose
 /// relation scan should read from a substitute relation name instead of the
 /// predicate itself — the semi-naive planner uses this to point one occurrence
-/// of a recursive predicate at its per-round delta relation.
+/// of a recursive predicate at its per-round delta relation. Positive
+/// literals join in [`join_order`]: the delta literal first, then literals
+/// sharing a bound variable before any that would form a cross product.
 ///
 /// Positive literals that bind no new variables (magic-set `@magic_*` guards,
 /// repeated-tuple tests) are lowered to [`AlgExpr::SemiJoin`] reducers rather
@@ -117,7 +169,7 @@ pub(crate) fn compile_rule_plan_with(
         Some(o) => o,
         None => (0..rule.body.len()).collect(),
     };
-    for li in order {
+    for li in join_order(rule, order, delta.map(|(li, _)| li)) {
         let lit = &rule.body[li];
         if lit.negated {
             match &lit.atom {

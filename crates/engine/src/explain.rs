@@ -11,10 +11,12 @@
 //!   always renders byte-identically, so the output can be golden-pinned.
 //! * **EXPLAIN ANALYZE** — [`PlanProfile`] carries the per-operator runtime
 //!   counters an [`algres::Evaluator`] accumulates when profiling is on
-//!   (rows in/out, hash builds, probes, memo hits, inclusive wall time),
-//!   plus a per-plan `materialize` pseudo-operator for the driver's
-//!   insert-into-instance loop — the step the evaluator never sees, and the
-//!   main suspect for the compiled path's micro-closure overhead (E15).
+//!   (rows in/out, hash builds, probes, memo hits, inclusive wall time,
+//!   and for each join whether it hashed its right side or probed a stored
+//!   association's index), plus a per-plan `materialize` pseudo-operator
+//!   for the insert-into-instance loop of `run_compiled` — the step the
+//!   evaluator never sees, and the main suspect for the compiled path's
+//!   micro-closure overhead (E15).
 //!
 //! Determinism: the compiled driver is serial in canonical rule order, so
 //! every counting field of a [`PlanProfile`] is bit-identical at any
@@ -22,7 +24,7 @@
 //! `self_nanos`) are exempt; [`PlanProfile::normalized`] zeroes them so
 //! profiles can be compared across runs, mirroring `TraceEvent::normalized`.
 
-use algres::{AlgExpr, Evaluator};
+use algres::{AlgExpr, Evaluator, OpStats};
 use logres_lang::RuleSet;
 use rustc_hash::FxHashMap;
 
@@ -240,6 +242,13 @@ pub struct OpProfile {
     pub probes: u64,
     /// Evaluations answered from the memo.
     pub memo_hits: u64,
+    /// How a join, semijoin or antijoin read its right side, decided per
+    /// evaluation at run time: `hash` (a hash table, built or cached),
+    /// `index <assoc>.<label>` (probes of a stored association's argument
+    /// index), both joined by `, ` when evaluations differed, or empty when
+    /// every evaluation short-circuited on an empty left side (and for
+    /// every other operator).
+    pub access: String,
     /// Inclusive wall-clock nanoseconds (timing field).
     pub nanos: u64,
     /// Exclusive wall-clock nanoseconds: inclusive time minus the inclusive
@@ -316,11 +325,14 @@ impl PlanProfile {
             ));
             for op in &rp.ops {
                 let pad = "  ".repeat(op.depth + 1);
-                let head = if op.detail.is_empty() {
+                let mut head = if op.detail.is_empty() {
                     op.op.clone()
                 } else {
                     format!("{} {}", op.op, op.detail)
                 };
+                if !op.access.is_empty() {
+                    head.push_str(&format!(" via {}", op.access));
+                }
                 let mut stats = format!("evals={} rows={}->{}", op.evals, op.rows_in, op.rows_out);
                 if op.hash_builds > 0 || op.probes > 0 {
                     stats.push_str(&format!(" builds={} probes={}", op.hash_builds, op.probes));
@@ -346,12 +358,13 @@ impl PlanProfile {
         for rp in &self.rules {
             for op in &rp.ops {
                 out.push_str(&format!(
-                    "{{\"rule\":{},\"plan\":\"{}\",\"depth\":{},\"op\":\"{}\",\"detail\":\"{}\",\"evals\":{},\"rows_in\":{},\"rows_out\":{},\"hash_builds\":{},\"probes\":{},\"memo_hits\":{},\"nanos\":{},\"self_nanos\":{}}}\n",
+                    "{{\"rule\":{},\"plan\":\"{}\",\"depth\":{},\"op\":\"{}\",\"detail\":\"{}\",\"access\":\"{}\",\"evals\":{},\"rows_in\":{},\"rows_out\":{},\"hash_builds\":{},\"probes\":{},\"memo_hits\":{},\"nanos\":{},\"self_nanos\":{}}}\n",
                     rp.rule_index,
                     esc(&rp.plan),
                     op.depth,
                     esc(&op.op),
                     esc(&op.detail),
+                    esc(&op.access),
                     op.evals,
                     op.rows_in,
                     op.rows_out,
@@ -380,6 +393,19 @@ pub(crate) struct MaterializeStats {
     pub rows_out: u64,
     /// Wall-clock nanoseconds spent inserting (timing field).
     pub nanos: u64,
+}
+
+/// [`OpProfile::access`] from a node's counters.
+fn access_path(s: &OpStats) -> String {
+    let index = s
+        .index
+        .map(|(assoc, label)| format!("index {assoc}.{label}"));
+    match (index, s.hash_evals > 0) {
+        (Some(index), true) => format!("{index}, hash"),
+        (Some(index), false) => index,
+        (None, true) => "hash".to_owned(),
+        (None, false) => String::new(),
+    }
 }
 
 /// Collect one stratum's per-operator profile from its evaluator session.
@@ -414,6 +440,7 @@ pub(crate) fn profile_stratum(
                         hash_builds: s.hash_builds,
                         probes: s.probes,
                         memo_hits: s.memo_hits,
+                        access: access_path(&s),
                         nanos: s.nanos,
                         self_nanos: s.nanos.saturating_sub(child_nanos),
                     }

@@ -29,7 +29,7 @@
 //! `EvalOptions::threads` setting, which keeps the thread-count determinism
 //! contract of the interpreted engines trivially true here.
 
-use algres::{AlgExpr, EvalStats, Evaluator, Relation};
+use algres::{AlgExpr, Env, EvalStats, Evaluator, Relation};
 use logres_lang::analyze::{infer, seeds_from_instance, Card, FlowSummaries};
 use logres_lang::{stratify, Atom, Rule, RuleSet, Stratification};
 use logres_model::{Instance, Schema, Sym};
@@ -38,7 +38,7 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use crate::compile::{compile_rule_plan_with, env_from_instance, relation_of, FlowHints};
+use crate::compile::{compile_rule_plan_with, relation_of, FlowHints};
 use crate::error::EngineError;
 use crate::explain::{self, MaterializeStats};
 use crate::governor::Governor;
@@ -127,10 +127,10 @@ pub fn compile_program(
 }
 
 /// Join-order hints for one rule's plan: positive predicate literals are
-/// stably reordered cheapest inferred cardinality band first (the delta
-/// scan, when present, always leads — it is the smallest relation by
-/// construction). Natural join is commutative, so any permutation produces
-/// the same tuples; only cost changes.
+/// stably reordered cheapest inferred cardinality band first (the lowering
+/// then applies its own join order on top, delta scan first). Natural join
+/// is commutative, so any permutation produces the same tuples; only cost
+/// changes.
 fn flow_hints(rule: &Rule, flow: &FlowSummaries, ri: usize, delta_li: Option<usize>) -> FlowHints {
     let positive: Vec<usize> = (0..rule.body.len())
         .filter(|&li| {
@@ -140,9 +140,6 @@ fn flow_hints(rule: &Rule, flow: &FlowSummaries, ri: usize, delta_li: Option<usi
         .collect();
     let mut sorted = positive.clone();
     sorted.sort_by_key(|&li| {
-        if delta_li == Some(li) {
-            return (0u8, li);
-        }
         let Atom::Pred { pred, .. } = &rule.body[li].atom else {
             unreachable!("positive positions are predicate literals");
         };
@@ -354,9 +351,32 @@ pub fn try_evaluate_compiled(
     Some(run_compiled(schema, &program, rules, edb, opts))
 }
 
+/// The relations a stratum's plans scan.
+fn scanned(splan: &StratumPlan) -> FxHashSet<Sym> {
+    let mut out = FxHashSet::default();
+    let mut stack: Vec<&AlgExpr> = splan
+        .steps
+        .iter()
+        .flat_map(|s| std::iter::once(&s.full).chain(&s.deltas))
+        .collect();
+    while let Some(e) = stack.pop() {
+        if let AlgExpr::Rel(name) = e {
+            out.insert(*name);
+        }
+        stack.extend(e.children());
+    }
+    out
+}
+
 /// Execute a compiled program: strata bottom-up, semi-naive rounds within
 /// each stratum, one caching [`Evaluator`] per stratum so join hash tables
 /// over stable (extensional and lower-stratum) relations are built once.
+///
+/// Associations no rule of the program derives are read in place from
+/// `edb` ([`Env::bind_stored`]): they become relations only if a plan scans
+/// them in full, and joins against them may probe `edb`'s argument indexes,
+/// which persist across calls on the same instance. Each stratum binds, as
+/// it starts, the relations of lower strata that its plans read.
 pub fn run_compiled(
     schema: &Schema,
     program: &CompiledProgram,
@@ -398,8 +418,27 @@ pub fn run_compiled(
     let mut plan_stats = EvalStats::default();
     let mut rule_stats = vec![EvalStats::default(); rules.rules.len()];
     let mut profile = opts.profile.then(explain::PlanProfile::default);
+    let derived: FxHashSet<Sym> = program
+        .strata
+        .iter()
+        .flat_map(|s| s.idb.iter().copied())
+        .collect();
+    let mut env = Env::new();
+    for a in schema.assocs() {
+        if !derived.contains(&a) {
+            if let Some(cols) = assoc_cols(schema, a) {
+                env.bind_stored(a, cols, edb);
+            }
+        }
+    }
     for splan in &program.strata {
-        let env = env_from_instance(schema, &total);
+        for p in scanned(splan) {
+            if derived.contains(&p) && !splan.idb.contains(&p) && !env.contains(p) {
+                if let Some(rel) = relation_of(schema, &total, p) {
+                    env.bind(p, rel);
+                }
+            }
+        }
         let mut ev = Evaluator::new(&env);
         if opts.profile {
             ev.enable_profiling();
@@ -1095,6 +1134,13 @@ mod tests {
             emit.rows_in, join.rows_out,
             "join pairs must flow 1:1 into the fused emit: {emit:?} vs {join:?}"
         );
+        assert_eq!(emit.evals, join.evals, "{emit:?} vs {join:?}");
+        // The full plan's join short-circuits in round 0, where `tc` is
+        // still empty, and still counts as one evaluation, like its emit.
+        let full = &profile.rules[1];
+        assert_eq!(full.plan, "full");
+        let evals = |op: &str| full.ops.iter().find(|o| o.op == op).expect(op).evals;
+        assert_eq!((evals("emit"), evals("join")), (1, 1), "{full:?}");
         assert!(emit.rows_out > 0, "{emit:?}");
         assert!(emit.nanos >= emit.self_nanos, "{emit:?}");
         assert!(join.nanos >= join.self_nanos, "{join:?}");
@@ -1382,5 +1428,178 @@ mod tests {
         assert_eq!(report.steps, report.iterations.len());
         assert!(report.steps >= 8);
         assert_eq!(report.facts, 8 + 8 * 9 / 2);
+    }
+
+    /// A forest of `families` identical binary trees of seven edges each,
+    /// with the `ancestor` closure over it.
+    fn forest(families: usize) -> String {
+        let mut src = String::from(
+            "associations\n  parent = (par: string, chil: string);\n  ancestor = (anc: string, des: string);\nfacts\n",
+        );
+        for f in 0..families {
+            for i in 1..8 {
+                src.push_str(&format!(
+                    "  parent(par: \"f{f}_{}\", chil: \"f{f}_{i}\").\n",
+                    (i - 1) / 2
+                ));
+            }
+        }
+        src.push_str(
+            "rules\n  ancestor(anc: X, des: Y) <- parent(par: X, chil: Y).\n  ancestor(anc: X, des: Z) <- parent(par: X, chil: Y), ancestor(anc: Y, des: Z).\n",
+        );
+        src
+    }
+
+    /// Answer `goal` over `src` on the demand path with metrics and the
+    /// plan profile on.
+    fn demand_run(
+        src: &str,
+        goal: &str,
+    ) -> (
+        crate::magic::AnswerRows,
+        explain::PlanProfile,
+        Arc<MetricsRegistry>,
+    ) {
+        let p = parse_program(&format!("{src}goal {goal}?\n")).expect("parses");
+        let mut edb = Instance::new();
+        load_facts(&p.schema, &mut edb, &p.facts, &mut OidGen::new()).expect("loads");
+        let reg = Arc::new(MetricsRegistry::new());
+        let opts = EvalOptions {
+            profile: true,
+            ..opts_with(&reg)
+        };
+        let goal = p.goal.expect("goal");
+        let (rows, report) = crate::magic::answer_goal_demand(
+            &p.schema,
+            &p.rules,
+            &edb,
+            &goal,
+            Semantics::Stratified,
+            opts,
+        )
+        .expect("evaluates")
+        .expect("bound goal rewrites");
+        (rows, report.plan_profile.expect("ran compiled"), reg)
+    }
+
+    #[test]
+    fn bound_goals_probe_the_edb_index_and_cost_the_same_at_any_size() {
+        // The demanded cone of one family is the same whatever the number
+        // of families: so must be the work.
+        for goal in [
+            "ancestor(anc: \"f0_0\", des: D)",
+            "ancestor(anc: A, des: \"f0_7\")",
+        ] {
+            let counts: Vec<(crate::magic::AnswerRows, u64, u64)> = [16, 256]
+                .into_iter()
+                .map(|families| {
+                    let (rows, profile, reg) = demand_run(&forest(families), goal);
+                    let ops: Vec<&explain::OpProfile> =
+                        profile.rules.iter().flat_map(|r| r.ops.iter()).collect();
+                    for op in &ops {
+                        if op.op == "scan" && op.detail == "parent" {
+                            assert_eq!((op.evals, op.rows_out), (0, 0), "{goal}: {op:?}");
+                        }
+                        if op.access.contains("parent") {
+                            assert!(op.access.starts_with("index parent."), "{op:?}");
+                            assert!(!op.access.contains("hash"), "{goal}: {op:?}");
+                            assert_eq!(op.hash_builds, 0, "{goal}: {op:?}");
+                        }
+                    }
+                    assert!(
+                        ops.iter().any(|op| op.access.starts_with("index parent.")),
+                        "{goal}: no join probed the index"
+                    );
+                    (
+                        rows,
+                        reg.counter("logres_compile_probes_total").get(),
+                        reg.counter("logres_compile_hash_builds_total").get(),
+                    )
+                })
+                .collect();
+            assert!(!counts[0].0.is_empty(), "{goal}");
+            assert_eq!(counts[0], counts[1], "{goal}: work grew with the EDB");
+        }
+    }
+
+    #[test]
+    fn an_empty_magic_delta_builds_no_table_over_the_closure() {
+        // E13's shape: in `tc <- @magic_tc, tc, e`, the delta plan on the
+        // magic literal reads the seed in round 1 and nothing after it.
+        let n = 32;
+        let (rows, profile, _) = demand_run(&chain(n), "tc(a: 0, b: X)");
+        assert_eq!(rows.len(), n as usize);
+        let plan = profile
+            .rules
+            .iter()
+            .find(|r| {
+                r.plan == "delta[0]"
+                    && r.ops.iter().any(|op| op.detail == "@delta_@magic_tc")
+                    && r.ops.iter().any(|op| op.op == "scan" && op.detail == "tc")
+            })
+            .expect("delta[0] on the magic literal of the recursive rule");
+        let scan_tc = plan
+            .ops
+            .iter()
+            .find(|op| op.op == "scan" && op.detail == "tc")
+            .expect("scan tc");
+        let builds: u64 = plan.ops.iter().map(|op| op.hash_builds).sum();
+        let evals = plan.ops[0].evals;
+        assert!(evals > n as u64, "one evaluation per round: {plan:?}");
+        assert_eq!((scan_tc.evals, builds), (1, 1), "{plan:?}");
+    }
+
+    #[test]
+    fn predicates_with_stored_facts_and_rules_stay_off_the_index_path() {
+        // `link` has a stored fact and a rule: it is derived, so joins read
+        // the relation the rounds build, never the EDB's index.
+        let mut src = String::from(
+            "associations\n  e = (a: integer, b: integer);\n  blocked = (a: integer);\n  link = (a: integer, b: integer);\n  start = (a: integer);\n  out_l = (a: integer, b: integer);\nfacts\n  blocked(a: 3).\n  link(a: 100, b: 101).\n  start(a: 100).\n  start(a: 2).\n",
+        );
+        for i in 0..20 {
+            src.push_str(&format!("  e(a: {i}, b: {}).\n", i + 1));
+        }
+        src.push_str(
+            "rules\n  link(a: X, b: Y) <- e(a: X, b: Y), not blocked(a: X).\n  out_l(a: X, b: Y) <- start(a: X), link(a: X, b: Y).\n",
+        );
+        let (schema, edb, rules) = setup(&src);
+        let (compiled, report) = evaluate(
+            &schema,
+            &rules,
+            &edb,
+            Semantics::Stratified,
+            EvalOptions {
+                profile: true,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
+        let profile = report.plan_profile.expect("ran compiled");
+        let accesses: Vec<&str> = profile
+            .rules
+            .iter()
+            .flat_map(|r| r.ops.iter())
+            .map(|op| op.access.as_str())
+            .filter(|a| !a.is_empty())
+            .collect();
+        assert!(accesses.iter().all(|a| !a.contains("link")), "{accesses:?}");
+        let (interp, _) = evaluate(
+            &schema,
+            &rules,
+            &edb,
+            Semantics::Stratified,
+            EvalOptions {
+                compiled: false,
+                ..EvalOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(compiled, interp);
+        let out_l = Sym::new("out_l");
+        assert_eq!(compiled.assoc_len(out_l), 2);
+        assert!(compiled.has_tuple(
+            out_l,
+            &Value::tuple([("a", Value::Int(100)), ("b", Value::Int(101))])
+        ));
     }
 }

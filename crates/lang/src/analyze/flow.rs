@@ -653,16 +653,14 @@ pub fn seeds_from_facts(schema: &Schema, facts: &[GroundFact]) -> BTreeMap<Sym, 
 
 /// Abstract seeds from a live instance: every class, association, and data
 /// function with stored data. This is what the compiled planner uses, so the
-/// summaries describe exactly the state evaluation starts from.
+/// summaries describe exactly the state evaluation starts from. Rows are
+/// folded in storage order: a summary (a row count, and per label a value
+/// set capped at `EXACT_CAP`) does not depend on the order it saw them in.
 pub fn seeds_from_instance(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, PredSummary> {
     let mut out = BTreeMap::new();
-    let mut classes: Vec<Sym> = schema.classes().collect();
-    classes.sort();
-    for c in classes {
+    for c in schema.classes() {
         let mut acc = SeedAcc::new();
-        let mut oids: Vec<_> = inst.oids_of(c).collect();
-        oids.sort();
-        for o in oids {
+        for o in inst.oids_of(c) {
             match inst.o_value(o) {
                 Some(Value::Tuple(fields)) => acc.row(fields.iter().map(|(l, v)| (*l, v))),
                 _ => acc.row(std::iter::empty()),
@@ -672,13 +670,9 @@ pub fn seeds_from_instance(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, Pr
             out.insert(c, acc.finish(schema, c));
         }
     }
-    let mut assocs: Vec<Sym> = schema.assocs().collect();
-    assocs.sort();
-    for a in assocs {
+    for a in schema.assocs() {
         let mut acc = SeedAcc::new();
-        let mut rows: Vec<&Value> = inst.tuples_of(a).collect();
-        rows.sort();
-        for t in rows {
+        for t in inst.tuples_of(a) {
             match t {
                 Value::Tuple(fields) => acc.row(fields.iter().map(|(l, v)| (*l, v))),
                 _ => acc.row(std::iter::empty()),
@@ -1765,6 +1759,43 @@ mod tests {
         assert_eq!(person.meet(robot, &schema), ClassElem::Bottom);
         assert_eq!(student.join(person, &schema), person);
         assert_eq!(person.join(robot, &schema), ClassElem::Any);
+    }
+
+    #[test]
+    fn instance_seeds_do_not_depend_on_insertion_order() {
+        let p = parse_program(
+            r#"
+            classes
+              node = (n: integer);
+            associations
+              e = (a: integer, b: integer);
+            "#,
+        )
+        .expect("parses");
+        // `a` takes more distinct values than a seed keeps exactly, `b` and
+        // `n` fewer; the two instances see the same facts, reversed.
+        let facts: Vec<(Value, Value)> = (0..100i64)
+            .map(|i| {
+                (
+                    Value::tuple([("a", Value::Int(i)), ("b", Value::Int(i % 5))]),
+                    Value::tuple([("n", Value::Int(i % 7))]),
+                )
+            })
+            .collect();
+        let (e, node) = (Sym::new("e"), Sym::new("node"));
+        let load = |order: &mut dyn Iterator<Item = (usize, &(Value, Value))>| {
+            let mut inst = Instance::new();
+            for (i, (tuple, value)) in order {
+                inst.insert_assoc(e, tuple.clone());
+                inst.insert_object(&p.schema, node, logres_model::Oid(i as u64), value.clone());
+            }
+            seeds_from_instance(&p.schema, &inst)
+        };
+        let forward = load(&mut facts.iter().enumerate());
+        let backward = load(&mut facts.iter().enumerate().rev());
+        assert_eq!(forward, backward);
+        assert_eq!(forward[&e].card, Card::Many);
+        assert!(forward[&node].args.contains_key(&Sym::new("n")));
     }
 
     #[test]

@@ -7,6 +7,7 @@ use proptest::prelude::*;
 
 use logres::engine::{
     answer_goal, answer_goal_demand, evaluate, evaluate_inflationary, load_facts, EvalOptions,
+    PlanProfile,
 };
 use logres::lang::analyze::fixtures;
 use logres::lang::{parse_program, Atom, Goal, PredArg, Term};
@@ -294,7 +295,43 @@ proptest! {
             let got = demand_answer(&src, &opts).expect("bound source rewrites");
             prop_assert_eq!(&got, &want);
         }
+        // Round 1 joins the one-row demand seed with `e`: whenever `e`
+        // holds more rows than that, the join probes `e`'s argument index
+        // (unless flow analysis prunes the join, when no edge leaves the
+        // source).
+        let distinct: std::collections::BTreeSet<_> = edges.iter().collect();
+        if distinct.len() > 1 && edges.iter().any(|&(a, _)| a == src_node) {
+            let profile = demand_profile(&src);
+            prop_assert!(
+                profile.rules.iter().flat_map(|r| r.ops.iter()).any(|op| op.access == "index e.a"),
+                "no join probed e's index: {}",
+                profile.render()
+            );
+        }
     }
+}
+
+/// The compiled demand path's EXPLAIN ANALYZE profile for a program's goal.
+fn demand_profile(src: &str) -> PlanProfile {
+    let p = parse_program(src).expect("parses");
+    let mut edb = Instance::new();
+    load_facts(&p.schema, &mut edb, &p.facts, &mut OidGen::new()).expect("loads");
+    let opts = EvalOptions {
+        profile: true,
+        ..EvalOptions::default()
+    };
+    let goal = p.goal.expect("goal");
+    let (_, report) = answer_goal_demand(
+        &p.schema,
+        &p.rules,
+        &edb,
+        &goal,
+        Semantics::Stratified,
+        opts,
+    )
+    .expect("evaluates")
+    .expect("bound goal rewrites");
+    report.plan_profile.expect("ran compiled")
 }
 
 const INVENTION: &str = r#"
