@@ -372,11 +372,14 @@ fn scanned(splan: &StratumPlan) -> FxHashSet<Sym> {
 /// each stratum, one caching [`Evaluator`] per stratum so join hash tables
 /// over stable (extensional and lower-stratum) relations are built once.
 ///
-/// Associations no rule of the program derives are read in place from
-/// `edb` ([`Env::bind_stored`]): they become relations only if a plan scans
-/// them in full, and joins against them may probe `edb`'s argument indexes,
-/// which persist across calls on the same instance. Each stratum binds, as
-/// it starts, the relations of lower strata that its plans read.
+/// The result starts as a clone of `edb`, which shares every extent with it
+/// (one refcount per relation, see [`Instance`]); derived tuples land in
+/// extents of their own, so neither the clone nor its drop copies a stored
+/// relation. Associations no rule of the program derives are read in place
+/// from `edb` ([`Env::bind_stored`]): they become relations only if a plan
+/// scans them in full, and joins against them may probe `edb`'s argument
+/// indexes, which persist across calls on the same instance. Each stratum
+/// binds, as it starts, the relations of lower strata that its plans read.
 pub fn run_compiled(
     schema: &Schema,
     program: &CompiledProgram,
@@ -1519,6 +1522,37 @@ mod tests {
                 .collect();
             assert!(!counts[0].0.is_empty(), "{goal}");
             assert_eq!(counts[0], counts[1], "{goal}: work grew with the EDB");
+        }
+    }
+
+    #[test]
+    fn bound_goals_share_the_edb_extents_they_only_read() {
+        // Demand evaluation starts from a clone of the EDB: `parent`, which
+        // no rule derives, must come back as the EDB's own extent, so the
+        // clone and its drop cost a refcount rather than a copy of the
+        // relation, at any size.
+        let parent = Sym::new("parent");
+        for families in [16, 256] {
+            let p = parse_program(&format!(
+                "{}goal ancestor(anc: \"f0_0\", des: D)?\n",
+                forest(families)
+            ))
+            .expect("parses");
+            let mut edb = Instance::new();
+            load_facts(&p.schema, &mut edb, &p.facts, &mut OidGen::new()).expect("loads");
+            let (inst, _) = crate::magic::evaluate_demand(
+                &p.schema,
+                &p.rules,
+                &edb,
+                &p.goal.expect("goal"),
+                Semantics::Stratified,
+                EvalOptions::default(),
+            )
+            .expect("evaluates")
+            .expect("bound goal rewrites");
+            assert_eq!(inst.assoc_len(parent), 7 * families);
+            assert!(inst.assoc_len(Sym::new("ancestor")) > 0);
+            assert!(inst.shares_extent(&edb, parent), "{families} families");
         }
     }
 

@@ -45,7 +45,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use logres_model::{Instance, PredKind, Schema, Sym, TypeDesc, Value};
+use logres_model::{Field, Instance, PredKind, Schema, Sym, TypeDesc, Value};
 
 use super::diag::Diagnostic;
 use super::graph::DepGraph;
@@ -600,6 +600,15 @@ impl SeedAcc {
         }
     }
 
+    /// Whether every column in `cols`, and every label folded so far, has
+    /// overflowed the cap: from then on more rows leave the summary as it
+    /// is, apart from the row count. Never, without declared columns.
+    fn saturated(&self, cols: &[Field]) -> bool {
+        !cols.is_empty()
+            && self.args.values().all(|(_, over)| *over)
+            && cols.iter().all(|c| self.args.contains_key(&c.label))
+    }
+
     fn finish(self, schema: &Schema, pred: Sym) -> PredSummary {
         let card = match self.rows {
             0 => Card::Empty,
@@ -656,6 +665,13 @@ pub fn seeds_from_facts(schema: &Schema, facts: &[GroundFact]) -> BTreeMap<Sym, 
 /// summaries describe exactly the state evaluation starts from. Rows are
 /// folded in storage order: a summary (a row count, and per label a value
 /// set capped at `EXACT_CAP`) does not depend on the order it saw them in.
+///
+/// An association's fold stops once every column of its declared type has
+/// overflowed the cap, and its row count is the extension's size: past the
+/// cap a column keeps only its static type, so the rest of the extension
+/// cannot change the summary. (A label outside the declared type, which no
+/// typechecked rule or fact can store, also stops the fold only once it has
+/// overflowed, but one that first appears after the stop goes unseen.)
 pub fn seeds_from_instance(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, PredSummary> {
     let mut out = BTreeMap::new();
     for c in schema.classes() {
@@ -671,16 +687,23 @@ pub fn seeds_from_instance(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, Pr
         }
     }
     for a in schema.assocs() {
+        let rows = inst.assoc_len(a);
+        if rows == 0 {
+            continue;
+        }
+        let cols = schema.attributes(a).unwrap_or_default();
         let mut acc = SeedAcc::new();
         for t in inst.tuples_of(a) {
             match t {
                 Value::Tuple(fields) => acc.row(fields.iter().map(|(l, v)| (*l, v))),
                 _ => acc.row(std::iter::empty()),
             }
+            if acc.saturated(cols) {
+                break;
+            }
         }
-        if acc.rows > 0 {
-            out.insert(a, acc.finish(schema, a));
-        }
+        acc.rows = rows;
+        out.insert(a, acc.finish(schema, a));
     }
     for (f, _) in schema.functions_iter() {
         if inst.fun_args(f).next().is_some() {
@@ -1796,6 +1819,93 @@ mod tests {
         assert_eq!(forward, backward);
         assert_eq!(forward[&e].card, Card::Many);
         assert!(forward[&node].args.contains_key(&Sym::new("n")));
+    }
+
+    /// The full fold, every row of every extension: the reference that
+    /// `seeds_from_instance` must agree with.
+    fn seeds_by_full_fold(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, PredSummary> {
+        let mut out = BTreeMap::new();
+        for c in schema.classes() {
+            let mut acc = SeedAcc::new();
+            for o in inst.oids_of(c) {
+                match inst.o_value(o) {
+                    Some(Value::Tuple(fields)) => acc.row(fields.iter().map(|(l, v)| (*l, v))),
+                    _ => acc.row(std::iter::empty()),
+                }
+            }
+            if acc.rows > 0 {
+                out.insert(c, acc.finish(schema, c));
+            }
+        }
+        for a in schema.assocs() {
+            let mut acc = SeedAcc::new();
+            for t in inst.tuples_of(a) {
+                match t {
+                    Value::Tuple(fields) => acc.row(fields.iter().map(|(l, v)| (*l, v))),
+                    _ => acc.row(std::iter::empty()),
+                }
+            }
+            if acc.rows > 0 {
+                out.insert(a, acc.finish(schema, a));
+            }
+        }
+        for (f, _) in schema.functions_iter() {
+            if inst.fun_args(f).next().is_some() {
+                out.insert(
+                    f,
+                    PredSummary {
+                        card: Card::Many,
+                        args: BTreeMap::new(),
+                    },
+                );
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn instance_seeds_equal_the_full_fold() {
+        let p = parse_program(
+            r#"
+            classes
+              node = (n: integer);
+            associations
+              wide = (a: integer, s: string);
+              narrow = (a: integer, k: integer);
+            "#,
+        )
+        .expect("parses");
+        let (wide, narrow, node) = (Sym::new("wide"), Sym::new("narrow"), Sym::new("node"));
+        // `wide`'s columns take one value per row, so its fold may stop once
+        // both pass the cap; `narrow`'s `k` never does, so its fold may not.
+        for n in [0i64, 1, 64, 65, 4000] {
+            let mut inst = Instance::new();
+            for i in 0..n {
+                let s = Value::Str(format!("s{i}"));
+                inst.insert_assoc(wide, Value::tuple([("a", Value::Int(i)), ("s", s)]));
+                let k = Value::Int(i % 40);
+                inst.insert_assoc(narrow, Value::tuple([("a", Value::Int(i)), ("k", k)]));
+                let v = Value::tuple([("n", Value::Int(i % 7))]);
+                inst.insert_object(&p.schema, node, logres_model::Oid(i as u64), v);
+            }
+            let seeds = seeds_from_instance(&p.schema, &inst);
+            assert_eq!(seeds, seeds_by_full_fold(&p.schema, &inst), "n = {n}");
+            if n == 0 {
+                assert!(seeds.is_empty());
+                continue;
+            }
+            let card = if n == 1 { Card::AtMostOne } else { Card::Many };
+            assert_eq!((seeds[&wide].card, seeds[&narrow].card), (card, card));
+            let exact = |pred: Sym, label: &str| {
+                seeds[&pred]
+                    .args
+                    .get(&Sym::new(label))
+                    .is_some_and(|av| matches!(av.consts, ConstSet::Finite { exact: true, .. }))
+            };
+            let under_cap = n <= EXACT_CAP as i64;
+            assert_eq!((exact(wide, "a"), exact(wide, "s")), (under_cap, under_cap));
+            assert!(exact(narrow, "k"), "n = {n}");
+        }
     }
 
     #[test]

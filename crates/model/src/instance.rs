@@ -131,7 +131,8 @@ type ArgIndex = FxHashMap<Value, Bucket>;
 /// from then on kept in step with the extension: [`Instance::insert_assoc`]
 /// and [`Instance::remove_assoc`] edit the buckets of their own association
 /// in place, and no other mutation touches them. An index is dropped only
-/// with its instance: clones and [`Instance::compose`] results start cold.
+/// with its instance: clones and [`Instance::compose`] results start cold,
+/// so a write to a clone never pays for an index it did not ask for.
 ///
 /// Bucket order is the iteration order of an unseeded hash set, so it is a
 /// deterministic function of the mutation sequence (and of the point at
@@ -180,28 +181,47 @@ impl IndexCache {
 }
 
 /// A database instance `(π, ν, ρ)` plus data-function extensions.
+///
+/// Storage is copy-on-write: each class extent, association extent and
+/// data-function extension, and ν as a whole, sits behind its own [`Arc`],
+/// so a clone bumps one refcount per relation and shares every extent with
+/// its source. The first write to a shared extent copies that extent alone
+/// ([`Arc::make_mut`]); a write that would change nothing (a duplicate
+/// insert, an absent removal) is detected first and copies nothing. An
+/// unshared extent is written in place: an insert into one no index covers
+/// still hashes its tuple once. Removals drop the extents they empty, so an
+/// empty extent is never stored: an instance maps each predicate to a set,
+/// and an empty set and an absent one are the same instance.
 #[derive(Debug, Default)]
 pub struct Instance {
     /// π: class → oids.
-    pi: FxHashMap<Sym, FxHashSet<Oid>>,
+    pi: FxHashMap<Sym, Arc<FxHashSet<Oid>>>,
     /// ν: oid → o-value (the *full* tuple across all classes of the oid's
-    /// hierarchy; per-class views are projections).
-    nu: FxHashMap<Oid, Value>,
+    /// hierarchy; per-class views are projections). One shared map.
+    nu: Arc<FxHashMap<Oid, Value>>,
     /// ρ: association → tuples.
-    rho: FxHashMap<Sym, FxHashSet<Value>>,
+    rho: FxHashMap<Sym, Arc<FxHashSet<Value>>>,
     /// Data-function extensions: f → (args → elements).
-    fun: FxHashMap<Sym, FxHashMap<Vec<Value>, BTreeSet<Value>>>,
-    /// Lazy secondary indexes. Deliberately excluded from `Clone` (a clone
-    /// starts with a cold cache) and from `PartialEq` (the cache is derived
-    /// state), so the fixpoint loop's clone-and-compare stays cheap.
+    fun: FxHashMap<Sym, Arc<FunExtension>>,
+    /// Lazy secondary indexes. Excluded from `Clone` (a clone starts with a
+    /// cold cache) and from `PartialEq` (the cache is derived state).
     cache: RwLock<IndexCache>,
+}
+
+/// One data function's extension: argument tuple → its (non-empty) set.
+type FunExtension = FxHashMap<Vec<Value>, BTreeSet<Value>>;
+
+/// Whether a copy-on-write extent is shared with another instance, so a
+/// write to it would copy it.
+fn shared<T>(extent: &Arc<T>) -> bool {
+    Arc::strong_count(extent) > 1
 }
 
 impl Clone for Instance {
     fn clone(&self) -> Instance {
         Instance {
             pi: self.pi.clone(),
-            nu: self.nu.clone(),
+            nu: Arc::clone(&self.nu),
             rho: self.rho.clone(),
             fun: self.fun.clone(),
             cache: RwLock::new(IndexCache::default()),
@@ -209,6 +229,8 @@ impl Clone for Instance {
     }
 }
 
+/// Extents compare by contents; `Arc`'s equality tests pointer identity
+/// first, so extents a clone still shares compare in O(1).
 impl PartialEq for Instance {
     fn eq(&self, other: &Instance) -> bool {
         self.pi == other.pi && self.nu == other.nu && self.rho == other.rho && self.fun == other.fun
@@ -225,7 +247,11 @@ impl Instance {
 
     /// Oids of a class (empty if the class has no members).
     pub fn oids_of(&self, class: Sym) -> impl Iterator<Item = Oid> + '_ {
-        self.pi.get(&class).into_iter().flatten().copied()
+        self.pi
+            .get(&class)
+            .into_iter()
+            .flat_map(|s| s.iter())
+            .copied()
     }
 
     /// Number of objects in a class.
@@ -270,7 +296,7 @@ impl Instance {
 
     /// Tuples of an association.
     pub fn tuples_of(&self, assoc: Sym) -> impl Iterator<Item = &Value> + '_ {
-        self.rho.get(&assoc).into_iter().flatten()
+        self.rho.get(&assoc).into_iter().flat_map(|s| s.iter())
     }
 
     /// Number of tuples in an association.
@@ -281,6 +307,15 @@ impl Instance {
     /// Does the association contain this tuple?
     pub fn has_tuple(&self, assoc: Sym, tuple: &Value) -> bool {
         self.rho.get(&assoc).is_some_and(|s| s.contains(tuple))
+    }
+
+    /// Whether `self` and `other` hold `assoc`'s extent in one shared
+    /// allocation: true from a clone until either side writes to `assoc`.
+    pub fn shares_extent(&self, other: &Instance, assoc: Sym) -> bool {
+        matches!(
+            (self.rho.get(&assoc), other.rho.get(&assoc)),
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b)
+        )
     }
 
     /// Tuples of `assoc` whose attribute `label` has `key` as its
@@ -363,7 +398,7 @@ impl Instance {
     pub fn oid_gen(&self) -> OidGen {
         let mut max = None;
         for s in self.pi.values() {
-            for o in s {
+            for o in s.iter() {
                 max = Some(max.map_or(*o, |m: Oid| m.max(*o)));
             }
         }
@@ -442,15 +477,30 @@ impl Instance {
     /// Attributes already present with a different value are overwritten
     /// (`⊕`-style right bias). Returns whether anything changed.
     pub fn insert_object(&mut self, schema: &Schema, class: Sym, oid: Oid, value: Value) -> bool {
-        let mut changed = self.pi.entry(class).or_default().insert(oid);
-        for sup in schema.ancestors(class) {
-            changed |= self.pi.entry(sup).or_default().insert(oid);
+        let mut changed = false;
+        for c in std::iter::once(class).chain(schema.ancestors(class)) {
+            let oids = self.pi.entry(c).or_default();
+            if !(shared(oids) && oids.contains(&oid)) {
+                changed |= Arc::make_mut(oids).insert(oid);
+            }
         }
         let incoming = match value {
             Value::Tuple(fs) => fs,
             other => vec![(Sym::new("value"), other)],
         };
-        match self.nu.get_mut(&oid) {
+        if shared(&self.nu) {
+            let unchanged = match self.nu.get(&oid) {
+                Some(stored @ Value::Tuple(_)) => {
+                    incoming.iter().all(|(l, v)| stored.field(*l) == Some(v))
+                }
+                _ => false,
+            };
+            if unchanged {
+                return changed;
+            }
+        }
+        let nu = Arc::make_mut(&mut self.nu);
+        match nu.get_mut(&oid) {
             Some(Value::Tuple(existing)) => {
                 for (l, v) in incoming {
                     match existing.binary_search_by(|(fl, _)| fl.cmp(&l)) {
@@ -470,7 +520,7 @@ impl Instance {
             _ => {
                 let mut fs = incoming;
                 fs.sort_by_key(|a| a.0);
-                self.nu.insert(oid, Value::Tuple(fs));
+                nu.insert(oid, Value::Tuple(fs));
                 changed = true;
             }
         }
@@ -489,12 +539,23 @@ impl Instance {
             }
         }
         for c in targets {
-            if let Some(s) = self.pi.get_mut(&c) {
-                changed |= s.remove(&oid);
+            let Some(oids) = self.pi.get_mut(&c) else {
+                continue;
+            };
+            if shared(oids) && !oids.contains(&oid) {
+                continue;
             }
+            if !Arc::make_mut(oids).remove(&oid) {
+                continue;
+            }
+            if oids.is_empty() {
+                self.pi.remove(&c);
+            }
+            changed = true;
         }
         let still_member = self.pi.values().any(|s| s.contains(&oid));
-        if !still_member && self.nu.remove(&oid).is_some() {
+        if !still_member && self.nu.contains_key(&oid) {
+            Arc::make_mut(&mut self.nu).remove(&oid);
             changed = true;
         }
         changed
@@ -505,44 +566,71 @@ impl Instance {
     pub fn insert_assoc(&mut self, assoc: Sym, tuple: Value) -> bool {
         let extent = self.rho.entry(assoc).or_default();
         let cache = self.cache.get_mut().expect("index cache poisoned");
-        if cache.by_assoc.contains_key(&assoc) {
-            if extent.contains(&tuple) {
-                return false;
-            }
+        let indexed = cache.by_assoc.contains_key(&assoc);
+        // Only a new tuple may enter the indexes or copy a shared extent.
+        if (indexed || shared(extent)) && extent.contains(&tuple) {
+            return false;
+        }
+        if indexed {
             cache.insert(assoc, &tuple);
         }
-        extent.insert(tuple)
+        Arc::make_mut(extent).insert(tuple)
     }
 
     /// Remove an association tuple, and from every built index of the
     /// association. Returns whether it was present.
     pub fn remove_assoc(&mut self, assoc: Sym, tuple: &Value) -> bool {
-        let changed = self.rho.get_mut(&assoc).is_some_and(|s| s.remove(tuple));
-        if changed {
-            self.cache
-                .get_mut()
-                .expect("index cache poisoned")
-                .remove(assoc, tuple);
+        let Some(extent) = self.rho.get_mut(&assoc) else {
+            return false;
+        };
+        if shared(extent) && !extent.contains(tuple) {
+            return false;
         }
-        changed
+        if !Arc::make_mut(extent).remove(tuple) {
+            return false;
+        }
+        if extent.is_empty() {
+            self.rho.remove(&assoc);
+        }
+        self.cache
+            .get_mut()
+            .expect("index cache poisoned")
+            .remove(assoc, tuple);
+        true
     }
 
     /// Insert a data-function member. Returns whether it was new.
     pub fn insert_member(&mut self, fun: Sym, args: Vec<Value>, elem: Value) -> bool {
-        self.fun
-            .entry(fun)
-            .or_default()
-            .entry(args)
-            .or_default()
-            .insert(elem)
+        let ext = self.fun.entry(fun).or_default();
+        if shared(ext) && ext.get(&args).is_some_and(|s| s.contains(&elem)) {
+            return false;
+        }
+        Arc::make_mut(ext).entry(args).or_default().insert(elem)
     }
 
-    /// Remove a data-function member. Returns whether it was present.
+    /// Remove a data-function member, dropping the argument entry (and the
+    /// function's extension) it empties. Returns whether it was present.
     pub fn remove_member(&mut self, fun: Sym, args: &[Value], elem: &Value) -> bool {
-        self.fun
-            .get_mut(&fun)
-            .and_then(|m| m.get_mut(args))
-            .is_some_and(|s| s.remove(elem))
+        let Some(ext) = self.fun.get_mut(&fun) else {
+            return false;
+        };
+        if shared(ext) && !ext.get(args).is_some_and(|s| s.contains(elem)) {
+            return false;
+        }
+        let ext_mut = Arc::make_mut(ext);
+        let Some(elems) = ext_mut.get_mut(args) else {
+            return false;
+        };
+        if !elems.remove(elem) {
+            return false;
+        }
+        if elems.is_empty() {
+            ext_mut.remove(args);
+            if ext_mut.is_empty() {
+                self.fun.remove(&fun);
+            }
+        }
+        true
     }
 
     /// Enumerate every fact in a deterministic order. Class facts are
@@ -599,28 +687,23 @@ impl Instance {
     /// `ρ` and `π` are unioned; for o-values, an oid present in `G'` takes
     /// `G'`'s value (facts of `G` with the same oid but different o-value
     /// are superseded). Function extensions are unioned. The result starts
-    /// with no index (it is built from a clone), so editing its maps
-    /// directly leaves none stale.
+    /// from a clone of `G`, so it has no index and editing its maps directly
+    /// leaves none stale.
     pub fn compose(&self, right: &Instance) -> Instance {
         let mut out = self.clone();
         for (class, oids) in &right.pi {
-            out.pi
-                .entry(*class)
-                .or_default()
-                .extend(oids.iter().copied());
+            Arc::make_mut(out.pi.entry(*class).or_default()).extend(oids.iter().copied());
         }
-        for (oid, v) in &right.nu {
-            out.nu.insert(*oid, v.clone()); // right wins
+        let nu = Arc::make_mut(&mut out.nu);
+        for (oid, v) in right.nu.iter() {
+            nu.insert(*oid, v.clone()); // right wins
         }
         for (assoc, tuples) in &right.rho {
-            out.rho
-                .entry(*assoc)
-                .or_default()
-                .extend(tuples.iter().cloned());
+            Arc::make_mut(out.rho.entry(*assoc).or_default()).extend(tuples.iter().cloned());
         }
         for (fun, m) in &right.fun {
-            let target = out.fun.entry(*fun).or_default();
-            for (args, elems) in m {
+            let target = Arc::make_mut(out.fun.entry(*fun).or_default());
+            for (args, elems) in m.iter() {
                 target
                     .entry(args.clone())
                     .or_default()
@@ -676,7 +759,7 @@ impl Instance {
                 continue;
             };
             let expanded = schema.expand(eff);
-            for oid in oids {
+            for oid in oids.iter() {
                 match self.nu.get(oid) {
                     None => errs.push(ModelError::MissingOValue { class }),
                     Some(_) => {
@@ -696,7 +779,7 @@ impl Instance {
                 continue;
             };
             let expanded = schema.expand(ty);
-            for t in tuples {
+            for t in tuples.iter() {
                 if let Err(e) = self.conforms(schema, t, &expanded, false) {
                     errs.push(e);
                 }
@@ -1302,6 +1385,213 @@ mod tests {
         );
     }
 
+    /// An instance with an extent of every kind: two students (π and ν),
+    /// two associations and a data function.
+    fn populated(s: &Schema) -> Instance {
+        let mut i = Instance::new();
+        for (oid, name) in [(1, "John"), (2, "Mary")] {
+            i.insert_object(
+                s,
+                sym("student"),
+                Oid(oid),
+                Value::tuple([("name", Value::str(name)), ("school", Value::str("PdM"))]),
+            );
+        }
+        for (x, y) in [(1, 2), (1, 3), (2, 3)] {
+            i.insert_assoc(
+                sym("edge"),
+                Value::tuple([("a", Value::Int(x)), ("b", Value::Int(y))]),
+            );
+        }
+        i.insert_assoc(sym("advises"), Value::tuple([("who", Value::Oid(Oid(1)))]));
+        i.insert_member(sym("f"), vec![Value::Int(1)], Value::Int(2));
+        i
+    }
+
+    fn same_extent<T>(a: Option<&Arc<T>>, b: Option<&Arc<T>>) -> bool {
+        matches!((a, b), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+    }
+
+    /// Each extent of `a`, named, and whether `b` holds it in the same
+    /// allocation.
+    fn sharing(a: &Instance, b: &Instance) -> BTreeMap<String, bool> {
+        let mut out = BTreeMap::from([("nu".to_owned(), Arc::ptr_eq(&a.nu, &b.nu))]);
+        for k in a.pi.keys() {
+            out.insert(format!("pi {k}"), same_extent(a.pi.get(k), b.pi.get(k)));
+        }
+        for k in a.rho.keys() {
+            out.insert(format!("rho {k}"), same_extent(a.rho.get(k), b.rho.get(k)));
+        }
+        for k in a.fun.keys() {
+            out.insert(format!("fun {k}"), same_extent(a.fun.get(k), b.fun.get(k)));
+        }
+        out
+    }
+
+    #[test]
+    fn clones_share_every_extent() {
+        let s = schema();
+        let i = populated(&s);
+        let j = i.clone();
+        let shared = sharing(&i, &j);
+        assert_eq!(shared.len(), 6, "{shared:?}");
+        assert!(shared.values().all(|&b| b), "{shared:?}");
+        assert!(i.shares_extent(&j, sym("edge")) && j.shares_extent(&i, sym("advises")));
+        assert!(!i.shares_extent(&populated(&s), sym("edge")));
+        assert!(!i.shares_extent(&j, sym("absent")));
+    }
+
+    #[test]
+    fn a_write_unshares_only_its_extent() {
+        let s = schema();
+        let edge = sym("edge");
+        type Write = fn(&Schema, &mut Instance) -> bool;
+        let writes: [(&str, Write); 4] = [
+            ("rho edge", |_, i| {
+                i.insert_assoc(
+                    sym("edge"),
+                    Value::tuple([("a", Value::Int(1)), ("b", Value::Int(9))]),
+                )
+            }),
+            ("pi student", |s, i| {
+                i.remove_object(s, sym("student"), Oid(1))
+            }),
+            ("nu", |s, i| {
+                i.insert_object(
+                    s,
+                    sym("person"),
+                    Oid(1),
+                    Value::tuple([("name", Value::str("Jon"))]),
+                )
+            }),
+            ("fun f", |_, i| {
+                i.insert_member(sym("f"), vec![Value::Int(1)], Value::Int(3))
+            }),
+        ];
+        for (written, write) in writes {
+            for write_the_clone in [true, false] {
+                let source = populated(&s);
+                let clone = source.clone();
+                let (mut writer, other) = if write_the_clone {
+                    (clone, source)
+                } else {
+                    (source, clone)
+                };
+                // Both sides carry built indexes before the write.
+                for side in [&writer, &other] {
+                    side.tuples_matching(edge, sym("a"), &Value::Int(1));
+                }
+                let index_before = built_index(&other, edge, sym("a")).unwrap();
+                assert!(write(&s, &mut writer), "{written}");
+                let shared = sharing(&other, &writer);
+                for (extent, is_shared) in &shared {
+                    assert_eq!(*is_shared, extent != written, "{written}: {shared:?}");
+                }
+                // The other side reads as before, indexes included.
+                assert_eq!(other, populated(&s), "{written}");
+                let index_after = built_index(&other, edge, sym("a")).unwrap();
+                assert_eq!(index_after, index_before, "{written}");
+                for (key, bucket) in &index_before {
+                    assert!(Arc::ptr_eq(bucket, &index_after[key]), "{written}");
+                }
+                assert_ne!(writer, other, "{written}");
+            }
+        }
+    }
+
+    /// A duplicate insert or an absent removal on every kind of extent.
+    fn writes_that_change_nothing(s: &Schema, i: &mut Instance) {
+        let (edge, f) = (sym("edge"), sym("f"));
+        let present = Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]);
+        let absent = Value::tuple([("a", Value::Int(7)), ("b", Value::Int(7))]);
+        assert!(!i.insert_assoc(edge, present));
+        let advised = Value::tuple([("who", Value::Oid(Oid(1)))]);
+        assert!(!i.insert_assoc(sym("advises"), advised));
+        assert!(!i.remove_assoc(edge, &absent));
+        assert!(!i.remove_assoc(sym("advises"), &absent));
+        assert!(!i.insert_object(
+            s,
+            sym("student"),
+            Oid(1),
+            Value::tuple([("name", Value::str("John"))]),
+        ));
+        assert!(!i.remove_object(s, sym("person"), Oid(9)));
+        assert!(!i.insert_member(f, vec![Value::Int(1)], Value::Int(2)));
+        assert!(!i.remove_member(f, &[Value::Int(1)], &Value::Int(9)));
+        assert!(!i.remove_member(f, &[Value::Int(9)], &Value::Int(2)));
+    }
+
+    #[test]
+    fn writes_that_change_nothing_leave_extents_shared() {
+        let s = schema();
+        for write_the_clone in [true, false] {
+            let mut source = populated(&s);
+            let mut clone = source.clone();
+            let writer = if write_the_clone {
+                &mut clone
+            } else {
+                &mut source
+            };
+            // `edge` is indexed on the writer, `advises` is not.
+            writer.tuples_matching(sym("edge"), sym("a"), &Value::Int(1));
+            writes_that_change_nothing(&s, writer);
+            let shared = sharing(&source, &clone);
+            assert!(shared.values().all(|&b| b), "{shared:?}");
+        }
+    }
+
+    #[test]
+    fn emptied_extents_compare_equal_to_absent_ones() {
+        let s = schema();
+        let (edge, f) = (sym("edge"), sym("f"));
+        let t = Value::tuple([("a", Value::Int(1)), ("b", Value::Int(2))]);
+        let mut i = Instance::new();
+        i.insert_assoc(edge, t.clone());
+        // An index over the emptied association stays coherent: a miss,
+        // then a hit once the association refills.
+        assert!(i.tuples_matching(edge, sym("a"), &Value::Int(1)).is_some());
+        assert!(i.remove_assoc(edge, &t));
+        assert_eq!(i, Instance::new());
+        assert!(i.tuples_matching(edge, sym("a"), &Value::Int(1)).is_none());
+        i.insert_assoc(edge, t.clone());
+        assert_eq!(
+            i.tuples_matching(edge, sym("a"), &Value::Int(1))
+                .map(|b| b.len()),
+            Some(1)
+        );
+        assert!(i.remove_assoc(edge, &t));
+
+        i.insert_object(
+            &s,
+            sym("student"),
+            Oid(1),
+            Value::tuple([("name", Value::str("John")), ("school", Value::str("PdM"))]),
+        );
+        assert!(i.remove_object(&s, sym("person"), Oid(1)));
+        assert_eq!(i, Instance::new());
+
+        i.insert_member(f, vec![Value::Int(1)], Value::Int(2));
+        assert!(i.remove_member(f, &[Value::Int(1)], &Value::Int(2)));
+        assert_eq!(i, Instance::new());
+        assert_eq!(i.fact_count(), 0);
+    }
+
+    #[test]
+    fn fun_args_lists_only_non_empty_arguments() {
+        let f = sym("f");
+        let mut i = Instance::new();
+        i.insert_member(f, vec![Value::Int(1)], Value::Int(2));
+        i.insert_member(f, vec![Value::Int(1)], Value::Int(3));
+        i.insert_member(f, vec![Value::Int(4)], Value::Int(5));
+        i.remove_member(f, &[Value::Int(1)], &Value::Int(2));
+        assert_eq!(i.fun_args(f).count(), 2);
+        i.remove_member(f, &[Value::Int(1)], &Value::Int(3));
+        let args: Vec<&Vec<Value>> = i.fun_args(f).collect();
+        assert_eq!(args, [&vec![Value::Int(4)]]);
+        i.remove_member(f, &[Value::Int(4)], &Value::Int(5));
+        assert!(i.fun_args(f).next().is_none());
+    }
+
     #[test]
     fn oid_gen_resumes_past_existing_oids() {
         let s = schema();
@@ -1371,6 +1661,7 @@ mod tests {
             }
             4 => {
                 i.remove_member(f, &[Value::Int(x)], &Value::Int(y));
+                i.remove_object(s, sym("person"), Oid(y as u64));
             }
             5 => {
                 let mut right = Instance::new();
@@ -1384,43 +1675,72 @@ mod tests {
         }
     }
 
+    /// One side of a forked interleaving: the instance under test, a
+    /// reference that took the same steps and was never cloned, and which
+    /// of the instance's `edge` indexes are built.
+    struct Side {
+        live: Instance,
+        reference: Instance,
+        built: [bool; 2],
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
         /// Built indexes follow every mutation exactly: an index, once
         /// built, stays built until a `compose`; after each step every built
         /// index holds the buckets a first probe would build on a clone; and
-        /// replaying the same steps reproduces every bucket's iteration
-        /// order.
+        /// a reference taking the same steps reproduces every bucket's
+        /// iteration order. At step `fork` the instance is cloned and the
+        /// remaining steps alternate between the two sides; the clone starts
+        /// cold, so its reference takes the steps before the fork without
+        /// their probes, and neither side's writes show through the other.
         #[test]
         fn maintained_indexes_match_fresh_builds(
-            ops in proptest::collection::vec((0u8..8, 0i64..4, 0i64..4), 0..48)
+            ops in proptest::collection::vec((0u8..8, 0i64..4, 0i64..4), 0..48),
+            fork in 0usize..64
         ) {
             let s = schema();
             let (edge, labels) = (sym("edge"), [sym("a"), sym("b")]);
-            let (mut live, mut replay) = (Instance::new(), Instance::new());
-            let mut built = [false; 2];
-            for &o in &ops {
-                step(&s, &mut live, o);
-                step(&s, &mut replay, o);
+            let mut sides = vec![Side {
+                live: Instance::new(),
+                reference: Instance::new(),
+                built: [false; 2],
+            }];
+            for (k, &o) in ops.iter().enumerate() {
+                if k == fork {
+                    let mut reference = Instance::new();
+                    for &p in ops[..k].iter().filter(|p| p.0 < 6) {
+                        step(&s, &mut reference, p);
+                    }
+                    let live = sides[0].live.clone();
+                    sides.push(Side { live, reference, built: [false; 2] });
+                }
+                let at = k.saturating_sub(fork) % sides.len();
+                let side = &mut sides[at];
+                step(&s, &mut side.live, o);
+                step(&s, &mut side.reference, o);
                 match o {
-                    (5, ..) => built = [false; 2],
-                    (6.., _, y) => built[(y % 2) as usize] = true,
+                    (5, ..) => side.built = [false; 2],
+                    (6.., _, y) => side.built[(y % 2) as usize] = true,
                     _ => {}
                 }
-                proptest::prop_assert_eq!(
-                    labels.map(|l| built_index(&live, edge, l).is_some()),
-                    built
-                );
-                for label in labels {
-                    if let Some(index) = built_index(&live, edge, label) {
-                        proptest::prop_assert_eq!(&index, &fresh_index(&live, edge, label));
+                for side in &sides {
+                    proptest::prop_assert_eq!(&side.live, &side.reference);
+                    proptest::prop_assert_eq!(
+                        labels.map(|l| built_index(&side.live, edge, l).is_some()),
+                        side.built
+                    );
+                    for label in labels {
+                        if let Some(index) = built_index(&side.live, edge, label) {
+                            proptest::prop_assert_eq!(&index, &fresh_index(&side.live, edge, label));
+                        }
                     }
+                    proptest::prop_assert_eq!(
+                        bucket_orders(&side.live, edge, labels),
+                        bucket_orders(&side.reference, edge, labels)
+                    );
                 }
-                proptest::prop_assert_eq!(
-                    bucket_orders(&live, edge, labels),
-                    bucket_orders(&replay, edge, labels)
-                );
             }
         }
     }
