@@ -192,7 +192,7 @@ pub enum AlgExpr {
         right: Box<AlgExpr>,
     },
     /// ▷ — antijoin: left tuples with *no* partner in `right` on the shared
-    /// columns. This is how negated literals compile ([Ca90]).
+    /// columns. This is how negated literals compile (\[Ca90\]).
     AntiJoin {
         left: Box<AlgExpr>,
         right: Box<AlgExpr>,

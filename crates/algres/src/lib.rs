@@ -21,7 +21,7 @@
 //! The paper credits ALGRES's "very liberal structure of the closure
 //! operation" with making the semantics of rules easy to change. Here the
 //! closure lives one level up: `logres-engine` compiles each rule to a
-//! fixpoint-free plan (mirroring the translation of [Ca90], *Implementing an
+//! fixpoint-free plan (mirroring the translation of \[Ca90\], *Implementing an
 //! Object-Oriented Data Model in Relational Algebra*) and drives the rounds
 //! itself through a caching [`Evaluator`], rebinding the recursive relations
 //! between rounds. Whether a round reads a whole relation (naive) or only the

@@ -11,10 +11,11 @@
 use std::sync::Arc;
 
 use logres_engine::{
-    answer_goal, evaluate, load_facts, maintain, Derivation, EvalOptions, EvalReport,
-    MetricsRegistry, Semantics,
+    answer_goal, evaluate, load_facts, maintain, note_fallback, Derivation, EvalOptions,
+    EvalReport, MetricsRegistry, Semantics,
 };
-use logres_lang::{parse_program, AnalysisInput, Atom, Diagnostic, Rule, RuleSet};
+use logres_lang::analyze::RuleShape;
+use logres_lang::{parse_program, AnalysisInput, Diagnostic, Rule, RuleSet};
 use logres_model::{
     integrity, Fact, Instance, IntegrityConstraint, Oid, PredKind, Schema, Sym, Value,
 };
@@ -597,7 +598,7 @@ impl Database {
         }
         macro_rules! fall_back {
             ($reason:expr) => {{
-                maintain::note_fallback(&self.opts, $reason);
+                note_fallback(&self.opts, "logres_maintain_fallbacks_total", $reason);
                 return Ok(None);
             }};
         }
@@ -716,11 +717,7 @@ impl Database {
                     // empty instance: require a positive stored-predicate
                     // literal in every non-ground body.
                     for r in &nonground {
-                        let anchored = r
-                            .body
-                            .iter()
-                            .any(|l| !l.negated && matches!(&l.atom, Atom::Pred { .. }));
-                        if !anchored {
+                        if !RuleShape::of(&schema, r).anchored {
                             fall_back!("em-unsafe");
                         }
                     }

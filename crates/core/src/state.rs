@@ -74,7 +74,7 @@ impl DatabaseState {
         Ok(report)
     }
 
-    /// Delta form of [`check_consistency`] for incremental maintenance:
+    /// Delta form of [`check_consistency`](Self::check_consistency) for incremental maintenance:
     /// referential integrity is checked only for the tuples `added` by the
     /// update (against the full instance), and a stored denial is
     /// re-evaluated only when the update could have created a new violating

@@ -1,6 +1,6 @@
 //! Lowering of rule bodies to the ALGRES algebra.
 //!
-//! The paper's prototype translates LOGRES onto ALGRES ([Ca90]); this module
+//! The paper's prototype translates LOGRES onto ALGRES (\[Ca90\]); this module
 //! is the per-rule half of that translation: each association rule becomes a
 //! select–join–project plan (constants → selections, builtins →
 //! selections/extends, negated literals → antijoins, already-bound literals

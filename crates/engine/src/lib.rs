@@ -20,7 +20,7 @@
 //!   `F' = ((F ⊕ Δ⁺) − Δ⁻) ⊕ (F ∩ Δ⁺ ∩ Δ⁻)` with the non-commutative,
 //!   right-biased composition `⊕`;
 //! * the fixpoint `F⁰ = E, …, Fᵏ = Fᵏ⁺¹` — whose existence is *not*
-//!   guaranteed (and not decidable, [AbSi89]), so drivers carry fuel limits.
+//!   guaranteed (and not decidable, \[AbSi89\]), so drivers carry fuel limits.
 //!
 //! On top of the faithful semantics the crate provides the machinery the
 //! paper attributes to the surrounding system:
@@ -31,7 +31,7 @@
 //!   is unstratifiable;
 //! * a **compiler** from stratified association programs to fixpoint-free
 //!   `algres` plans, one per rule, whose rounds [`run_compiled`] drives —
-//!   the production path, mirroring the prototype translation of [Ca90].
+//!   the production path, mirroring the prototype translation of \[Ca90\].
 //!   It and the inflationary interpreter (reference and fallback) are the
 //!   engine's only fixpoint drivers;
 //! * **incremental maintenance** of a materialized view on the positive
@@ -77,8 +77,7 @@ pub use load::load_facts;
 pub use magic::{answer_goal_demand, evaluate_demand};
 pub use maintain::{
     apply_batch, apply_update, batch_conflicts, evaluate_seminaive, is_ground_batch_rule,
-    maintainable, note_fallback, seminaive_applicable, BatchEffect, MaintainResult,
-    MaterializedView, UpdateSpec,
+    maintainable, seminaive_applicable, BatchEffect, MaintainResult, MaterializedView, UpdateSpec,
 };
 pub use matcher::{rule_access_plan, AccessPlan};
 pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, ProbeTally};
@@ -89,4 +88,4 @@ pub use plan::{
 };
 pub use provenance::{Derivation, ProvEntry, Provenance};
 pub use stratified::{evaluate, evaluate_stratified, Semantics};
-pub use trace::{TraceEvent, Tracer};
+pub use trace::{note_fallback, TraceEvent, Tracer};

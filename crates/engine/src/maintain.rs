@@ -4,15 +4,16 @@
 //! write is O(database). This module makes the data-variant modes
 //! (RIDV/RADV/RDDV) cost O(change) on the *maintainable fragment*: the
 //! semi-naive fragment further restricted to invertible heads
-//! ([`maintainable`]).
+//! ([`maintainable`]). Both fragments are read off each rule's
+//! [`RuleShape`], the analysis the magic rewrite and the lints share.
 //!
 //! Strategy, per maintenance stratum (a strongly connected component of the
-//! positive predicate-dependency graph over the active rules, in
-//! topological order):
+//! active rules' [`DepGraph`], the graph stratification and the lints
+//! share, producers first):
 //!
 //! * **non-recursive strata — counting-style recount.** Every fact whose
 //!   support may have changed is re-checked for *some* derivation by
-//!   inverting each rule head against the fact's tuple ([`bind_head`]) and
+//!   inverting each rule head against the fact's tuple (`bind_head`) and
 //!   evaluating the body over the current instance. Facts with no remaining
 //!   derivation (and no extensional backing) are removed and their
 //!   dependents pended into later strata.
@@ -39,7 +40,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use logres_lang::{Atom, BodyLiteral, PredArg, Rule, RuleSet, Term};
+use logres_lang::analyze::{DepGraph, HeadWrite, RuleShape};
+use logres_lang::{Atom, BodyLiteral, PredArg, Rule, RuleSet};
 use logres_model::{Fact, Instance, OidGen, PredKind, Schema, Sym, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -57,32 +59,22 @@ use crate::trace::{self, TraceEvent, Tracer};
 
 /// Is the rule set inside the semi-naive fragment: positive heads over
 /// associations, positive bodies over associations and builtins — no
-/// negation, no classes, no data functions, no deletions? This is the
-/// fragment the insertion rounds below evaluate.
+/// negation, no classes, no data-function reads, no deletions? This is the
+/// fragment the insertion rounds below evaluate. Each rule's
+/// [`RuleShape`] decides.
 pub fn seminaive_applicable(schema: &Schema, rules: &RuleSet) -> bool {
-    rules.rules.iter().all(|r| rule_applicable(schema, r))
+    rules
+        .rules
+        .iter()
+        .all(|r| in_seminaive_fragment(&RuleShape::of(schema, r)))
 }
 
-fn rule_applicable(schema: &Schema, rule: &Rule) -> bool {
-    if rule.head.negated {
-        return false;
-    }
-    let head_ok = match &rule.head.atom {
-        Atom::Pred { pred, args, .. } => {
-            schema.kind(*pred) == Some(PredKind::Assoc)
-                && args.iter().all(|a| !matches!(a, PredArg::SelfArg(_)))
-        }
-        _ => false,
-    };
-    head_ok
-        && rule.body.iter().all(|lit| {
-            !lit.negated
-                && match &lit.atom {
-                    Atom::Pred { pred, .. } => schema.kind(*pred) == Some(PredKind::Assoc),
-                    Atom::Member { .. } => false,
-                    Atom::Builtin { .. } => lit.atom.functions().is_empty(),
-                }
-        })
+fn in_seminaive_fragment(shape: &RuleShape) -> bool {
+    !shape.deletes
+        && shape.head == HeadWrite::Tuple
+        && !shape.negates
+        && !shape.reads_class
+        && !shape.reads_function
 }
 
 /// Evaluate a rule set inside the semi-naive fragment under inflationary
@@ -106,57 +98,18 @@ pub fn evaluate_seminaive(
 /// Is the rule set inside the maintainable fragment?
 ///
 /// The semi-naive fragment ([`seminaive_applicable`]) further restricted
-/// to *invertible* heads: every head argument is a labeled variable,
-/// constant, or `nil`, or a tuple variable — so a stored tuple determines
-/// the head valuation exactly and recounting a fact reduces to one body
-/// evaluation — and to rules free of data functions and arithmetic. Oid
-/// invention (class heads) is already outside the semi-naive fragment;
-/// programs outside take the full-rederivation path.
+/// to *invertible* heads ([`RuleShape::invertible_head`]) — so a stored
+/// tuple determines the head valuation exactly and recounting a fact
+/// reduces to one body evaluation — and to rules where no term computes a
+/// value: support-graph recounting treats body valuations as joins over
+/// stored tuples, so `f(X)` or `X * 2` pushes a program out. Oid invention
+/// (class heads) is already outside the semi-naive fragment; programs
+/// outside take the full-rederivation path.
 pub fn maintainable(schema: &Schema, rules: &RuleSet) -> bool {
-    seminaive_applicable(schema, rules)
-        && rules
-            .rules
-            .iter()
-            .all(|r| invertible_head(r) && function_free(r))
-}
-
-fn invertible_head(rule: &Rule) -> bool {
-    match &rule.head.atom {
-        Atom::Pred { args, .. } => args.iter().all(|a| match a {
-            PredArg::Labeled(_, t) => matches!(t, Term::Var(_) | Term::Const(_) | Term::Nil),
-            PredArg::TupleVar(_) => true,
-            PredArg::SelfArg(_) => false,
-        }),
-        _ => false,
-    }
-}
-
-/// No data-function applications or arithmetic anywhere in the rule:
-/// support-graph recounting treats body valuations as joins over stored
-/// tuples, so computed values (`f(X)`, `X * 2`, `member(E, f(…))`) push a
-/// program out of the fragment.
-fn function_free(rule: &Rule) -> bool {
-    atom_function_free(&rule.head.atom) && rule.body.iter().all(|l| atom_function_free(&l.atom))
-}
-
-fn atom_function_free(atom: &Atom) -> bool {
-    match atom {
-        Atom::Pred { args, .. } => args.iter().all(|a| match a {
-            PredArg::Labeled(_, t) | PredArg::SelfArg(t) => term_function_free(t),
-            PredArg::TupleVar(_) => true,
-        }),
-        Atom::Member { .. } => false,
-        Atom::Builtin { args, .. } => args.iter().all(term_function_free),
-    }
-}
-
-fn term_function_free(term: &Term) -> bool {
-    match term {
-        Term::Var(_) | Term::Const(_) | Term::Nil => true,
-        Term::Tuple(fs) => fs.iter().all(|(_, t)| term_function_free(t)),
-        Term::Set(ts) | Term::Multiset(ts) | Term::Seq(ts) => ts.iter().all(term_function_free),
-        Term::FunApp { .. } | Term::BinOp { .. } => false,
-    }
+    rules.rules.iter().all(|r| {
+        let shape = RuleShape::of(schema, r);
+        in_seminaive_fragment(&shape) && shape.invertible_head && !shape.computes
+    })
 }
 
 /// Is this a *ground batch rule* — an empty-body association rule whose
@@ -254,18 +207,6 @@ pub fn batch_conflicts(
         }
     }
     Ok(false)
-}
-
-/// Record a fallback to full rederivation in the metrics registry and the
-/// trace stream.
-pub fn note_fallback(opts: &EvalOptions, reason: &str) {
-    if let Some(m) = &opts.metrics {
-        m.counter_with("logres_maintain_fallbacks_total", "reason", reason)
-            .inc();
-    }
-    trace::emit(opts.trace.as_deref(), || TraceEvent::Fallback {
-        reason: reason.to_owned(),
-    });
 }
 
 /// A materialized instance plus the support graph maintenance needs:
@@ -477,145 +418,42 @@ fn derivation_candidates(
     Ok(out)
 }
 
-/// A maintenance stratum: one SCC of the positive predicate-dependency
-/// graph over the active rules, in topological order.
+/// A maintenance stratum: one SCC of the predicate-dependency graph over
+/// the active rules, in producer-first order.
 struct Stratum {
     preds: BTreeSet<Sym>,
     rule_idxs: Vec<usize>,
     recursive: bool,
 }
 
-/// Condense the positive dependency graph of the active rules into
-/// topologically ordered SCCs. `logres_lang::stratify` is unusable here:
-/// its longest-path layering puts every positive rule in one stratum (only
-/// strict edges raise levels), but maintenance needs the SCC condensation
-/// so counting applies exactly to the non-recursive components.
-/// Deterministic: predicates index in sorted order and ties in the
-/// topological order break on the smallest member predicate.
+/// The components of the active rules' [`DepGraph`] that derive something,
+/// producers first, each marked recursive exactly when it is cyclic.
+/// `logres_lang::stratify` is unusable here: its longest-path layering puts
+/// every positive rule in one stratum (only strict edges raise levels), but
+/// maintenance needs the SCC condensation so counting applies exactly to
+/// the non-recursive components. Deterministic: the graph's Tarjan pass
+/// visits nodes in first-occurrence order over the rules.
 fn maintenance_strata(rules: &[Rule], active: &[bool]) -> Vec<Stratum> {
-    let preds: Vec<Sym> = rules
-        .iter()
-        .zip(active)
-        .filter(|(_, a)| **a)
-        .map(|(r, _)| r.head.target())
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    let index: FxHashMap<Sym, usize> = preds.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-    let n = preds.len();
-    let mut edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-    for (r, _) in rules.iter().zip(active).filter(|(_, a)| **a) {
-        let ih = index[&r.head.target()];
-        for lit in &r.body {
-            if let Atom::Pred { pred, .. } = &lit.atom {
-                if let Some(&ip) = index.get(pred) {
-                    edges[ip].insert(ih);
-                }
-            }
-        }
+    let live = || rules.iter().enumerate().filter(|(i, _)| active[*i]);
+    let graph = DepGraph::build(live().map(|(_, r)| r));
+    let sccs = graph.sccs();
+    let comp_of = graph.component_of(&sccs);
+    let cyclic = graph.cyclic_components(&sccs, &comp_of);
+    let mut rule_idxs: Vec<Vec<usize>> = vec![Vec::new(); sccs.len()];
+    for (i, r) in live() {
+        let head = graph.node(r.head.target()).expect("every head is a node");
+        rule_idxs[comp_of[head]].push(i);
     }
-
-    // Tarjan's SCC algorithm, iterative, over the sorted adjacency.
-    let mut idx_of = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut next_index = 0usize;
-    for root in 0..n {
-        if idx_of[root] != usize::MAX {
-            continue;
-        }
-        // (node, iterator position into its successor list)
-        let succs: Vec<Vec<usize>> = edges.iter().map(|s| s.iter().copied().collect()).collect();
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut pos)) = call.last_mut() {
-            if *pos == 0 {
-                idx_of[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if *pos < succs[v].len() {
-                let w = succs[v][*pos];
-                *pos += 1;
-                if idx_of[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(idx_of[w]);
-                }
-            } else {
-                if low[v] == idx_of[v] {
-                    let mut comp = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    comp.sort();
-                    sccs.push(comp);
-                }
-                call.pop();
-                if let Some(&mut (u, _)) = call.last_mut() {
-                    low[u] = low[u].min(low[v]);
-                }
-            }
-        }
-    }
-
-    // Condensation + Kahn topological order, smallest-predicate tie-break.
-    let mut comp_of = vec![0usize; n];
-    for (ci, comp) in sccs.iter().enumerate() {
-        for &v in comp {
-            comp_of[v] = ci;
-        }
-    }
-    let nc = sccs.len();
-    let mut comp_edges: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); nc];
-    let mut indegree = vec![0usize; nc];
-    for (v, outs) in edges.iter().enumerate() {
-        for &w in outs {
-            let (cv, cw) = (comp_of[v], comp_of[w]);
-            if cv != cw && comp_edges[cv].insert(cw) {
-                indegree[cw] += 1;
-            }
-        }
-    }
-    let mut ready: BTreeSet<(Sym, usize)> = (0..nc)
-        .filter(|&c| indegree[c] == 0)
-        .map(|c| (preds[sccs[c][0]], c))
-        .collect();
-    let mut order: Vec<usize> = Vec::new();
-    while let Some(&(_, c)) = ready.iter().next() {
-        ready.remove(&(preds[sccs[c][0]], c));
-        order.push(c);
-        for &w in &comp_edges[c] {
-            indegree[w] -= 1;
-            if indegree[w] == 0 {
-                ready.insert((preds[sccs[w][0]], w));
-            }
-        }
-    }
-
-    order
-        .into_iter()
-        .map(|c| {
-            let members: BTreeSet<Sym> = sccs[c].iter().map(|&v| preds[v]).collect();
-            let recursive = sccs[c].len() > 1 || sccs[c].iter().any(|&v| edges[v].contains(&v));
-            let rule_idxs: Vec<usize> = rules
-                .iter()
-                .enumerate()
-                .filter(|(i, r)| active[*i] && members.contains(&r.head.target()))
-                .map(|(i, _)| i)
-                .collect();
-            Stratum {
-                preds: members,
-                rule_idxs,
-                recursive,
-            }
+    // Tarjan emits consumers first.
+    sccs.iter()
+        .zip(cyclic)
+        .zip(rule_idxs)
+        .rev()
+        .filter(|(_, idxs)| !idxs.is_empty())
+        .map(|((comp, recursive), rule_idxs)| Stratum {
+            preds: comp.iter().map(|&v| graph.sym(v)).collect(),
+            rule_idxs,
+            recursive,
         })
         .collect()
 }
@@ -1505,5 +1343,80 @@ mod tests {
         assert!(strata[0].recursive, "tc depends on itself");
         assert!(!strata[1].recursive, "top is a plain projection");
         assert!(strata[1].preds.contains(&Sym::new("top")));
+
+        // A mutually recursive pair, a chain listed consumer first, and
+        // components independent of both.
+        let (schema, _, rules) = setup(
+            r#"
+            associations
+              e    = (a: integer, b: integer);
+              tc   = (a: integer, b: integer);
+              top  = (a: integer);
+              ping = (a: integer, b: integer);
+              pong = (a: integer, b: integer);
+              c1   = (a: integer);
+              c2   = (a: integer);
+              c3   = (a: integer);
+              solo = (a: integer);
+            rules
+              tc(a: X, b: Y) <- e(a: X, b: Y).
+              tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
+              top(a: X) <- tc(a: X, b: Y).
+              ping(a: X, b: Y) <- e(a: X, b: Y).
+              ping(a: X, b: Z) <- pong(a: X, b: Y), e(a: Y, b: Z).
+              pong(a: X, b: Z) <- ping(a: X, b: Y), e(a: Y, b: Z).
+              c3(a: X) <- c2(a: X).
+              c2(a: X) <- c1(a: X).
+              c1(a: X) <- e(a: X, b: X).
+              solo(a: X) <- e(a: X, b: 0).
+        "#,
+        );
+        assert!(maintainable(&schema, &rules));
+        let active = vec![true; rules.len()];
+        let strata = maintenance_strata(&rules.rules, &active);
+        let names = |strata: &[Stratum]| -> Vec<Vec<&'static str>> {
+            strata
+                .iter()
+                .map(|s| s.preds.iter().map(|p| p.as_str()).collect())
+                .collect()
+        };
+        assert_eq!(strata.len(), 7, "{:?}", names(&strata));
+        // Producers first: every body predicate a stratum reads is derived
+        // by an earlier stratum, or by its own when it is recursive.
+        let at: FxHashMap<Sym, usize> = strata
+            .iter()
+            .enumerate()
+            .flat_map(|(i, s)| s.preds.iter().map(move |p| (*p, i)))
+            .collect();
+        for (i, stratum) in strata.iter().enumerate() {
+            for &idx in &stratum.rule_idxs {
+                assert_eq!(at[&rules.rules[idx].head.target()], i);
+                for lit in &rules.rules[idx].body {
+                    if let Atom::Pred { pred, .. } = &lit.atom {
+                        if let Some(&j) = at.get(pred) {
+                            assert!(
+                                j < i || (j == i && stratum.recursive),
+                                "{pred} is read before it is derived: {:?}",
+                                names(&strata)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Recursive exactly on the cyclic components.
+        let recursive: Vec<Vec<&str>> = strata
+            .iter()
+            .filter(|s| s.recursive)
+            .map(|s| s.preds.iter().map(|p| p.as_str()).collect())
+            .collect();
+        assert_eq!(recursive.len(), 2, "{recursive:?}");
+        assert!(recursive.contains(&vec!["tc"]), "{recursive:?}");
+        assert!(recursive.contains(&vec!["ping", "pong"]), "{recursive:?}");
+        // Deterministic: a repeated call returns the same order.
+        assert_eq!(
+            names(&maintenance_strata(&rules.rules, &active)),
+            names(&strata)
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! O(|delta| × fan-out), not a scan of the body's first literal. A negated
 //! literal whose variables never become bound is evaluated last by
 //! enumerating the **active domain** of the variable's type (Section 2.1:
-//! "variables which are only present in negated literals [are] restricted
+//! "variables which are only present in negated literals \[are\] restricted
 //! to their current active domain").
 
 use std::fmt;

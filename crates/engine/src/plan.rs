@@ -2,9 +2,9 @@
 //!
 //! The paper's prototype runs LOGRES by *translation*: rules become extended
 //! relational algebra and the ALGRES machine evaluates them set-at-a-time
-//! (Section 5, [Ca90]). This module is that translation for the production
+//! (Section 5, \[Ca90\]). This module is that translation for the production
 //! engine. [`compile_program`] stratifies a rule set, lowers every rule body
-//! to a select–join–project plan via [`crate::compile::compile_rule_plan_with`]
+//! to a select–join–project plan via `compile_rule_plan_with`
 //! (constants → selections, builtins → selections/extends, stratified
 //! negation → antijoins, already-bound literals such as magic-set `@magic_*`
 //! guards → semijoin reducers), derives the semi-naive *delta* variants of
@@ -45,7 +45,7 @@ use crate::governor::Governor;
 use crate::inflationary::{EvalOptions, EvalReport, IterationStats};
 use crate::metrics::EngineMetrics;
 use crate::stratified::Semantics;
-use crate::trace::{self, TraceEvent};
+use crate::trace::{self, note_fallback, TraceEvent};
 
 /// Why a program was not run on the compiled path. `reason` is the
 /// `logres_compile_fallbacks_total` label; `detail` is human-readable.
@@ -99,19 +99,6 @@ pub struct CompiledProgram {
 /// The delta-relation name for a predicate, used by semi-naive plans.
 pub fn delta_sym(pred: Sym) -> Sym {
     Sym::new(&format!("@delta_{pred}"))
-}
-
-/// Count a compiled-path fallback: bump
-/// `logres_compile_fallbacks_total{reason=…}` and emit a
-/// [`TraceEvent::Fallback`], mirroring `magic.rs` / `maintain.rs`.
-pub(crate) fn note_fallback(opts: &EvalOptions, reason: &'static str) {
-    if let Some(m) = &opts.metrics {
-        m.counter_with("logres_compile_fallbacks_total", "reason", reason)
-            .inc();
-    }
-    trace::emit(opts.trace.as_deref(), || TraceEvent::Fallback {
-        reason: reason.to_owned(),
-    });
 }
 
 /// Lower a rule set to a stratified, semi-naive compiled program.
@@ -333,7 +320,7 @@ pub fn try_evaluate_compiled(
     opts: &EvalOptions,
 ) -> Option<Result<(Instance, EvalReport), EngineError>> {
     if opts.provenance {
-        note_fallback(opts, "provenance");
+        note_fallback(opts, "logres_compile_fallbacks_total", "provenance");
         return None;
     }
     // Flow summaries from the evaluation's own starting instance: pruning
@@ -344,7 +331,7 @@ pub fn try_evaluate_compiled(
     let program = match compile_program_with(schema, rules, semantics, Some(&summaries)) {
         Ok(p) => p,
         Err(u) => {
-            note_fallback(opts, u.reason);
+            note_fallback(opts, "logres_compile_fallbacks_total", u.reason);
             return None;
         }
     };

@@ -16,6 +16,8 @@ use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::inflationary::EvalOptions;
+
 /// One structured evaluation event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
@@ -299,6 +301,19 @@ pub(crate) fn emit(trace: Option<&Tracer>, ev: impl FnOnce() -> TraceEvent) {
     if let Some(t) = trace {
         t.emit(ev());
     }
+}
+
+/// Record a fallback: bump `family{reason=…}` in the evaluation's metrics
+/// registry and emit a [`TraceEvent::Fallback`]. The compiled path counts
+/// into `logres_compile_fallbacks_total`, incremental maintenance into
+/// `logres_maintain_fallbacks_total`.
+pub fn note_fallback(opts: &EvalOptions, family: &'static str, reason: &str) {
+    if let Some(m) = &opts.metrics {
+        m.counter_with(family, "reason", reason).inc();
+    }
+    emit(opts.trace.as_deref(), || TraceEvent::Fallback {
+        reason: reason.to_owned(),
+    });
 }
 
 #[cfg(test)]

@@ -21,55 +21,28 @@
 //!
 //! The rewrite is only attempted inside the fragment where it is provably
 //! answer-preserving under the paper's deterministic semantics: positive
-//! association rules. Rules that invent oids, delete (negate) their head,
-//! touch data functions, or negate body literals are conservatively
-//! *exempted* — any exempt rule in the goal's slice makes the whole goal
-//! fall back to full evaluation, and the exemption is reported so `:plan`
-//! can explain the decision. Within the fragment the rewritten program is
-//! monotone, so its fixpoint restricted to the original predicates is
-//! exactly the demanded part of the full model, and the goal's answer over
-//! the partial instance is bit-identical to the answer over the full one.
+//! association rules. Rules that delete (negate) their head, write class
+//! objects, touch data functions, or negate body literals are
+//! conservatively *exempted* — each rule's [`RuleShape::demand_blocker`]
+//! names the first such construct. Any exempt rule in the goal's slice
+//! makes the whole goal fall back to full evaluation, and the exemption is
+//! reported so `:plan` can explain the decision. Within the fragment the
+//! rewritten program is monotone, so its fixpoint restricted to the
+//! original predicates is exactly the demanded part of the full model, and
+//! the goal's answer over the partial instance is bit-identical to the
+//! answer over the full one.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use logres_model::{PredKind, Schema, Sym, TypeDesc};
+use logres_model::{Schema, Sym, TypeDesc};
 use rustc_hash::FxHashSet;
 
 use crate::ast::{Atom, BodyLiteral, Builtin, Goal, Head, PredArg, Rule, RuleSet, Term};
 use crate::error::Span;
 
 use super::graph::DepGraph;
-
-/// Why a rule keeps the magic rewrite from applying to its slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExemptReason {
-    /// The head is negated: deletion is non-monotone under demand.
-    HeadNegation,
-    /// A class head without a `self` argument invents oids; the invented
-    /// numbering must match full evaluation exactly.
-    OidInvention,
-    /// A class head (oid semantics) even without invention.
-    ClassHead,
-    /// The rule reads or writes a data function, whose whole-set value
-    /// depends on the complete extension.
-    DataFunction,
-    /// A negated body literal needs the complete extension of its predicate.
-    NegatedBody,
-}
-
-impl ExemptReason {
-    /// Human description for `:plan` output.
-    pub fn describe(self) -> &'static str {
-        match self {
-            ExemptReason::HeadNegation => "deleting head",
-            ExemptReason::OidInvention => "invents oids",
-            ExemptReason::ClassHead => "class head",
-            ExemptReason::DataFunction => "touches a data function",
-            ExemptReason::NegatedBody => "negated body literal",
-        }
-    }
-}
+use super::shape::{ExemptReason, RuleShape};
 
 /// One exempt rule in the goal's slice.
 #[derive(Debug, Clone)]
@@ -211,7 +184,7 @@ pub fn plan_goal(schema: &Schema, rules: &RuleSet, goal: &Goal) -> GoalPlan {
 
     // Relevance: everything the goal's predicates (and read functions)
     // transitively depend on, walking the dependency edges backwards.
-    let graph = DepGraph::build(rules);
+    let graph = DepGraph::build(&rules.rules);
     let mut relevant: BTreeSet<Sym> = BTreeSet::new();
     for lit in &goal.body {
         match &lit.atom {
@@ -254,7 +227,9 @@ pub fn plan_goal(schema: &Schema, rules: &RuleSet, goal: &Goal) -> GoalPlan {
     let exemptions: Vec<Exemption> = slice
         .iter()
         .filter_map(|&i| {
-            exempt_reason(schema, &rules.rules[i]).map(|reason| Exemption { rule: i, reason })
+            RuleShape::of(schema, &rules.rules[i])
+                .demand_blocker
+                .map(|reason| Exemption { rule: i, reason })
         })
         .collect();
     if !exemptions.is_empty() {
@@ -450,41 +425,6 @@ pub fn plan_goal(schema: &Schema, rules: &RuleSet, goal: &Goal) -> GoalPlan {
     }
 }
 
-/// Is the rule outside the answer-preserving demand fragment?
-fn exempt_reason(schema: &Schema, rule: &Rule) -> Option<ExemptReason> {
-    if rule.head.negated {
-        return Some(ExemptReason::HeadNegation);
-    }
-    match &rule.head.atom {
-        Atom::Member { .. } => return Some(ExemptReason::DataFunction),
-        Atom::Pred { pred, args, .. } => match schema.kind(*pred) {
-            Some(PredKind::Assoc) => {}
-            Some(PredKind::Class) => {
-                let has_self = args.iter().any(|a| matches!(a, PredArg::SelfArg(_)));
-                return Some(if has_self {
-                    ExemptReason::ClassHead
-                } else {
-                    ExemptReason::OidInvention
-                });
-            }
-            _ => return Some(ExemptReason::DataFunction),
-        },
-        Atom::Builtin { .. } => unreachable!("builtins cannot be rule heads"),
-    }
-    if !rule.head.atom.functions().is_empty() {
-        return Some(ExemptReason::DataFunction);
-    }
-    for lit in &rule.body {
-        if lit.negated {
-            return Some(ExemptReason::NegatedBody);
-        }
-        if matches!(lit.atom, Atom::Member { .. }) || !lit.atom.functions().is_empty() {
-            return Some(ExemptReason::DataFunction);
-        }
-    }
-    None
-}
-
 /// One consultation of a derived relevant predicate, with the labels the
 /// left-to-right safe prefix binds and the prefix itself.
 struct Site {
@@ -522,8 +462,7 @@ fn sites_of(
                 for a in args {
                     match a {
                         PredArg::Labeled(l, t) => {
-                            if term_is_pattern(t) && t.vars().iter().all(|v| boundvars.contains(v))
-                            {
+                            if !t.computes() && t.vars().iter().all(|v| boundvars.contains(v)) {
                                 labels.insert(*l);
                             }
                         }
@@ -574,9 +513,9 @@ fn builtin_binds(builtin: Builtin, args: &[Term], bound: &FxHashSet<Sym>) -> Opt
     }
     match builtin {
         Builtin::Eq => {
-            if closed(&args[1]) && term_is_pattern(&args[0]) {
+            if closed(&args[1]) && !args[0].computes() {
                 Some(free_vars(&args[0]))
-            } else if closed(&args[0]) && term_is_pattern(&args[1]) {
+            } else if closed(&args[0]) && !args[1].computes() {
                 Some(free_vars(&args[1]))
             } else {
                 None
@@ -593,31 +532,20 @@ fn builtin_binds(builtin: Builtin, args: &[Term], bound: &FxHashSet<Sym>) -> Opt
         | Builtin::Min
         | Builtin::Max
         | Builtin::Avg => {
-            if closed(&args[1]) && term_is_pattern(&args[0]) {
+            if closed(&args[1]) && !args[0].computes() {
                 Some(free_vars(&args[0]))
             } else {
                 None
             }
         }
         Builtin::Union | Builtin::Intersection | Builtin::Difference | Builtin::Append => {
-            if args[1..].iter().all(closed) && term_is_pattern(&args[0]) {
+            if args[1..].iter().all(closed) && !args[0].computes() {
                 Some(free_vars(&args[0]))
             } else {
                 None
             }
         }
         _ => None,
-    }
-}
-
-/// A term the matcher can bind by structural unification: no arithmetic or
-/// function application to invert.
-fn term_is_pattern(t: &Term) -> bool {
-    match t {
-        Term::Var(_) | Term::Const(_) | Term::Nil => true,
-        Term::Tuple(fs) => fs.iter().all(|(_, t)| term_is_pattern(t)),
-        Term::Set(ts) | Term::Multiset(ts) | Term::Seq(ts) => ts.iter().all(term_is_pattern),
-        Term::FunApp { .. } | Term::BinOp { .. } => false,
     }
 }
 
@@ -628,7 +556,7 @@ fn head_pattern_labels(rule: &Rule) -> BTreeSet<Sym> {
     if let Atom::Pred { args, .. } = &rule.head.atom {
         for a in args {
             if let PredArg::Labeled(l, t) = a {
-                if term_is_pattern(t) {
+                if !t.computes() {
                     out.insert(*l);
                 }
             }
@@ -895,19 +823,42 @@ mod tests {
 
     #[test]
     fn oid_invention_in_the_slice_is_exempt() {
-        let (plan, _) = plan(
-            r#"
-            classes
-              person = (name: string);
-            associations
-              named = (name: string);
-            rules
-              person(name: N) <- named(name: N).
-            goal person(name: "a")?
-        "#,
-        );
-        assert!(plan.rewrite.is_none());
-        assert_eq!(plan.exemptions[0].reason, ExemptReason::OidInvention);
+        // Each rule is exempt; the label says whether the engine invents
+        // the head's oid or takes it from the body.
+        for (rule, reason) in [
+            (
+                "person(name: N) <- named(name: N).",
+                ExemptReason::OidInvention,
+            ),
+            (
+                "person(self: H, name: N) <- knows(a: N, b: M).",
+                ExemptReason::OidInvention,
+            ),
+            ("person(P) <- student(P).", ExemptReason::ClassHead),
+            (
+                "person(self: P, name: N) <- student(self: P, name: N).",
+                ExemptReason::ClassHead,
+            ),
+        ] {
+            let (plan, p) = plan(&format!(
+                r#"
+                classes
+                  person  = (name: string);
+                  student = (person: person, school: string);
+                  student isa person;
+                associations
+                  named = (name: string);
+                  knows = (a: string, b: string);
+                rules
+                  {rule}
+                goal person(name: "a")?
+            "#
+            ));
+            assert!(plan.rewrite.is_none(), "{rule}");
+            assert_eq!(plan.exemptions[0].reason, reason, "{rule}");
+            let text = plan.render(&p.rules);
+            assert!(text.contains(reason.describe()), "{text}");
+        }
     }
 
     #[test]

@@ -176,6 +176,26 @@ pub fn corpus() -> Vec<Fixture> {
             expect: &["L003"],
         },
         Fixture {
+            name: "l003_tuple_variable_invention_in_cycle",
+            prefix: r#"
+                classes
+                  node = (n: integer);
+                associations
+                  seed = (n: integer);
+                  link = (n: integer);
+                facts
+                  seed(n: 0).
+            "#,
+            // `link` tuples carry no oid, so each one invents a `node`.
+            rules: r#"
+                link(n: N) <- seed(n: N).
+                link(n: N) <- node(n: M), N = M + 1, M < 3.
+                node(T) <- link(T).
+            "#,
+            suffix: "goal node(n: X)?",
+            expect: &["L003"],
+        },
+        Fixture {
             name: "l004_derive_delete_conflict",
             prefix: r#"
                 associations

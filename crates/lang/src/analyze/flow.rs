@@ -19,7 +19,7 @@
 //! overflow checking, and stratified negation is the identity (sound for an
 //! over-approximation: `not p` never adds values). The per-SCC fixpoint
 //! widens growing interval bounds to unknown and oversized constant sets to
-//! ⊤ after [`WIDEN_AFTER`] rounds, which bounds the chain height and makes
+//! ⊤ after `WIDEN_AFTER` rounds, which bounds the chain height and makes
 //! termination immediate; growth events inside a cyclic SCC are recorded for
 //! L011.
 //!
@@ -283,7 +283,7 @@ impl ConstSet {
         }
     }
 
-    /// Least upper bound: union, widened to ⊤ past [`EXACT_CAP`].
+    /// Least upper bound: union, widened to ⊤ past `EXACT_CAP`.
     pub fn join(&self, other: &ConstSet) -> ConstSet {
         match (self, other) {
             (ConstSet::Top, _) | (_, ConstSet::Top) => ConstSet::Top,
@@ -1327,7 +1327,7 @@ pub fn infer(
     rules: &RuleSet,
     seeds: &BTreeMap<Sym, PredSummary>,
 ) -> FlowSummaries {
-    let graph = DepGraph::build(rules);
+    let graph = DepGraph::build(&rules.rules);
     let sccs = graph.sccs();
     let comp_of = graph.component_of(&sccs);
     let cyclic = graph.cyclic_components(&sccs, &comp_of);
@@ -1616,7 +1616,7 @@ impl FlowSummaries {
                 format!("arithmetic {}", ev.detail),
             ));
         }
-        let graph = DepGraph::build(rules);
+        let graph = DepGraph::build(&rules.rules);
         let sccs = graph.sccs();
         let comp_of = graph.component_of(&sccs);
         for (pred, label) in &self.grown {

@@ -1,5 +1,5 @@
-//! The predicate-dependency graph shared by stratification and the
-//! whole-program lints.
+//! The predicate-dependency graph shared by stratification, the
+//! whole-program lints and incremental maintenance.
 //!
 //! Nodes are predicates (classes, associations) and data functions; edges
 //! run from a body predicate (or read function) to the head target of each
@@ -15,15 +15,16 @@
 //! * a rule with a negative (deleting) head adds *strict* edges from every
 //!   body predicate to the deleted predicate.
 //!
-//! [`crate::stratify`] layers the graph's condensation into strata;
-//! [`crate::analyze`] walks the same graph for reachability, dead-code, and
-//! non-termination lints, so the two analyses can never disagree about what
-//! depends on what.
+//! [`crate::stratify`](mod@crate::stratify) layers the graph's
+//! condensation into strata; [`crate::analyze`] walks the same graph for
+//! reachability, dead-code, and non-termination lints; incremental
+//! maintenance runs its strata in the condensation's order. So the analyses
+//! can never disagree about what depends on what.
 
 use logres_model::Sym;
 use rustc_hash::{FxHashMap, FxHashSet};
 
-use crate::ast::{Atom, Rule, RuleSet};
+use crate::ast::{Atom, Rule};
 
 /// How one predicate depends on another.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,14 +46,15 @@ pub struct DepGraph {
 }
 
 impl DepGraph {
-    /// Build the graph for a rule set.
-    pub fn build(rules: &RuleSet) -> DepGraph {
+    /// Build the graph for a sequence of rules: a rule set's `rules`, or
+    /// any subset of them.
+    pub fn build<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> DepGraph {
         let mut g = DepGraph {
             nodes: Vec::new(),
             index: FxHashMap::default(),
             edges: FxHashSet::default(),
         };
-        for rule in &rules.rules {
+        for rule in rules {
             let target = rule.head.target();
             let t = g.add_node(target);
             let head_strict = rule.head.negated;
@@ -378,7 +380,7 @@ mod tests {
 
     fn graph(src: &str) -> DepGraph {
         let p = parse_program(src).expect("parses");
-        DepGraph::build(&p.rules)
+        DepGraph::build(&p.rules.rules)
     }
 
     #[test]

@@ -9,16 +9,16 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use super::diag::Diagnostic;
 use super::graph::DepGraph;
+use super::shape::RuleShape;
 use super::AnalysisInput;
 use crate::ast::{Atom, BodyLiteral, Head, PredArg, Rule, Term};
 use crate::error::Span;
-use crate::safety::bound_vars;
 use crate::stratify::{stratify_graph, Stratification};
 
 /// Run every lint, in code order (L007 first: whether the program is
 /// stratifiable is context for reading the rest).
 pub(super) fn run(input: &AnalysisInput<'_>) -> Vec<Diagnostic> {
-    let graph = DepGraph::build(input.rules);
+    let graph = DepGraph::build(&input.rules.rules);
     let mut out = Vec::new();
     l007_unstratifiable(input, &graph, &mut out);
     l001_underivable(input, &mut out);
@@ -173,38 +173,6 @@ fn l002_dead_derivation(input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Does the rule invent oids? Mirrors the engine (`delta.rs`): a positive
-/// class head whose `self` variable is unbound — or that has no `self`
-/// argument and no tuple variable to supply the oid — creates a new object
-/// per body valuation.
-fn rule_invents(schema: &Schema, rule: &Rule) -> bool {
-    if rule.head.negated {
-        return false;
-    }
-    let Atom::Pred { pred, args, .. } = &rule.head.atom else {
-        return false;
-    };
-    if schema.kind(*pred) != Some(PredKind::Class) {
-        return false;
-    }
-    if args.iter().any(|a| matches!(a, PredArg::TupleVar(_))) {
-        return false; // the tuple variable carries an existing oid
-    }
-    let bound = bound_vars(&rule.body);
-    let mut has_self = false;
-    for a in args {
-        if let PredArg::SelfArg(t) = a {
-            has_self = true;
-            if let Term::Var(v) = t {
-                if !bound.contains(v) {
-                    return true;
-                }
-            }
-        }
-    }
-    !has_self
-}
-
 /// L003: an oid-inventing rule whose body consults a predicate in the same
 /// dependency cycle as its head — each round of the cycle can feed new
 /// valuations to the inventor, so evaluation may never reach a fixpoint.
@@ -218,7 +186,7 @@ fn l003_potential_nontermination(
     let comp_of = graph.component_of(&sccs);
     let cyclic = graph.cyclic_components(&sccs, &comp_of);
     for rule in &input.rules.rules {
-        if !rule_invents(input.schema, rule) {
+        if !RuleShape::of(input.schema, rule).invents() {
             continue;
         }
         let Some(t) = graph.node(rule.head.target()) else {

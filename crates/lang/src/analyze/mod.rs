@@ -4,7 +4,8 @@
 //! The per-rule checks of Section 3.1 (strong typing, safety) reject
 //! programs; this module adds *program-level* warnings on top of them, all
 //! computed from one shared predicate-dependency graph ([`graph::DepGraph`],
-//! also used by [`crate::stratify`]):
+//! also used by [`crate::stratify`](mod@crate::stratify)); lint L003 and
+//! every route decision read each rule's [`shape::RuleShape`]:
 //!
 //! * **L001** — a positive body predicate that no rule derives and no fact
 //!   declares: the rule can never fire;
@@ -43,13 +44,15 @@ pub mod fixtures;
 pub mod flow;
 pub mod graph;
 mod lints;
+pub mod shape;
 
-pub use adorn::{plan_goal, Adornment, ExemptReason, Exemption, GoalPlan, MagicRewrite};
+pub use adorn::{plan_goal, Adornment, Exemption, GoalPlan, MagicRewrite};
 pub use diag::{
     render_all_human, render_all_json, sort_diagnostics, Diagnostic, Related, Severity,
 };
 pub use flow::{flow_program, infer, seeds_from_facts, seeds_from_instance, Card, FlowSummaries};
 pub use graph::{DepGraph, EdgeKind};
+pub use shape::{ExemptReason, HeadWrite, RuleShape};
 
 use logres_model::{Schema, Sym};
 use rustc_hash::FxHashSet;

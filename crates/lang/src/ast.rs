@@ -95,6 +95,18 @@ impl Term {
         }
     }
 
+    /// Does the term compute a value — apply a data function or arithmetic
+    /// anywhere inside it? A term that does not is a pattern the matcher
+    /// can bind by structural unification.
+    pub fn computes(&self) -> bool {
+        match self {
+            Term::Var(_) | Term::Const(_) | Term::Nil => false,
+            Term::Tuple(fs) => fs.iter().any(|(_, t)| t.computes()),
+            Term::Set(ts) | Term::Multiset(ts) | Term::Seq(ts) => ts.iter().any(Term::computes),
+            Term::FunApp { .. } | Term::BinOp { .. } => true,
+        }
+    }
+
     /// All data functions mentioned in the term.
     pub fn functions(&self) -> Vec<Sym> {
         let mut out = Vec::new();

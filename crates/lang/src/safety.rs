@@ -182,40 +182,27 @@ fn ground_given(t: &Term, bound: &FxHashSet<Sym>) -> bool {
     t.vars().iter().all(|v| bound.contains(v))
 }
 
-/// A term that can *receive* a value: a variable, or a structured term all
-/// of whose leaves are variables/constants (pattern-matchable).
-fn invertible(t: &Term) -> bool {
-    match t {
-        Term::Var(_) | Term::Const(_) | Term::Nil => true,
-        Term::Tuple(fs) => fs.iter().all(|(_, t)| invertible(t)),
-        Term::Set(ts) | Term::Multiset(ts) | Term::Seq(ts) => ts.iter().all(invertible),
-        Term::FunApp { .. } | Term::BinOp { .. } => false,
-    }
-}
-
 fn binds_of_builtin(b: Builtin, args: &[Term], bound: &mut FxHashSet<Sym>) {
     match b {
         Builtin::Eq => {
-            if ground_given(&args[0], bound) && invertible(&args[1]) {
+            if ground_given(&args[0], bound) && !args[1].computes() {
                 bound.extend(args[1].vars());
             }
-            if ground_given(&args[1], bound) && invertible(&args[0]) {
+            if ground_given(&args[1], bound) && !args[0].computes() {
                 bound.extend(args[0].vars());
             }
         }
         // member(e, s): when the collection is evaluable, enumerating its
         // elements binds the element pattern.
         Builtin::Member => {
-            if ground_given(&args[1], bound) && invertible(&args[0]) {
+            if ground_given(&args[1], bound) && !args[0].computes() {
                 bound.extend(args[0].vars());
             }
         }
         // Constructive builtins: result (first argument) becomes bound once
         // the operands are.
         Builtin::Union | Builtin::Intersection | Builtin::Difference | Builtin::Append => {
-            if ground_given(&args[1], bound)
-                && ground_given(&args[2], bound)
-                && invertible(&args[0])
+            if ground_given(&args[1], bound) && ground_given(&args[2], bound) && !args[0].computes()
             {
                 bound.extend(args[0].vars());
             }
@@ -228,7 +215,7 @@ fn binds_of_builtin(b: Builtin, args: &[Term], bound: &mut FxHashSet<Sym>) {
         | Builtin::Avg
         | Builtin::HeadQ
         | Builtin::TailQ => {
-            if ground_given(&args[1], bound) && invertible(&args[0]) {
+            if ground_given(&args[1], bound) && !args[0].computes() {
                 bound.extend(args[0].vars());
             }
         }

@@ -48,7 +48,7 @@ impl Stratification {
 
 /// Analyze a rule set.
 pub fn stratify(rules: &RuleSet) -> Stratification {
-    let graph = DepGraph::build(rules);
+    let graph = DepGraph::build(&rules.rules);
     stratify_graph(rules, &graph)
 }
 

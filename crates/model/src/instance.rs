@@ -321,7 +321,7 @@ impl Instance {
     /// Tuples of `assoc` whose attribute `label` has `key` as its
     /// normalized value ([`Value::index_key`]). Probes a per-(association,
     /// label) hash index built on first use and maintained in place by
-    /// later association updates ([`IndexCache`]), turning a selective
+    /// later association updates (`IndexCache`), turning a selective
     /// literal match from an extension scan into a bucket lookup. `None`
     /// means no tuple matches.
     pub fn tuples_matching(

@@ -2,7 +2,7 @@
 //!
 //! Implements the subset of the proptest 1.x API this workspace uses:
 //! the [`Strategy`] trait with `prop_map` / `prop_recursive` / `boxed`,
-//! [`Just`], `any::<T>()`, integer-range and regex-literal strategies,
+//! [`Just`](strategy::Just), `any::<T>()`, integer-range and regex-literal strategies,
 //! tuple strategies, `collection::{vec, btree_set}`, the `prop_oneof!`
 //! union macro, and the `proptest!` test macro with `prop_assert!` /
 //! `prop_assert_eq!` / `prop_assume!` and `ProptestConfig::with_cases`.

@@ -110,6 +110,45 @@ fn explain_output_of_examples_matches_goldens() {
     }
 }
 
+/// Reproduce what `logres check <file> --plan` appends to the diagnostics:
+/// the goal-directed (magic-set) plan of the module's goal.
+fn plan_file(path: &PathBuf) -> String {
+    let text = std::fs::read_to_string(path).expect("example module reads");
+    let program =
+        parse_program(&text).unwrap_or_else(|e| panic!("{} fails to parse: {e:?}", path.display()));
+    let goal = program
+        .goal
+        .as_ref()
+        .unwrap_or_else(|| panic!("{} has no goal to plan", path.display()));
+    logres::lang::analyze::plan_goal(&program.schema, &program.rules, goal).render(&program.rules)
+}
+
+#[test]
+fn plan_output_of_examples_matches_goldens() {
+    for path in modules() {
+        let golden_path = path.with_extension("plan.golden.txt");
+        if std::env::var_os("LOGRES_UPDATE_GOLDENS").is_some() {
+            std::fs::write(&golden_path, plan_file(&path)).expect("golden file writes");
+            continue;
+        }
+        let golden = std::fs::read_to_string(&golden_path).unwrap_or_else(|e| {
+            panic!(
+                "{} missing ({e}); regenerate with \
+                 `LOGRES_UPDATE_GOLDENS=1 cargo test --test check_examples`",
+                golden_path.display()
+            )
+        });
+        assert_eq!(
+            plan_file(&path),
+            golden,
+            "{} plan output drifted from {}; \
+             regenerate with `LOGRES_UPDATE_GOLDENS=1 cargo test --test check_examples`",
+            path.display(),
+            golden_path.display()
+        );
+    }
+}
+
 /// Reproduce what `logres check <file> --flow --json` prints: the base
 /// diagnostics plus the abstract-interpretation flow pass (L008–L011),
 /// sorted into one position-stable stream.
