@@ -24,12 +24,10 @@ use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::binding::{as_oid_like, eval_term, normalize_arg, self_label, strip_self, Subst};
 use crate::error::EngineError;
-use crate::governor::CancelToken;
+use crate::governor::Governor;
 use crate::inflationary::IterationStats;
 use crate::matcher::{eval_body, BodyView};
-use crate::metrics::EngineMetrics;
-use crate::provenance::Provenance;
-use crate::trace::{self, TraceEvent, Tracer};
+use crate::trace::{self, TraceEvent};
 
 /// One invented oid per (rule index, canonical body valuation) —
 /// Definition 8(b)'s uniqueness condition.
@@ -72,9 +70,8 @@ pub struct DeltaSets {
     /// Satisfying body valuations found across all rules this step (before
     /// the valuation-domain check filters already-satisfied heads).
     pub firings: usize,
-    /// Per-rule stats for this step, in canonical rule order
-    /// (`apply_nanos` is unused at rule granularity and stays 0).
-    pub per_rule: Vec<IterationStats>,
+    /// Fresh oids invented this step.
+    pub invented: usize,
     /// Total [`Value::node_count`] of the `Δ⁺` facts — what the governor
     /// charges against its value-node budget.
     pub plus_nodes: usize,
@@ -100,13 +97,6 @@ pub struct OneStep<'a> {
     pub memo: InventionMemo,
     /// Fresh-oid source.
     pub gen: OidGen,
-    /// Engine metric handles, when the driver runs with
-    /// `EvalOptions::metrics` set.
-    pub metrics: Option<EngineMetrics>,
-    /// Provenance store, when the driver runs with
-    /// `EvalOptions::provenance` set. The serial merge records every `Δ⁺`
-    /// fact and invented oid here.
-    pub prov: Option<Provenance>,
 }
 
 impl<'a> OneStep<'a> {
@@ -118,76 +108,56 @@ impl<'a> OneStep<'a> {
             rules,
             memo: InventionMemo::new(),
             gen: edb.oid_gen(),
-            metrics: None,
-            prov: None,
         }
     }
 
-    /// Compute `Δ⁺(R, F)` and `Δ⁻(R, F)` serially.
-    pub fn deltas(&mut self, inst: &Instance) -> Result<DeltaSets, EngineError> {
-        self.deltas_with(inst, 1)
-    }
-
-    /// Compute `Δ⁺(R, F)` and `Δ⁻(R, F)` with up to `threads` worker
-    /// threads matching rule bodies against the (immutable) instance.
+    /// Compute `Δ⁺(R, F)` and `Δ⁻(R, F)` over the rules `rules` (canonical
+    /// indices) for the current round of `gov`'s run, with up to `threads`
+    /// worker threads matching rule bodies against the (immutable)
+    /// instance.
     ///
     /// Only the match phase is parallel; head instantiation — which
     /// consumes the invention memo and the oid generator — always runs
     /// serially in canonical rule order over the order-preserved valuation
     /// lists, so the deltas (and every invented oid) are byte-for-byte
-    /// identical for every thread count.
-    pub fn deltas_with(
-        &mut self,
-        inst: &Instance,
-        threads: usize,
-    ) -> Result<DeltaSets, EngineError> {
-        self.deltas_governed(inst, threads, &CancelToken::unlimited(), None, 0)
-    }
-
-    /// [`OneStep::deltas_with`] under a governor: workers poll `token`
-    /// between rules (and record which rule they are matching), and the
-    /// serial merge emits per-rule trace events. When the token trips
+    /// identical for every thread count. The serial merge folds each rule's
+    /// share into `gov` (its per-rule profiles and metrics) and records
+    /// provenance when the run keeps it. Workers poll `gov`'s token between
+    /// rules and record which rule they are matching; when it trips
     /// mid-phase the returned sets carry `cancelled = true` and stop at the
-    /// last contiguously matched rule; a token that never cancels produces
-    /// byte-identical deltas to the ungoverned path.
+    /// last contiguously matched rule.
     pub fn deltas_governed(
         &mut self,
         inst: &Instance,
+        rules: &[usize],
         threads: usize,
-        token: &CancelToken,
-        tracer: Option<&Tracer>,
-        step: usize,
+        gov: &mut Governor,
     ) -> Result<DeltaSets, EngineError> {
         let schema = self.schema;
-        let metrics = self.metrics.clone();
-        let valuations = crate::parallel::ordered_map_cancellable(
-            threads,
-            &self.rules.rules,
-            token,
-            |i, rule| {
+        let all = &self.rules.rules;
+        let (token, metrics) = (gov.token(), gov.metrics());
+        let valuations =
+            crate::parallel::ordered_map_cancellable(threads, rules, token, |_, &i| {
                 token.note_item(i);
                 let start = std::time::Instant::now();
                 // Probe counts accumulate locally and flush once per rule:
                 // per-event updates on the shared atomics would dominate the
                 // match phase on probe-heavy workloads.
                 let tally = crate::metrics::ProbeTally::default();
-                let view = BodyView::plain(inst).with_tally(metrics.as_ref().map(|_| &tally));
-                let thetas = eval_body(schema, view, &rule.body, Subst::new());
-                if let Some(m) = metrics.as_ref() {
+                let view = BodyView::plain(inst).with_tally(metrics.map(|_| &tally));
+                let thetas = eval_body(schema, view, &all[i].body, Subst::new());
+                if let Some(m) = metrics {
                     tally.flush(m);
                 }
                 (thetas, start.elapsed().as_nanos() as u64)
-            },
-        );
+            });
 
-        let mut out = DeltaSets {
-            per_rule: vec![IterationStats::default(); self.rules.rules.len()],
-            ..DeltaSets::default()
-        };
+        let step = gov.step();
+        let mut out = DeltaSets::default();
         let mut plus_seen: FxHashSet<Fact> = FxHashSet::default();
         let mut minus_seen: FxHashSet<Fact> = FxHashSet::default();
 
-        for (idx, (rule, slot)) in self.rules.rules.iter().zip(valuations).enumerate() {
+        for (&idx, slot) in rules.iter().zip(valuations) {
             let Some((thetas, match_nanos)) = slot else {
                 // The match phase was cut short: later rules may have
                 // results, but the merge must stop at the first gap to keep
@@ -195,8 +165,11 @@ impl<'a> OneStep<'a> {
                 out.cancelled = true;
                 break;
             };
-            let stats = &mut out.per_rule[idx];
-            stats.match_nanos = match_nanos;
+            let rule = &all[idx];
+            let mut stats = IterationStats {
+                match_nanos,
+                ..IterationStats::default()
+            };
             for theta in thetas? {
                 out.firings += 1;
                 stats.firings += 1;
@@ -214,21 +187,22 @@ impl<'a> OneStep<'a> {
                     stats.invented += 1;
                     if let Some(Fact::Class { oid, .. }) = facts.first() {
                         let oid = *oid;
-                        trace::emit(tracer, || TraceEvent::Invention {
+                        trace::emit(gov.tracer(), || TraceEvent::Invention {
                             step,
                             rule: idx,
                             oid: oid.0,
                         });
-                        if let Some(p) = self.prov.as_mut() {
+                        if let Some(p) = gov.provenance() {
                             p.record_invention(oid, idx, step);
                         }
                     }
                 }
-                let premises = if self.prov.is_some() && !rule.head.negated && !facts.is_empty() {
-                    crate::provenance::premises_of(self.schema, inst, rule, &theta)
-                } else {
-                    Vec::new()
-                };
+                let premises =
+                    if gov.provenance().is_some() && !rule.head.negated && !facts.is_empty() {
+                        crate::provenance::premises_of(self.schema, inst, rule, &theta)
+                    } else {
+                        Vec::new()
+                    };
                 for f in facts {
                     if rule.head.negated {
                         if minus_seen.insert(f.clone()) {
@@ -238,33 +212,15 @@ impl<'a> OneStep<'a> {
                     } else if plus_seen.insert(f.clone()) {
                         stats.derived += 1;
                         out.plus_nodes += fact_nodes(&f);
-                        if let Some(p) = self.prov.as_mut() {
+                        if let Some(p) = gov.provenance() {
                             p.record(f.clone(), idx, step, premises.clone());
                         }
                         out.plus.push(f);
                     }
                 }
             }
-            if let Some(m) = &self.metrics {
-                m.record_rule_step(
-                    idx,
-                    stats.firings as u64,
-                    stats.derived as u64,
-                    stats.deleted as u64,
-                    stats.invented as u64,
-                );
-            }
-            if stats.firings > 0 {
-                let (firings, derived, deleted) = (stats.firings, stats.derived, stats.deleted);
-                trace::emit(tracer, || TraceEvent::RuleFired {
-                    step,
-                    rule: idx,
-                    firings,
-                    derived,
-                    deleted,
-                    match_nanos,
-                });
-            }
+            out.invented += stats.invented;
+            gov.record_rule(idx, &stats);
         }
         Ok(out)
     }
@@ -709,6 +665,15 @@ mod tests {
         (p.schema, inst, p.rules)
     }
 
+    /// One serial application of every rule, outside any run.
+    fn deltas(step: &mut OneStep, inst: &Instance) -> DeltaSets {
+        let opts = crate::EvalOptions::default();
+        let rules = step.rules;
+        let mut gov = Governor::open("test", &opts, &rules.rules, rules.rules.len(), 0);
+        let all: Vec<usize> = (0..rules.rules.len()).collect();
+        step.deltas_governed(inst, &all, 1, &mut gov).unwrap()
+    }
+
     #[test]
     fn deltas_respect_the_valuation_domain() {
         let (schema, inst, rules) = setup(
@@ -723,12 +688,12 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d1 = step.deltas(&inst).unwrap();
+        let d1 = deltas(&mut step, &inst);
         assert_eq!(d1.plus.len(), 1);
         let mut next = inst.clone();
         assert!(step.apply(&mut next, &d1));
         // Second step: the head is satisfied, VD blocks refiring.
-        let d2 = step.deltas(&next).unwrap();
+        let d2 = deltas(&mut step, &next);
         assert!(d2.is_empty());
     }
 
@@ -746,13 +711,13 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         assert_eq!(d.minus.len(), 1);
         let mut next = inst.clone();
         step.apply(&mut next, &d);
         assert_eq!(next.assoc_len(Sym::new("p")), 1);
         // Re-running: nothing left to delete.
-        let d2 = step.deltas(&next).unwrap();
+        let d2 = deltas(&mut step, &next);
         assert!(d2.is_empty());
     }
 
@@ -774,7 +739,7 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         // The positive rule is VD-blocked (p(1) present) so Δ⁺ is empty and
         // the deletion wins — matching the operator exactly.
         assert!(d.plus.is_empty());
@@ -801,13 +766,13 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         assert_eq!(d.plus.len(), 2);
         let mut next = inst.clone();
         step.apply(&mut next, &d);
         assert_eq!(next.class_len(Sym::new("ip")), 2);
         // Refiring invents nothing: existing objects satisfy the head.
-        let d2 = step.deltas(&next).unwrap();
+        let d2 = deltas(&mut step, &next);
         assert!(d2.is_empty(), "unexpected deltas: {:?}", d2.plus);
     }
 
@@ -826,8 +791,8 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d1 = step.deltas(&inst).unwrap();
-        let d1b = step.deltas(&inst).unwrap();
+        let d1 = deltas(&mut step, &inst);
+        let d1b = deltas(&mut step, &inst);
         // Recomputing deltas over the same F reuses the same invented oid.
         assert_eq!(d1.plus, d1b.plus);
         assert_eq!(step.memo.len(), 1);
@@ -849,7 +814,7 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         assert_eq!(d.plus.len(), 1);
         match &d.plus[0] {
             Fact::Class { value, .. } => {
@@ -876,7 +841,7 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         assert_eq!(d.minus.len(), 2);
         let mut next = inst.clone();
         step.apply(&mut next, &d);
@@ -900,7 +865,7 @@ mod tests {
         "#,
         );
         let mut step = OneStep::new(&schema, &rules, &inst);
-        let d = step.deltas(&inst).unwrap();
+        let d = deltas(&mut step, &inst);
         assert_eq!(d.plus.len(), 1);
         let mut next = inst.clone();
         step.apply(&mut next, &d);

@@ -1,12 +1,25 @@
-//! Evaluation governor: wall-clock deadlines, value-node memory budgets,
-//! and cooperative cancellation.
+//! The record of one evaluation: its budgets, its rounds, its trace and its
+//! report.
 //!
 //! Termination of the inflationary fixpoint is undecidable once rules invent
 //! oids (Appendix B of the paper), so every driver runs under a [`Governor`]
-//! built from its [`crate::EvalOptions`]. The governor owns a [`CancelToken`]
-//! that is shared with parallel match workers; workers poll it between match
-//! tasks, which bounds the latency of a deadline abort to one step boundary
-//! plus one in-flight rule match.
+//! built from its [`crate::EvalOptions`]. Each driver — the interpreter, the
+//! compiled planner and incremental maintenance — opens one governor per
+//! run, however many strata the run has, and begins rounds, ends rounds and
+//! takes its cancellation error only through it. The governor owns:
+//!
+//! * every budget: `max_steps` (every round begun counts, in any stratum),
+//!   `max_facts`, the value-node budget and the deadline;
+//! * the run's round counter, so step numbers are run-wide;
+//! * the run, round and cancellation trace events (`eval_start`,
+//!   `step_start`, `step_end`, `budget`, `cancelled`, `eval_end`);
+//! * the step metrics and the per-rule metrics;
+//! * the [`crate::EvalReport`]: per-rule profiles in canonical rule order,
+//!   the iterations, and the rule that was firing when a budget tripped.
+//!
+//! The governor's [`CancelToken`] is shared with parallel match workers;
+//! workers poll it between match tasks, which bounds the latency of a
+//! deadline abort to one round boundary plus one in-flight rule match.
 //!
 //! Cancellation never corrupts state: the instance under construction is
 //! discarded and the partial [`crate::EvalReport`] travels inside
@@ -15,9 +28,15 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crate::inflationary::EvalOptions;
+use logres_lang::Rule;
+
+use crate::error::EngineError;
+use crate::inflationary::{EvalOptions, EvalReport, IterationStats, RuleProfile};
+use crate::metrics::EngineMetrics;
+use crate::provenance::Provenance;
+use crate::trace::{self, TraceEvent, Tracer};
 
 /// Why the governor stopped an evaluation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -138,27 +157,65 @@ impl CancelToken {
     }
 }
 
-/// Per-run budget bookkeeping for one evaluation driver.
-pub struct Governor {
+/// The record of one evaluation run: budgets, rounds, trace and report.
+///
+/// A driver opens it once per run with [`Governor::open`], brackets every
+/// round with `begin_round` and `end_round`, folds each rule's share of a
+/// round in with `record_rule`, closes each match phase with `end_match`,
+/// stops through `check`, and takes the report from [`Governor::finish`].
+pub struct Governor<'a> {
+    opts: &'a EvalOptions,
+    metrics: Option<EngineMetrics>,
     start: Instant,
-    budget: Option<Duration>,
-    max_value_nodes: Option<usize>,
-    value_nodes: usize,
     token: CancelToken,
+    value_nodes: usize,
+    /// Rounds begun so far, across every stratum of the run.
+    rounds: usize,
+    report: EvalReport,
 }
 
-impl Governor {
-    /// Build a governor from the run's options, starting the clock now.
-    pub fn new(opts: &EvalOptions) -> Governor {
+impl<'a> Governor<'a> {
+    /// Open the record of one run of `engine` over `rules`, starting from an
+    /// instance of `facts` facts: starts the clock, opens a profile per
+    /// rule, and emits `eval_start`. `live` is the number of rules the run
+    /// evaluates (maintenance keeps a profile for every rule slot of its
+    /// view, retracted ones included).
+    pub fn open(
+        engine: &'static str,
+        opts: &'a EvalOptions,
+        rules: &[Rule],
+        live: usize,
+        facts: usize,
+    ) -> Governor<'a> {
         let start = Instant::now();
-        let deadline = opts.deadline.map(|d| start + d);
-        Governor {
+        let mut gov = Governor {
+            opts,
+            metrics: opts.metrics.as_ref().map(EngineMetrics::new),
             start,
-            budget: opts.deadline,
-            max_value_nodes: opts.max_value_nodes,
+            token: CancelToken::with_deadline(opts.deadline.map(|d| start + d)),
             value_nodes: 0,
-            token: CancelToken::with_deadline(deadline),
-        }
+            rounds: 0,
+            report: EvalReport::default(),
+        };
+        gov.cover(rules);
+        trace::emit(gov.tracer(), || TraceEvent::EvalStart {
+            engine,
+            rules: live,
+            facts,
+        });
+        gov
+    }
+
+    /// Open profiles for the rules of `rules` past those already profiled
+    /// (maintenance appends the rules an update adds).
+    pub(crate) fn cover(&mut self, rules: &[Rule]) {
+        let known = self.report.rule_profiles.len();
+        self.report
+            .rule_profiles
+            .extend(rules.iter().skip(known).map(|r| RuleProfile {
+                rule: r.to_string(),
+                ..RuleProfile::default()
+            }));
     }
 
     /// The cancellation token to hand to match workers.
@@ -166,51 +223,209 @@ impl Governor {
         &self.token
     }
 
-    /// Charge `n` value nodes of derived-fact footprint against the budget.
-    pub fn charge_nodes(&mut self, n: usize) {
-        self.value_nodes = self.value_nodes.saturating_add(n);
+    /// The run's trace sink, for the events a driver emits inside a round.
+    pub(crate) fn tracer(&self) -> Option<&'a Tracer> {
+        self.opts.trace.as_deref()
     }
 
-    /// Cumulative value nodes charged so far.
-    pub fn value_nodes(&self) -> usize {
-        self.value_nodes
+    /// The run's metric handles, when it counts.
+    pub(crate) fn metrics(&self) -> Option<&EngineMetrics> {
+        self.metrics.as_ref()
     }
 
-    /// Milliseconds since the run started (a timing field in trace events).
-    pub fn elapsed_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
+    /// The run-wide index of the current round.
+    pub(crate) fn step(&self) -> usize {
+        self.rounds.saturating_sub(1)
     }
 
-    /// Milliseconds left before the deadline (saturating at 0), or `None`
-    /// when the run has no deadline. A timing value, exempt from the
-    /// determinism contract; feeds the deadline-headroom gauge.
-    pub fn deadline_headroom_ms(&self) -> Option<u64> {
-        self.budget
-            .map(|b| (b.as_millis() as u64).saturating_sub(self.elapsed_ms()))
+    /// The run's provenance store, when it records one.
+    pub(crate) fn provenance(&mut self) -> Option<&mut Provenance> {
+        self.report.provenance.as_mut()
     }
 
-    /// Check every budget; `Some(cause)` means the run must stop now.
-    pub fn check(&self) -> Option<CancelCause> {
-        if let (Some(limit), used) = (self.max_value_nodes, self.value_nodes) {
-            if used > limit {
-                self.token.cancel();
-                return Some(CancelCause::ValueBudget { limit, used });
+    /// Record derivation provenance into `prov` for the rest of the run.
+    pub(crate) fn record_provenance(&mut self, prov: Provenance) {
+        self.report.provenance = Some(prov);
+    }
+
+    /// Rule `rule`'s cumulative profile, for a driver that tallies it
+    /// itself (maintenance).
+    pub(crate) fn profile(&mut self, rule: usize) -> &mut RuleProfile {
+        &mut self.report.rule_profiles[rule]
+    }
+
+    /// Begin the next round: enforce the fact cap and `max_steps`, reset
+    /// the token's rule register, and emit `step_start`. Every round begun
+    /// counts against `max_steps`, whichever stratum it belongs to. Returns
+    /// the round's run-wide index.
+    pub(crate) fn begin_round(&mut self, facts: usize) -> Result<usize, EngineError> {
+        if facts > self.opts.max_facts {
+            return Err(EngineError::TooManyFacts {
+                limit: self.opts.max_facts,
+            });
+        }
+        if self.rounds >= self.opts.max_steps {
+            return Err(EngineError::NoFixpoint {
+                steps: self.opts.max_steps,
+            });
+        }
+        let step = self.rounds;
+        self.rounds += 1;
+        self.token.reset_item();
+        trace::emit(self.tracer(), || TraceEvent::StepStart { step, facts });
+        Ok(step)
+    }
+
+    /// Fold rule `rule`'s share of the current round into its profile and
+    /// the per-rule metrics, and emit `rule_fired` when it fired.
+    pub(crate) fn record_rule(&mut self, rule: usize, stats: &IterationStats) {
+        let profile = &mut self.report.rule_profiles[rule];
+        profile.firings += stats.firings;
+        profile.derived += stats.derived;
+        profile.deleted += stats.deleted;
+        profile.invented += stats.invented;
+        profile.match_nanos += stats.match_nanos;
+        if let Some(m) = &self.metrics {
+            m.record_rule_step(
+                rule,
+                stats.firings as u64,
+                stats.derived as u64,
+                stats.deleted as u64,
+                stats.invented as u64,
+            );
+        }
+        if stats.firings > 0 {
+            let step = self.step();
+            trace::emit(self.tracer(), || TraceEvent::RuleFired {
+                step,
+                rule,
+                firings: stats.firings,
+                derived: stats.derived,
+                deleted: stats.deleted,
+                match_nanos: stats.match_nanos,
+            });
+        }
+    }
+
+    /// Charge `nodes` value nodes of derived-fact footprint against the
+    /// budget.
+    pub(crate) fn charge(&mut self, nodes: usize) {
+        self.value_nodes = self.value_nodes.saturating_add(nodes);
+        if let Some(m) = &self.metrics {
+            m.value_nodes.add(nodes as u64);
+        }
+    }
+
+    /// Close the current round's match phase: charge the `nodes` its new
+    /// facts hold and count the round in the step metrics.
+    pub(crate) fn end_match(&mut self, nodes: usize, match_nanos: u64) {
+        self.charge(nodes);
+        if let Some(m) = &self.metrics {
+            m.steps.inc();
+            m.step_match_ms.observe(match_nanos / 1_000_000);
+            if let Some(budget) = self.opts.deadline {
+                let left = (budget.as_millis() as u64).saturating_sub(self.elapsed_ms());
+                m.deadline_headroom_ms.set(left);
             }
         }
-        if self.token.cancelled() {
-            let budget_ms = self
-                .budget
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or_default();
-            return Some(CancelCause::Deadline { budget_ms });
+    }
+
+    /// Stop the run if a budget has tripped: the error carries the report
+    /// so far (rounds ended, `facts`, profiles, provenance, and the rule
+    /// the token last saw matched) and the trace gets a `cancelled` event.
+    /// The value budget is checked before the token, so a run that
+    /// exhausts both reports the deterministic cause.
+    pub(crate) fn check(&mut self, facts: usize) -> Result<(), EngineError> {
+        let cause = match (self.opts.max_value_nodes, self.value_nodes) {
+            (Some(limit), used) if used > limit => {
+                self.token.cancel();
+                CancelCause::ValueBudget { limit, used }
+            }
+            _ if self.token.cancelled() => CancelCause::Deadline {
+                budget_ms: self.opts.deadline.unwrap_or_default().as_millis() as u64,
+            },
+            _ => return Ok(()),
+        };
+        let mut partial = std::mem::take(&mut self.report);
+        partial.facts = facts;
+        partial.cancelled_in_rule = self
+            .token
+            .last_item()
+            .and_then(|i| partial.rule_profiles.get(i))
+            .map(|p| p.rule.clone());
+        let step = self.step();
+        trace::emit(self.tracer(), || TraceEvent::Cancelled {
+            step,
+            cause: cause.to_string(),
+        });
+        Err(EngineError::Cancelled {
+            cause,
+            partial: Box::new(partial),
+        })
+    }
+
+    /// The error for a phase the token cut short: a task a worker skipped
+    /// latched the token, so `check` stops the run.
+    pub(crate) fn cancel(&mut self, facts: usize) -> EngineError {
+        self.check(facts)
+            .expect_err("a skipped task latched the cancellation token")
+    }
+
+    /// End the current round: emit `step_end` and `budget`, record its
+    /// iteration, and count it in the report's `steps`.
+    pub(crate) fn end_round(&mut self, stats: IterationStats, facts: usize) {
+        let step = self.step();
+        if let Some(m) = &self.metrics {
+            m.step_apply_ms.observe(stats.apply_nanos / 1_000_000);
         }
-        None
+        let tracer = self.tracer();
+        trace::emit(tracer, || TraceEvent::StepEnd {
+            step,
+            firings: stats.firings,
+            derived: stats.derived,
+            deleted: stats.deleted,
+            facts,
+            match_nanos: stats.match_nanos,
+            apply_nanos: stats.apply_nanos,
+        });
+        trace::emit(tracer, || TraceEvent::Budget {
+            step,
+            facts,
+            value_nodes: self.value_nodes,
+            elapsed_ms: self.elapsed_ms(),
+        });
+        self.report.iterations.push(stats);
+        self.report.steps += 1;
+    }
+
+    /// End a round that confirmed its stratum's fixpoint by deriving
+    /// nothing: its iteration is kept, but the interpreter neither emits
+    /// `step_end` for it nor counts it in `steps`.
+    pub(crate) fn confirm(&mut self, stats: IterationStats) {
+        self.report.iterations.push(stats);
+    }
+
+    /// Close the run at its fixpoint: emit `eval_end` and return the report.
+    pub fn finish(mut self, facts: usize) -> EvalReport {
+        self.report.facts = facts;
+        let steps = self.report.steps;
+        trace::emit(self.tracer(), || TraceEvent::EvalEnd {
+            steps,
+            facts,
+            fixpoint: true,
+        });
+        self.report
+    }
+
+    fn elapsed_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn unlimited_token_never_cancels() {
@@ -245,23 +460,32 @@ mod tests {
         assert_eq!(t.last_item(), None);
     }
 
+    fn cause(err: EngineError) -> (CancelCause, EvalReport) {
+        match err {
+            EngineError::Cancelled { cause, partial } => (cause, *partial),
+            other => panic!("expected Cancelled, got {other}"),
+        }
+    }
+
     #[test]
     fn value_budget_trips_check() {
         let opts = EvalOptions {
             max_value_nodes: Some(10),
             ..EvalOptions::default()
         };
-        let mut g = Governor::new(&opts);
-        g.charge_nodes(5);
-        assert_eq!(g.check(), None);
-        g.charge_nodes(6);
+        let mut g = Governor::open("test", &opts, &[], 0, 0);
+        g.charge(5);
+        assert!(g.check(0).is_ok());
+        g.charge(6);
+        let (cause, partial) = cause(g.check(7).unwrap_err());
         assert_eq!(
-            g.check(),
-            Some(CancelCause::ValueBudget {
+            cause,
+            CancelCause::ValueBudget {
                 limit: 10,
                 used: 11
-            })
+            }
         );
+        assert_eq!(partial.facts, 7);
         // Tripping the value budget also latches the shared token.
         assert!(g.token().cancelled());
     }
@@ -272,8 +496,29 @@ mod tests {
             deadline: Some(Duration::from_millis(0)),
             ..EvalOptions::default()
         };
-        let g = Governor::new(&opts);
+        let mut g = Governor::open("test", &opts, &[], 0, 0);
         std::thread::sleep(Duration::from_millis(2));
-        assert_eq!(g.check(), Some(CancelCause::Deadline { budget_ms: 0 }));
+        let (cause, _) = cause(g.check(0).unwrap_err());
+        assert_eq!(cause, CancelCause::Deadline { budget_ms: 0 });
+    }
+
+    #[test]
+    fn every_round_begun_counts_against_max_steps() {
+        let opts = EvalOptions {
+            max_steps: 2,
+            ..EvalOptions::default()
+        };
+        let mut g = Governor::open("test", &opts, &[], 0, 0);
+        assert_eq!(g.begin_round(0).unwrap(), 0);
+        g.confirm(IterationStats::default());
+        assert_eq!(g.begin_round(0).unwrap(), 1);
+        g.end_round(IterationStats::default(), 0);
+        assert!(matches!(
+            g.begin_round(0),
+            Err(EngineError::NoFixpoint { steps: 2 })
+        ));
+        // The confirming round is kept as an iteration but not counted.
+        let report = g.finish(0);
+        assert_eq!((report.steps, report.iterations.len()), (1, 2));
     }
 }

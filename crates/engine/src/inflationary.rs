@@ -1,8 +1,14 @@
 //! The inflationary fixpoint driver: `F⁰ = E, F¹, …, Fᵏ = Fᵏ⁺¹`.
 //!
+//! The driver runs a list of strata, each a list of canonical rule indices,
+//! one after the other to its fixpoint: whole-program inflationary
+//! evaluation is one stratum holding every rule, and the stratified driver
+//! ([`crate::stratified`]) passes its stratification. One
+//! [`crate::Governor`] records the whole run.
+//!
 //! Termination is not guaranteed and not decidable (Appendix B), so the
-//! driver carries fuel: a step limit and a fact-count limit. Reaching
-//! either reports an error instead of looping.
+//! run carries fuel: a step limit and a fact-count limit. Reaching either
+//! reports an error instead of looping.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -13,7 +19,7 @@ use logres_model::{Instance, Schema};
 use crate::delta::OneStep;
 use crate::error::EngineError;
 use crate::governor::Governor;
-use crate::metrics::{EngineMetrics, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 use crate::parallel::effective_threads;
 use crate::provenance::Provenance;
 use crate::trace::{self, TraceEvent, Tracer};
@@ -21,9 +27,10 @@ use crate::trace::{self, TraceEvent, Tracer};
 /// Fuel limits and execution knobs for an evaluation run.
 #[derive(Debug, Clone)]
 pub struct EvalOptions {
-    /// Maximum number of one-step applications.
+    /// Maximum number of rounds (one-step applications) the whole run may
+    /// begin, counted across every stratum.
     pub max_steps: usize,
-    /// Maximum number of stored facts.
+    /// Maximum number of stored facts, checked as each round begins.
     pub max_facts: usize,
     /// Worker threads for the per-rule body-match phase of each step:
     /// `1` = serial (the default), `0` = one per available core. The merge
@@ -31,14 +38,14 @@ pub struct EvalOptions {
     /// instance — including invented-oid numbering — is identical for every
     /// setting.
     pub threads: usize,
-    /// Wall-clock budget for the whole run. When it elapses the governor
-    /// cancels cooperatively — within one step boundary plus one in-flight
-    /// rule match — and the driver returns [`EngineError::Cancelled`]
-    /// carrying the partial report.
+    /// Wall-clock budget for the whole run, every stratum included. When it
+    /// elapses the governor cancels cooperatively — within one step
+    /// boundary plus one in-flight rule match — and the driver returns
+    /// [`EngineError::Cancelled`] carrying the partial report.
     pub deadline: Option<Duration>,
-    /// Budget on cumulative [`logres_model::Value::node_count`] of derived
-    /// facts — a machine-independent memory proxy checked at step
-    /// boundaries.
+    /// Budget on the cumulative [`logres_model::Value::node_count`] of the
+    /// facts the whole run derives — a machine-independent memory proxy
+    /// checked at step boundaries.
     pub max_value_nodes: Option<usize>,
     /// Structured trace sink; `None` (the default) emits nothing and costs
     /// nothing.
@@ -125,15 +132,18 @@ pub struct RuleProfile {
 /// What a run did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EvalReport {
-    /// Steps until the fixpoint (0 = the EDB was already closed).
+    /// Rounds until the fixpoint (0 = the EDB was already closed). The
+    /// interpreter does not count the round of each stratum that confirms
+    /// its fixpoint; the compiled path counts every round; maintenance
+    /// counts its delta rounds.
     pub steps: usize,
     /// Facts in the final instance.
     pub facts: usize,
     /// Set by the stratified driver when it fell back to whole-program
     /// inflationary evaluation.
     pub fallback_inflationary: bool,
-    /// One entry per invocation of the one-step operator (including the
-    /// final invocation that confirms the fixpoint by deriving nothing).
+    /// One entry per round (for the interpreter, including each stratum's
+    /// final round that confirms the fixpoint by deriving nothing).
     pub iterations: Vec<IterationStats>,
     /// Cumulative per-rule counters, in canonical rule order.
     pub rule_profiles: Vec<RuleProfile>,
@@ -149,33 +159,6 @@ pub struct EvalReport {
     pub plan_profile: Option<crate::explain::PlanProfile>,
 }
 
-impl EvalReport {
-    pub(crate) fn with_rules(rules: &RuleSet) -> EvalReport {
-        EvalReport {
-            rule_profiles: rules
-                .rules
-                .iter()
-                .map(|r| RuleProfile {
-                    rule: r.to_string(),
-                    ..RuleProfile::default()
-                })
-                .collect(),
-            ..EvalReport::default()
-        }
-    }
-
-    /// Fold one step's per-rule stats into the cumulative profiles.
-    pub(crate) fn absorb_rule_stats(&mut self, per_rule: &[IterationStats]) {
-        for (profile, stats) in self.rule_profiles.iter_mut().zip(per_rule) {
-            profile.firings += stats.firings;
-            profile.derived += stats.derived;
-            profile.deleted += stats.deleted;
-            profile.invented += stats.invented;
-            profile.match_nanos += stats.match_nanos;
-        }
-    }
-}
-
 /// Run the inflationary semantics of `rules` over `edb`; returns the
 /// resulting instance (the paper's `I` with `(E, I) ∈ 7(R)`).
 pub fn evaluate_inflationary(
@@ -184,148 +167,78 @@ pub fn evaluate_inflationary(
     edb: &Instance,
     opts: EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
-    evaluate_inflationary_stratum(schema, rules, edb, opts, 0)
+    let all: Vec<usize> = (0..rules.rules.len()).collect();
+    evaluate_strata(schema, rules, edb, &[all], &opts)
 }
 
-/// [`evaluate_inflationary`] with an explicit stratum index for provenance
-/// records (the stratified driver evaluates each stratum through here).
-pub(crate) fn evaluate_inflationary_stratum(
+/// Run `strata` (lists of canonical rule indices, in evaluation order) one
+/// after the other, each to its inflationary fixpoint, under one
+/// [`Governor`]: one set of budgets, run-wide step numbers, one trace, and
+/// one report whose profiles and provenance number rules canonically.
+///
+/// Each stratum starts a fresh invention memo and oid generator, which
+/// resumes past the oids of the instance the stratum starts from.
+pub(crate) fn evaluate_strata(
     schema: &Schema,
     rules: &RuleSet,
     edb: &Instance,
-    opts: EvalOptions,
-    stratum: usize,
+    strata: &[Vec<usize>],
+    opts: &EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
-    let mut step = OneStep::new(schema, rules, edb);
-    let em = opts.metrics.as_ref().map(EngineMetrics::new);
-    step.metrics = em.clone();
+    let n = rules.rules.len();
+    let mut gov = Governor::open("inflationary", opts, &rules.rules, n, edb.fact_count());
     if opts.provenance {
-        step.prov = Some(Provenance::new(rules, stratum));
+        gov.record_provenance(Provenance::new(rules, strata));
     }
-    let mut inst = edb.clone();
-    let mut report = EvalReport::with_rules(rules);
     let threads = effective_threads(opts.threads);
-    let mut governor = Governor::new(&opts);
-    let tracer = opts.trace.as_deref();
-    trace::emit(tracer, || TraceEvent::EvalStart {
-        engine: "inflationary",
-        rules: rules.rules.len(),
-        facts: edb.fact_count(),
-    });
-
-    for i in 0..opts.max_steps {
-        governor.token().reset_item();
-        trace::emit(tracer, || TraceEvent::StepStart {
-            step: i,
-            facts: inst.fact_count(),
-        });
-        let match_start = Instant::now();
-        let deltas = step.deltas_governed(&inst, threads, governor.token(), tracer, i)?;
-        let match_nanos = match_start.elapsed().as_nanos() as u64;
-        report.absorb_rule_stats(&deltas.per_rule);
-        governor.charge_nodes(deltas.plus_nodes);
-        if let Some(m) = &em {
-            m.steps.inc();
-            m.value_nodes.add(deltas.plus_nodes as u64);
-            m.step_match_ms.observe(match_nanos / 1_000_000);
-            if let Some(headroom) = governor.deadline_headroom_ms() {
-                m.deadline_headroom_ms.set(headroom);
+    let mut inst = edb.clone();
+    for stratum in strata {
+        let mut step = OneStep::new(schema, rules, &inst);
+        loop {
+            let i = gov.begin_round(inst.fact_count())?;
+            let match_start = Instant::now();
+            let deltas = step.deltas_governed(&inst, stratum, threads, &mut gov)?;
+            let match_nanos = match_start.elapsed().as_nanos() as u64;
+            gov.end_match(deltas.plus_nodes, match_nanos);
+            if !deltas.cancelled && deltas.is_empty() {
+                gov.confirm(IterationStats {
+                    firings: deltas.firings,
+                    match_nanos,
+                    ..IterationStats::default()
+                });
+                break;
             }
-        }
-        if !deltas.cancelled && deltas.is_empty() {
-            report.iterations.push(IterationStats {
-                firings: deltas.firings,
-                match_nanos,
-                ..IterationStats::default()
-            });
-            report.steps = i;
-            report.facts = inst.fact_count();
-            report.provenance = step.prov.take();
-            trace::emit(tracer, || TraceEvent::EvalEnd {
-                steps: report.steps,
-                facts: report.facts,
-                fixpoint: true,
-            });
-            return Ok((inst, report));
-        }
-        if let Some(cause) = governor.check() {
             // Cooperative abort: the instance under construction is
             // discarded; the report of completed steps travels with the
             // error.
-            report.steps = i;
-            report.facts = inst.fact_count();
-            report.cancelled_in_rule = governor
-                .token()
-                .last_item()
-                .and_then(|r| rules.rules.get(r))
-                .map(|r| r.to_string());
-            report.provenance = step.prov.take();
-            trace::emit(tracer, || TraceEvent::Cancelled {
-                step: i,
-                cause: cause.to_string(),
-            });
-            return Err(EngineError::Cancelled {
-                cause,
-                partial: Box::new(report),
-            });
-        }
-        let before = inst.clone();
-        let apply_start = Instant::now();
-        step.apply(&mut inst, &deltas);
-        let apply_nanos = apply_start.elapsed().as_nanos() as u64;
-        if let Some(m) = &em {
-            m.step_apply_ms.observe(apply_nanos / 1_000_000);
-        }
-        report.iterations.push(IterationStats {
-            firings: deltas.firings,
-            derived: deltas.plus.len(),
-            deleted: deltas.minus.len(),
-            invented: deltas.per_rule.iter().map(|s| s.invented).sum(),
-            match_nanos,
-            apply_nanos,
-        });
-        if !deltas.minus.is_empty() {
-            trace::emit(tracer, || TraceEvent::Deletion {
-                step: i,
-                count: deltas.minus.len(),
-            });
-        }
-        trace::emit(tracer, || TraceEvent::StepEnd {
-            step: i,
-            firings: deltas.firings,
-            derived: deltas.plus.len(),
-            deleted: deltas.minus.len(),
-            facts: inst.fact_count(),
-            match_nanos,
-            apply_nanos,
-        });
-        trace::emit(tracer, || TraceEvent::Budget {
-            step: i,
-            facts: inst.fact_count(),
-            value_nodes: governor.value_nodes(),
-            elapsed_ms: governor.elapsed_ms(),
-        });
-        if inst == before {
-            // Δ⁺ and Δ⁻ cancelled exactly: a fixpoint of the operator.
-            report.steps = i + 1;
-            report.facts = inst.fact_count();
-            report.provenance = step.prov.take();
-            trace::emit(tracer, || TraceEvent::EvalEnd {
-                steps: report.steps,
-                facts: report.facts,
-                fixpoint: true,
-            });
-            return Ok((inst, report));
-        }
-        if inst.fact_count() > opts.max_facts {
-            return Err(EngineError::TooManyFacts {
-                limit: opts.max_facts,
-            });
+            gov.check(inst.fact_count())?;
+            let before = inst.clone();
+            let apply_start = Instant::now();
+            step.apply(&mut inst, &deltas);
+            let apply_nanos = apply_start.elapsed().as_nanos() as u64;
+            if !deltas.minus.is_empty() {
+                trace::emit(gov.tracer(), || TraceEvent::Deletion {
+                    step: i,
+                    count: deltas.minus.len(),
+                });
+            }
+            let stats = IterationStats {
+                firings: deltas.firings,
+                derived: deltas.plus.len(),
+                deleted: deltas.minus.len(),
+                invented: deltas.invented,
+                match_nanos,
+                apply_nanos,
+            };
+            gov.end_round(stats, inst.fact_count());
+            if inst == before {
+                // Δ⁺ and Δ⁻ cancelled exactly: a fixpoint of the operator.
+                break;
+            }
         }
     }
-    Err(EngineError::NoFixpoint {
-        steps: opts.max_steps,
-    })
+    let report = gov.finish(inst.fact_count());
+    Ok((inst, report))
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@
 //! count — the same contract the fixpoint drivers give.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::time::Instant;
 
 use logres_lang::analyze::{DepGraph, HeadWrite, RuleShape};
 use logres_lang::{Atom, BodyLiteral, PredArg, Rule, RuleSet};
@@ -48,14 +49,13 @@ use rustc_hash::{FxHashMap, FxHashSet};
 use crate::binding::{match_term, Subst};
 use crate::delta::{fact_nodes, instantiate_head, InventionMemo};
 use crate::error::EngineError;
-use crate::governor::{CancelToken, Governor};
-use crate::inflationary::{EvalOptions, EvalReport, RuleProfile};
+use crate::governor::Governor;
+use crate::inflationary::{EvalOptions, EvalReport, IterationStats, RuleProfile};
 use crate::matcher::{eval_body, BodyView};
 use crate::metrics::{EngineMetrics, ProbeTally};
 use crate::parallel::{effective_threads, ordered_map_cancellable};
 use crate::provenance::premises_of;
 use crate::stratified::{evaluate, Semantics};
-use crate::trace::{self, TraceEvent, Tracer};
 
 /// Is the rule set inside the semi-naive fragment: positive heads over
 /// associations, positive bodies over associations and builtins — no
@@ -267,7 +267,7 @@ impl MaterializedView {
         for (fact, rule, premises) in pass.deferred.take().unwrap_or_default() {
             view.record(fact, rule, premises);
         }
-        let report = pass.finish(&view);
+        let report = pass.gov.finish(view.inst.fact_count());
         Ok((view, report))
     }
 
@@ -332,8 +332,9 @@ pub struct UpdateSpec {
 /// What [`apply_update`] did.
 #[derive(Debug, Clone)]
 pub struct MaintainResult {
-    /// Synthesized report: `steps` counts delta rounds, `facts` the final
-    /// instance size.
+    /// The pass's run record: `steps` and `iterations` count delta rounds,
+    /// `facts` is the final instance size, and `rule_profiles` has one
+    /// entry per view rule slot.
     pub report: EvalReport,
     /// Facts now present that were absent before the update (extensional
     /// insertions actually applied plus newly derived facts) — the
@@ -483,42 +484,20 @@ fn mark_removed(
     present
 }
 
-/// Per-rule counters accumulated across one pass, folded into the
-/// synthesized report's rule profiles. Indexed by view rule slot.
-#[derive(Default)]
-struct RuleTallies {
-    fired: Vec<usize>,
-    derived: Vec<usize>,
-    deleted: Vec<usize>,
-}
-
-impl RuleTallies {
-    fn ensure(&mut self, n: usize) {
-        self.fired.resize(n, 0);
-        self.derived.resize(n, 0);
-        self.deleted.resize(n, 0);
-    }
-}
-
 /// A recorded derivation: the fact, its rule index, its ground premises.
 type Record = (Fact, usize, Vec<Fact>);
 
 /// The state one maintenance pass (an update or a view build) threads
-/// through its rounds: budgets, the invention memo, and what it derived.
+/// through its rounds: the run's [`Governor`], the invention memo, and what
+/// it derived.
 struct Pass<'a> {
     schema: &'a Schema,
-    opts: &'a EvalOptions,
-    tracer: Option<&'a Tracer>,
-    /// Matcher counters (`logres_matcher_*`), when metrics are on.
-    metrics: Option<EngineMetrics>,
     threads: usize,
-    governor: Governor,
-    token: CancelToken,
-    /// Delta rounds completed.
-    steps: usize,
+    /// The pass's run record: budgets, delta rounds, trace, and per-rule
+    /// profiles indexed by view rule slot.
+    gov: Governor<'a>,
     memo: InventionMemo,
     gen: OidGen,
-    tallies: RuleTallies,
     /// Overdeleted facts the rounds put back.
     rederived: u64,
     /// Facts new to the instance, in arrival order: the update's
@@ -532,52 +511,16 @@ struct Pass<'a> {
 
 impl<'a> Pass<'a> {
     fn new(schema: &'a Schema, view: &MaterializedView, opts: &'a EvalOptions) -> Pass<'a> {
-        let governor = Governor::new(opts);
-        let token = governor.token().clone();
-        let tracer = opts.trace.as_deref();
-        let rules = view.active.iter().filter(|a| **a).count();
-        trace::emit(tracer, || TraceEvent::EvalStart {
-            engine: "maintain",
-            rules,
-            facts: view.inst.fact_count(),
-        });
-        let mut tallies = RuleTallies::default();
-        tallies.ensure(view.rules.len());
+        let live = view.active.iter().filter(|a| **a).count();
         Pass {
             schema,
-            opts,
-            tracer,
-            metrics: opts.metrics.as_ref().map(EngineMetrics::new),
             threads: effective_threads(opts.threads),
-            governor,
-            token,
-            steps: 0,
+            gov: Governor::open("maintain", opts, &view.rules, live, view.inst.fact_count()),
             memo: InventionMemo::new(),
             gen: view.inst.oid_gen(),
-            tallies,
             rederived: 0,
             added: Vec::new(),
             deferred: None,
-        }
-    }
-
-    /// The error for a pass the governor stopped.
-    fn cancel(&self, facts: usize) -> EngineError {
-        let cause = self
-            .governor
-            .check()
-            .expect("cancel taken only when tripped");
-        trace::emit(self.tracer, || TraceEvent::Cancelled {
-            step: self.steps,
-            cause: cause.to_string(),
-        });
-        EngineError::Cancelled {
-            cause,
-            partial: Box::new(EvalReport {
-                steps: self.steps,
-                facts,
-                ..EvalReport::default()
-            }),
         }
     }
 
@@ -595,7 +538,7 @@ impl<'a> Pass<'a> {
     ) -> Result<usize, EngineError> {
         let schema = self.schema;
         let rule = &view.rules[idx];
-        self.tallies.fired[idx] += 1;
+        self.gov.profile(idx).firings += 1;
         let facts = instantiate_head(
             schema,
             &view.inst,
@@ -615,7 +558,7 @@ impl<'a> Pass<'a> {
                 continue;
             }
             nodes += fact_nodes(&fact);
-            self.tallies.derived[idx] += 1;
+            self.gov.profile(idx).derived += 1;
             if let Fact::Assoc { assoc, tuple } = &fact {
                 delta.insert_assoc(*assoc, tuple.clone());
             }
@@ -632,8 +575,9 @@ impl<'a> Pass<'a> {
         Ok(nodes)
     }
 
-    /// Round 0 for rules new to the view: each body evaluated over the
-    /// whole instance. Returns the facts it inserted, the first delta.
+    /// Seed rules new to the view: each body evaluated over the whole
+    /// instance. Returns the facts it inserted, the first delta. The pass
+    /// is charged for them and checked, but it is not a delta round.
     fn fire_new_rules(
         &mut self,
         view: &mut MaterializedView,
@@ -643,8 +587,8 @@ impl<'a> Pass<'a> {
         if rule_idxs.is_empty() {
             return Ok(delta);
         }
-        let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
-        let metrics = self.metrics.as_ref();
+        let (schema, inst, rules) = (self.schema, &view.inst, &view.rules);
+        let (token, metrics) = (self.gov.token(), self.gov.metrics());
         token.reset_item();
         let subs_per_rule = ordered_map_cancellable(self.threads, rule_idxs, token, |_, &idx| {
             token.note_item(idx);
@@ -656,28 +600,25 @@ impl<'a> Pass<'a> {
                 metrics,
             )
         });
-        if self.governor.check().is_some() {
-            return Err(self.cancel(view.inst.fact_count()));
-        }
+        self.gov.check(view.inst.fact_count())?;
         let mut nodes = 0;
         for (&idx, slot) in rule_idxs.iter().zip(subs_per_rule) {
             let Some(subs) = slot else {
-                return Err(self.cancel(view.inst.fact_count()));
+                return Err(self.gov.cancel(view.inst.fact_count()));
             };
             for theta in subs? {
                 nodes += self.fire(view, idx, &theta, &mut delta, None)?;
             }
         }
-        self.governor.charge_nodes(nodes);
-        if self.governor.check().is_some() {
-            return Err(self.cancel(view.inst.fact_count()));
-        }
+        self.gov.charge(nodes);
+        self.gov.check(view.inst.fact_count())?;
         Ok(delta)
     }
 
     /// Incremental semi-naive delta rounds over one stratum's rules: each
     /// rule fires once per body position bound to the delta, and the facts
-    /// the round inserts become the next delta, until it drains.
+    /// the round inserts become the next delta, until it drains. Each round
+    /// is a round of the pass's run record.
     fn run_delta_rounds(
         &mut self,
         view: &mut MaterializedView,
@@ -706,19 +647,10 @@ impl<'a> Pass<'a> {
             if jobs.is_empty() {
                 return Ok(());
             }
-            if self.steps >= self.opts.max_steps {
-                return Err(EngineError::NoFixpoint {
-                    steps: self.opts.max_steps,
-                });
-            }
-            if view.inst.fact_count() > self.opts.max_facts {
-                return Err(EngineError::TooManyFacts {
-                    limit: self.opts.max_facts,
-                });
-            }
-            let (schema, inst, rules, token) = (self.schema, &view.inst, &view.rules, &self.token);
-            let metrics = self.metrics.as_ref();
-            token.reset_item();
+            self.gov.begin_round(view.inst.fact_count())?;
+            let match_start = Instant::now();
+            let (schema, inst, rules) = (self.schema, &view.inst, &view.rules);
+            let (token, metrics) = (self.gov.token(), self.gov.metrics());
             let subs_per_job =
                 ordered_map_cancellable(self.threads, &jobs, token, |_, &(idx, li)| {
                     token.note_item(idx);
@@ -729,54 +661,30 @@ impl<'a> Pass<'a> {
                     };
                     eval_counted(schema, bv, &rules[idx].body, Subst::new(), metrics)
                 });
-            if self.governor.check().is_some() {
-                return Err(self.cancel(view.inst.fact_count()));
-            }
+            let mut stats = IterationStats {
+                match_nanos: match_start.elapsed().as_nanos() as u64,
+                ..IterationStats::default()
+            };
+            self.gov.check(view.inst.fact_count())?;
+            let apply_start = Instant::now();
             let mut next_delta = Instance::new();
             let mut nodes = 0;
             for (&(idx, _), slot) in jobs.iter().zip(subs_per_job) {
                 let Some(subs) = slot else {
-                    return Err(self.cancel(view.inst.fact_count()));
+                    return Err(self.gov.cancel(view.inst.fact_count()));
                 };
-                for theta in subs? {
+                let subs = subs?;
+                stats.firings += subs.len();
+                for theta in subs {
                     nodes += self.fire(view, idx, &theta, &mut next_delta, over_set)?;
                 }
             }
-            self.governor.charge_nodes(nodes);
-            self.steps += 1;
-            if self.governor.check().is_some() {
-                return Err(self.cancel(view.inst.fact_count()));
-            }
+            stats.derived = next_delta.fact_count();
+            stats.apply_nanos = apply_start.elapsed().as_nanos() as u64;
+            self.gov.end_match(nodes, stats.match_nanos);
+            self.gov.check(view.inst.fact_count())?;
+            self.gov.end_round(stats, view.inst.fact_count());
             delta = next_delta;
-        }
-    }
-
-    /// Close the pass: the trace's end event and the synthesized report
-    /// (`steps` counts delta rounds, `facts` the view's size).
-    fn finish(&self, view: &MaterializedView) -> EvalReport {
-        let (steps, facts) = (self.steps, view.inst.fact_count());
-        trace::emit(self.tracer, || TraceEvent::EvalEnd {
-            steps,
-            facts,
-            fixpoint: true,
-        });
-        let rule_profiles = view
-            .rules
-            .iter()
-            .enumerate()
-            .map(|(i, r)| RuleProfile {
-                rule: r.to_string(),
-                firings: self.tallies.fired[i],
-                derived: self.tallies.derived[i],
-                deleted: self.tallies.deleted[i],
-                ..RuleProfile::default()
-            })
-            .collect();
-        EvalReport {
-            steps,
-            facts,
-            rule_profiles,
-            ..EvalReport::default()
         }
     }
 }
@@ -788,9 +696,10 @@ impl<'a> Pass<'a> {
 ///
 /// Counting-style recounts maintain non-recursive strata, DRed the
 /// recursive ones, and incremental semi-naive rounds propagate the
-/// insertions; see the module docs for the full protocol. Governor budgets
-/// (deadline, value nodes, fact and step caps) are enforced at round
-/// boundaries exactly like the fixpoint drivers.
+/// insertions; see the module docs for the full protocol. The pass runs
+/// under one [`Governor`], like the fixpoint drivers: its budgets (deadline,
+/// value nodes, fact and step caps) are enforced at round boundaries, and
+/// each delta round is a round of the run record.
 pub fn apply_update(
     schema: &Schema,
     view: &mut MaterializedView,
@@ -841,7 +750,7 @@ pub fn apply_update(
             added_idxs.push(view.rules.len() - 1);
         }
     }
-    pass.tallies.ensure(view.rules.len());
+    pass.gov.cover(&view.rules);
 
     let ins_set: FxHashSet<Fact> = spec.inserts.iter().cloned().collect();
     let del_set: FxHashSet<Fact> = spec.deletes.iter().cloned().collect();
@@ -880,7 +789,7 @@ pub fn apply_update(
     let drain = |view: &mut MaterializedView,
                  pending: &mut BTreeMap<Sym, BTreeSet<Fact>>,
                  removed_total: &mut u64,
-                 tallies: &mut RuleTallies| {
+                 gov: &mut Governor| {
         loop {
             let no_rule: Vec<Sym> = pending
                 .keys()
@@ -900,7 +809,7 @@ pub fn apply_update(
                         if mark_removed(schema, view, &f, pending) {
                             *removed_total += 1;
                             if let Some(i) = by {
-                                tallies.deleted[i] += 1;
+                                gov.profile(i).deleted += 1;
                             }
                         }
                     }
@@ -908,7 +817,7 @@ pub fn apply_update(
             }
         }
     };
-    drain(view, &mut pending, &mut removed_total, &mut pass.tallies);
+    drain(view, &mut pending, &mut removed_total, &mut pass.gov);
 
     let strata = maintenance_strata(&view.rules, &view.active);
     for stratum in &strata {
@@ -932,19 +841,16 @@ pub fn apply_update(
             for f in &kept_edb {
                 view.drop_support(f);
             }
-            let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
-            let metrics = pass.metrics.as_ref();
+            let (inst, rules) = (&view.inst, &view.rules);
+            let (token, metrics) = (pass.gov.token(), pass.gov.metrics());
             token.reset_item();
-            let per_fact = ordered_map_cancellable(pass.threads, &check, token, |i, f| {
-                token.note_item(i);
+            let per_fact = ordered_map_cancellable(pass.threads, &check, token, |_, f| {
                 derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
             });
-            if pass.governor.check().is_some() {
-                return Err(pass.cancel(view.inst.fact_count()));
-            }
+            pass.gov.check(view.inst.fact_count())?;
             for (f, slot) in check.iter().zip(per_fact) {
                 let Some(cs) = slot else {
-                    return Err(pass.cancel(view.inst.fact_count()));
+                    return Err(pass.gov.cancel(view.inst.fact_count()));
                 };
                 let cs = cs?;
                 // Verify with the fact absent so the valuation-domain
@@ -968,7 +874,7 @@ pub fn apply_update(
                         let premises = premises_of(schema, &view.inst, rule, theta);
                         view.inst.insert_fact(schema, f);
                         view.record(f.clone(), *idx, premises);
-                        pass.tallies.fired[*idx] += 1;
+                        pass.gov.profile(*idx).firings += 1;
                         kept = true;
                         break;
                     }
@@ -976,7 +882,7 @@ pub fn apply_update(
                 if !kept {
                     removed_total += 1;
                     if let Some((i, _)) = view.support.get(f) {
-                        pass.tallies.deleted[*i] += 1;
+                        pass.gov.profile(*i).deleted += 1;
                     }
                     if let Some(deps) = view.dependents.remove(f) {
                         let mut ds: Vec<Fact> = deps.into_iter().collect();
@@ -1006,7 +912,7 @@ pub fn apply_update(
                 view.inst.remove_fact(schema, &f);
                 removed_total += 1;
                 if let Some((i, _)) = view.support.get(&f) {
-                    pass.tallies.deleted[*i] += 1;
+                    pass.gov.profile(*i).deleted += 1;
                 }
                 if let Some(deps) = view.dependents.remove(&f) {
                     let mut ds: Vec<Fact> = deps.into_iter().collect();
@@ -1027,20 +933,17 @@ pub fn apply_update(
 
             // Rederive round 0: head inversion over the overdeleted set
             // against the instance with all overdeleted facts absent.
-            let (inst, rules, token) = (&view.inst, &view.rules, &pass.token);
-            let metrics = pass.metrics.as_ref();
+            let (inst, rules) = (&view.inst, &view.rules);
+            let (token, metrics) = (pass.gov.token(), pass.gov.metrics());
             token.reset_item();
-            let per_fact = ordered_map_cancellable(pass.threads, &overdeleted, token, |i, f| {
-                token.note_item(i);
+            let per_fact = ordered_map_cancellable(pass.threads, &overdeleted, token, |_, f| {
                 derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
             });
-            if pass.governor.check().is_some() {
-                return Err(pass.cancel(view.inst.fact_count()));
-            }
+            pass.gov.check(view.inst.fact_count())?;
             let mut delta = Instance::new();
             for (f, slot) in overdeleted.iter().zip(per_fact) {
                 let Some(cs) = slot else {
-                    return Err(pass.cancel(view.inst.fact_count()));
+                    return Err(pass.gov.cancel(view.inst.fact_count()));
                 };
                 let cs = cs?;
                 for (idx, theta) in &cs {
@@ -1058,8 +961,9 @@ pub fn apply_update(
                         let premises = premises_of(schema, &view.inst, rule, theta);
                         view.inst.insert_fact(schema, f);
                         view.record(f.clone(), *idx, premises);
-                        pass.tallies.fired[*idx] += 1;
-                        pass.tallies.derived[*idx] += 1;
+                        let profile = pass.gov.profile(*idx);
+                        profile.firings += 1;
+                        profile.derived += 1;
                         pass.rederived += 1;
                         if let Fact::Assoc { assoc, tuple } = f {
                             delta.insert_assoc(*assoc, tuple.clone());
@@ -1105,7 +1009,7 @@ pub fn apply_update(
     }
 
     // Cascades out of the strata can only land on rule-less predicates.
-    drain(view, &mut pending, &mut removed_total, &mut pass.tallies);
+    drain(view, &mut pending, &mut removed_total, &mut pass.gov);
 
     if let Some(m) = &opts.metrics {
         m.counter("logres_maintain_applies_total").inc();
@@ -1116,7 +1020,7 @@ pub fn apply_update(
         m.counter("logres_maintain_inserted_total")
             .add(pass.added.len() as u64);
     }
-    let report = pass.finish(view);
+    let report = pass.gov.finish(view.inst.fact_count());
     Ok(MaintainResult {
         report,
         added: pass.added,

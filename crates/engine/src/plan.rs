@@ -43,9 +43,8 @@ use crate::error::EngineError;
 use crate::explain::{self, MaterializeStats};
 use crate::governor::Governor;
 use crate::inflationary::{EvalOptions, EvalReport, IterationStats};
-use crate::metrics::EngineMetrics;
 use crate::stratified::Semantics;
-use crate::trace::{self, note_fallback, TraceEvent};
+use crate::trace::note_fallback;
 
 /// Why a program was not run on the compiled path. `reason` is the
 /// `logres_compile_fallbacks_total` label; `detail` is human-readable.
@@ -375,38 +374,10 @@ pub fn run_compiled(
     opts: &EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
     let mut total = edb.clone();
-    let em = opts.metrics.as_ref().map(EngineMetrics::new);
-    let mut report = EvalReport::with_rules(rules);
-    let mut governor = Governor::new(opts);
-    let token = governor.token().clone();
-    let tracer = opts.trace.as_deref();
-    trace::emit(tracer, || TraceEvent::EvalStart {
-        engine: "compiled",
-        rules: rules.rules.len(),
-        facts: edb.fact_count(),
-    });
-
-    let cancel =
-        |mut report: EvalReport, facts: usize, in_rule: Option<String>, governor: &Governor| {
-            let cause = governor.check().expect("cancel taken only when tripped");
-            let step = report.steps;
-            report.facts = facts;
-            report.cancelled_in_rule = in_rule;
-            trace::emit(tracer, || TraceEvent::Cancelled {
-                step,
-                cause: cause.to_string(),
-            });
-            EngineError::Cancelled {
-                cause,
-                partial: Box::new(report),
-            }
-        };
-    let rule_of = |token: &crate::governor::CancelToken| {
-        token.last_item().map(|i| rules.rules[i].to_string())
-    };
-
+    let n = rules.rules.len();
+    let mut gov = Governor::open("compiled", opts, &rules.rules, n, edb.fact_count());
     let mut plan_stats = EvalStats::default();
-    let mut rule_stats = vec![EvalStats::default(); rules.rules.len()];
+    let mut rule_stats = vec![EvalStats::default(); n];
     let mut profile = opts.profile.then(explain::PlanProfile::default);
     let derived: FxHashSet<Sym> = program
         .strata
@@ -453,34 +424,18 @@ pub fn run_compiled(
         // Round 0 runs the full plans; later rounds only the delta plans.
         let mut use_delta = false;
         loop {
-            if use_delta && report.steps >= opts.max_steps {
-                return Err(EngineError::NoFixpoint {
-                    steps: opts.max_steps,
-                });
-            }
-            if total.fact_count() > opts.max_facts {
-                return Err(EngineError::TooManyFacts {
-                    limit: opts.max_facts,
-                });
-            }
-            let round = report.steps;
-            token.reset_item();
-            trace::emit(tracer, || TraceEvent::StepStart {
-                step: round,
-                facts: total.fact_count(),
-            });
+            gov.begin_round(total.fact_count())?;
             let match_start = Instant::now();
             let mut stats = IterationStats::default();
-            let mut per_rule = vec![IterationStats::default(); rules.rules.len()];
+            let mut per_rule = vec![IterationStats::default(); n];
             let mut round_nodes = 0usize;
-            let mut cancelled = false;
             let mut new_delta: FxHashMap<Sym, Relation> = splan
                 .idb
                 .iter()
                 .map(|p| (*p, Relation::new(idb_cols[p].clone())))
                 .collect();
             for step in &splan.steps {
-                token.note_item(step.rule_index);
+                gov.token().note_item(step.rule_index);
                 let rule_start = Instant::now();
                 let plans: &[AlgExpr] = if use_delta {
                     &step.deltas
@@ -521,59 +476,17 @@ pub fn run_compiled(
                 rs.probes += stats_after.probes - stats_before.probes;
                 rs.memo_hits += stats_after.memo_hits - stats_before.memo_hits;
                 per_rule[step.rule_index].match_nanos += rule_start.elapsed().as_nanos() as u64;
-                if token.cancelled() || governor.check().is_some() {
-                    cancelled = true;
+                if gov.token().cancelled() {
                     break;
                 }
             }
             stats.match_nanos = match_start.elapsed().as_nanos() as u64;
             for (idx, s) in per_rule.iter().enumerate() {
-                if let Some(m) = &em {
-                    m.record_rule_step(idx, s.firings as u64, s.derived as u64, 0, 0);
-                }
-                if s.firings > 0 {
-                    trace::emit(tracer, || TraceEvent::RuleFired {
-                        step: round,
-                        rule: idx,
-                        firings: s.firings,
-                        derived: s.derived,
-                        deleted: 0,
-                        match_nanos: s.match_nanos,
-                    });
-                }
+                gov.record_rule(idx, s);
             }
-            report.absorb_rule_stats(&per_rule);
-            governor.charge_nodes(round_nodes);
-            if let Some(m) = &em {
-                m.steps.inc();
-                m.value_nodes.add(round_nodes as u64);
-                m.step_match_ms.observe(stats.match_nanos / 1_000_000);
-                m.step_apply_ms.observe(stats.apply_nanos / 1_000_000);
-                if let Some(headroom) = governor.deadline_headroom_ms() {
-                    m.deadline_headroom_ms.set(headroom);
-                }
-            }
-            if cancelled || governor.check().is_some() {
-                let in_rule = rule_of(&token);
-                return Err(cancel(report, total.fact_count(), in_rule, &governor));
-            }
-            trace::emit(tracer, || TraceEvent::StepEnd {
-                step: round,
-                firings: stats.firings,
-                derived: stats.derived,
-                deleted: 0,
-                facts: total.fact_count(),
-                match_nanos: stats.match_nanos,
-                apply_nanos: stats.apply_nanos,
-            });
-            trace::emit(tracer, || TraceEvent::Budget {
-                step: round,
-                facts: total.fact_count(),
-                value_nodes: governor.value_nodes(),
-                elapsed_ms: governor.elapsed_ms(),
-            });
-            report.iterations.push(stats);
-            report.steps += 1;
+            gov.end_match(round_nodes, stats.match_nanos);
+            gov.check(total.fact_count())?;
+            gov.end_round(stats, total.fact_count());
 
             let mut progressed = false;
             for &p in &splan.idb {
@@ -598,6 +511,7 @@ pub fn run_compiled(
         }
     }
 
+    let mut report = gov.finish(total.fact_count());
     if let Some(m) = &opts.metrics {
         m.counter("logres_compile_runs_total").inc();
         m.counter("logres_compile_rounds_total")
@@ -662,12 +576,6 @@ pub fn run_compiled(
         }
     }
     report.plan_profile = profile;
-    report.facts = total.fact_count();
-    trace::emit(tracer, || TraceEvent::EvalEnd {
-        steps: report.steps,
-        facts: report.facts,
-        fixpoint: true,
-    });
     Ok((total, report))
 }
 

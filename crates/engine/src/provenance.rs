@@ -1,12 +1,13 @@
 //! Derivation provenance: which (rule, stratum, step) produced each fact.
 //!
-//! Behind `EvalOptions::provenance`, the serial merge phase of both fixpoint
-//! drivers records, for every fact entering `Δ⁺` and every invented oid, the
-//! canonical rule index, the stratum, the step, and the ground premises of
-//! the *first* valuation that derived it. Because the merge runs in
-//! canonical rule order regardless of `threads`, the store is bit-identical
-//! at every thread count — the same determinism contract the trace layer
-//! already gives.
+//! Behind `EvalOptions::provenance`, the interpreter's serial merge phase
+//! records, for every fact entering `Δ⁺` and every invented oid, the
+//! canonical rule index, the rule's stratum, the run-wide step, and the
+//! ground premises of the *first* valuation that derived it; one store
+//! covers a whole stratified run. Because the merge runs in canonical rule
+//! order regardless of `threads`, the store is bit-identical at every
+//! thread count — the same determinism contract the trace layer already
+//! gives.
 //!
 //! Memory cost: one [`ProvEntry`] per derived fact — the fact key, three
 //! machine words, plus one clone of each positive ground premise. For a
@@ -43,11 +44,18 @@ pub struct Provenance {
 }
 
 impl Provenance {
-    /// An empty store over one stratum's rules.
-    pub fn new(rules: &RuleSet, stratum: usize) -> Provenance {
+    /// An empty store over a run's rules, where `strata` lists each
+    /// stratum's canonical rule indices in evaluation order.
+    pub fn new(rules: &RuleSet, strata: &[Vec<usize>]) -> Provenance {
+        let mut stratum_of = vec![0; rules.rules.len()];
+        for (s, idxs) in strata.iter().enumerate() {
+            for &i in idxs {
+                stratum_of[i] = s;
+            }
+        }
         Provenance {
             rules: rules.rules.iter().map(|r| r.to_string()).collect(),
-            strata: vec![stratum; rules.rules.len()],
+            strata: stratum_of,
             entries: FxHashMap::default(),
             invented: FxHashMap::default(),
         }
@@ -102,22 +110,6 @@ impl Provenance {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty() && self.invented.is_empty()
-    }
-
-    /// Fold a later stratum's store into this one, re-basing its rule
-    /// indices past the rules already held (mirroring how the stratified
-    /// driver concatenates `rule_profiles`).
-    pub fn absorb(&mut self, other: Provenance) {
-        let offset = self.rules.len();
-        self.rules.extend(other.rules);
-        self.strata.extend(other.strata);
-        for (fact, mut e) in other.entries {
-            e.rule += offset;
-            self.entries.entry(fact).or_insert(e);
-        }
-        for (oid, (rule, step)) in other.invented {
-            self.invented.entry(oid).or_insert((rule + offset, step));
-        }
     }
 
     /// Walk a fact's derivation back to EDB leaves.
@@ -409,7 +401,7 @@ mod tests {
             assoc: logres_model::Sym::new("tc"),
             tuple: Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))]),
         };
-        let mut prov = Provenance::new(&p.rules, 0);
+        let mut prov = Provenance::new(&p.rules, &[vec![0, 1]]);
         prov.record(tc(0, 1), 0, 0, vec![edge(0, 1)]);
         prov.record(tc(1, 2), 0, 0, vec![edge(1, 2)]);
         prov.record(tc(0, 2), 1, 1, vec![tc(0, 1), edge(1, 2)]);
@@ -445,15 +437,24 @@ mod tests {
     }
 
     #[test]
-    fn absorb_rebases_rule_indices() {
-        let (prov, _) = chain_store();
-        let (other, facts) = chain_store();
-        let mut base = prov;
-        let before = base.rule_text(1).unwrap().to_owned();
-        base.absorb(other);
-        // The pre-existing entry is untouched; the absorbed rules follow.
-        assert_eq!(base.entry(&facts[0]).unwrap().rule, 1);
-        assert_eq!(base.rule_text(3).unwrap(), before);
-        assert_eq!(base.stratum(2), 0);
+    fn rules_keep_canonical_indices_and_their_strata() {
+        let p = parse_program(
+            r#"
+            associations
+              e = (a: integer);
+              f = (a: integer);
+              g = (a: integer);
+            rules
+              g(a: X) <- e(a: X), not f(a: X).
+              f(a: X) <- e(a: X).
+        "#,
+        )
+        .unwrap();
+        let prov = Provenance::new(&p.rules, &[vec![1], vec![0]]);
+        assert_eq!(
+            prov.rule_text(0),
+            Some(p.rules.rules[0].to_string().as_str())
+        );
+        assert_eq!((prov.stratum(0), prov.stratum(1)), (1, 0));
     }
 }

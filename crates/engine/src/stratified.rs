@@ -7,17 +7,18 @@
 //! inflationary semantics." Module application (Section 4.1) chooses the
 //! semantics per application — "LOGRES modules and databases are parametric
 //! with respect to the semantics of the rules they support".
-
-use std::time::Instant;
+//!
+//! A stratified run is one run: the interpreter evaluates the strata in
+//! order under one [`crate::Governor`], so the budgets bound the whole run,
+//! step numbers are run-wide, and profiles, `rule_fired` events, per-rule
+//! metrics and provenance number rules by their canonical index — exactly
+//! as the compiled path ([`crate::plan`]) records them.
 
 use logres_lang::{stratify, RuleSet, Stratification};
 use logres_model::{Instance, Schema};
 
 use crate::error::EngineError;
-use crate::inflationary::{
-    evaluate_inflationary, evaluate_inflationary_stratum, EvalOptions, EvalReport,
-};
-use crate::provenance::Provenance;
+use crate::inflationary::{evaluate_inflationary, evaluate_strata, EvalOptions, EvalReport};
 
 /// Which semantics to evaluate a program under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -59,7 +60,8 @@ pub fn evaluate(
     }
 }
 
-/// Stratified evaluation (with inflationary fallback).
+/// Stratified evaluation (with inflationary fallback): the strata run in
+/// order on the interpreter, as one run under one governor.
 pub fn evaluate_stratified(
     schema: &Schema,
     rules: &RuleSet,
@@ -67,67 +69,7 @@ pub fn evaluate_stratified(
     opts: EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
     match stratify(rules) {
-        Stratification::Stratified(strata) => {
-            let mut inst = edb.clone();
-            let mut total = EvalReport::default();
-            // One wall-clock budget spans all strata: each stratum gets the
-            // time remaining, so a deadline bounds the whole run, not each
-            // stratum independently.
-            let overall_deadline = opts.deadline.map(|d| Instant::now() + d);
-            // Provenance rule indices re-base per stratum, mirroring how
-            // `rule_profiles` concatenate below.
-            let mut prov = if opts.provenance {
-                Some(Provenance::default())
-            } else {
-                None
-            };
-            for (stratum_idx, stratum) in strata.into_iter().enumerate() {
-                let sub = RuleSet {
-                    rules: stratum.iter().map(|&i| rules.rules[i].clone()).collect(),
-                };
-                let mut stratum_opts = opts.clone();
-                stratum_opts.deadline =
-                    overall_deadline.map(|d| d.saturating_duration_since(Instant::now()));
-                match evaluate_inflationary_stratum(schema, &sub, &inst, stratum_opts, stratum_idx)
-                {
-                    Ok((next, report)) => {
-                        inst = next;
-                        total.steps += report.steps;
-                        total.iterations.extend(report.iterations);
-                        total.rule_profiles.extend(report.rule_profiles);
-                        if let (Some(p), Some(sub_prov)) = (prov.as_mut(), report.provenance) {
-                            p.absorb(sub_prov);
-                        }
-                    }
-                    Err(EngineError::Cancelled { cause, partial }) => {
-                        // Fold the completed strata into the partial report
-                        // so the error describes the whole run.
-                        let mut partial = *partial;
-                        partial.steps += total.steps;
-                        let mut iterations = total.iterations;
-                        iterations.extend(partial.iterations);
-                        partial.iterations = iterations;
-                        let mut rule_profiles = total.rule_profiles;
-                        rule_profiles.extend(partial.rule_profiles);
-                        partial.rule_profiles = rule_profiles;
-                        if let (Some(mut p), Some(sub_prov)) =
-                            (prov.take(), partial.provenance.take())
-                        {
-                            p.absorb(sub_prov);
-                            partial.provenance = Some(p);
-                        }
-                        return Err(EngineError::Cancelled {
-                            cause,
-                            partial: Box::new(partial),
-                        });
-                    }
-                    Err(other) => return Err(other),
-                }
-            }
-            total.facts = inst.fact_count();
-            total.provenance = prov;
-            Ok((inst, total))
-        }
+        Stratification::Stratified(strata) => evaluate_strata(schema, rules, edb, &strata, &opts),
         Stratification::Unstratifiable { .. } => {
             match evaluate_inflationary(schema, rules, edb, opts) {
                 Ok((inst, mut report)) => {

@@ -7,9 +7,11 @@
 
 use logres::engine::{
     evaluate_inflationary, evaluate_stratified, load_facts, EvalOptions, MaterializedView,
+    TraceEvent, Tracer,
 };
 use logres::lang::parse_program;
 use logres::model::{Instance, Oid, OidGen, Sym};
+use logres::{Database, Mode};
 use logres_repro::generators::{closure_program, random_edges};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 0]; // 0 = one worker per core
@@ -159,6 +161,51 @@ fn view_build_is_thread_count_invariant() {
         );
         assert_eq!(view.supported_count(), baseline.supported_count());
         assert_eq!(report.steps, base_report.steps);
+    }
+}
+
+/// A traced maintained update records its delta rounds like any other run,
+/// and the record does not depend on the thread count.
+#[test]
+fn maintained_update_trace_is_thread_count_invariant() {
+    let traced_update = |threads: usize| {
+        let mut db = Database::from_source(&closure_program(&random_edges(14, 28, 14)))
+            .expect("program loads");
+        db.set_options(opts(threads));
+        db.apply_source("rules\n  e(a: 100, b: 101) <- .\n", Mode::Ridv)
+            .expect("builds the view");
+        let tracer = Tracer::memory();
+        db.set_options(EvalOptions {
+            trace: Some(tracer.clone()),
+            ..opts(threads)
+        });
+        db.apply_source(
+            "rules\n  e(a: 101, b: 102) <- .\n  e(a: 5, b: 100) <- .\n",
+            Mode::Ridv,
+        )
+        .expect("maintained update");
+        let events: Vec<TraceEvent> = tracer.events().iter().map(TraceEvent::normalized).collect();
+        (events, db.edb().clone())
+    };
+    let (base, base_edb) = traced_update(1);
+    assert!(
+        matches!(
+            base.first(),
+            Some(TraceEvent::EvalStart {
+                engine: "maintain",
+                ..
+            })
+        ),
+        "{base:?}"
+    );
+    assert!(
+        base.iter().any(|e| matches!(e, TraceEvent::StepEnd { .. })),
+        "maintenance rounds leave no step_end: {base:?}"
+    );
+    for threads in THREAD_COUNTS {
+        let (events, edb) = traced_update(threads);
+        assert_eq!(edb, base_edb, "state differs at threads={threads}");
+        assert_eq!(events, base, "trace differs at threads={threads}");
     }
 }
 

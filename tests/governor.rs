@@ -222,7 +222,139 @@ fn view_build_honors_the_deadline() {
         ..EvalOptions::default()
     };
     let err = MaterializedView::build(&schema, &rules, &edb, &opts).expect_err("0ms must cancel");
-    assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
+    let EngineError::Cancelled { partial, .. } = err else {
+        panic!("expected Cancelled, got {err}");
+    };
+    // The partial report carries one profile per rule, as every driver's does.
+    assert_eq!(
+        partial.rule_profiles.len(),
+        rules.rules.len(),
+        "{partial:?}"
+    );
+}
+
+/// A chain closure plus one negation stratum: `tc` in stratum 0, `tc2` in
+/// stratum 1. `skip` lists the chain nodes `tc2` leaves out: none (node 100
+/// is off the chain), or all of them, when stratum 1 closes in one round.
+fn two_strata_chain(edges: usize, skip_all: bool) -> String {
+    let facts: String = (0..edges)
+        .map(|i| format!("  e(a: {i}, b: {}).\n", i + 1))
+        .collect();
+    let skipped: Vec<usize> = if skip_all {
+        (0..edges).collect()
+    } else {
+        vec![100]
+    };
+    let skips: String = skipped
+        .iter()
+        .map(|i| format!("  skip(a: {i}).\n"))
+        .collect();
+    format!(
+        "associations\n  e = (a: integer, b: integer);\n  tc = (a: integer, b: integer);\n  \
+         tc2 = (a: integer, b: integer);\n  skip = (a: integer);\n\
+         facts\n{facts}{skips}\
+         rules\n  tc(a: X, b: Y) <- e(a: X, b: Y).\n  \
+         tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).\n  \
+         tc2(a: X, b: Y) <- tc(a: X, b: Y), not skip(a: X).\n"
+    )
+}
+
+/// Stratum 0 closes at once; stratum 1 invents a counter object per step
+/// and never closes.
+const SECOND_STRATUM_DIVERGES: &str = r#"
+    classes
+      c = (n: integer);
+    associations
+      t = (n: integer);
+    rules
+      t(n: 1) <- .
+      c(self: X, n: 0) <- .
+      c(self: X, n: N) <- c(n: M), N = M + 1, not t(n: 5).
+"#;
+
+/// Budgets bound a whole stratified run, not each stratum, and charge the
+/// same on the interpreter and the compiled path: one value budget, one
+/// `max_steps` counting every round begun in any stratum, one deadline
+/// reported as configured.
+#[test]
+fn stratified_budgets_bound_the_whole_run_on_both_paths() {
+    enum Want {
+        ValueBudget(usize),
+        NoFixpoint(usize),
+        Fixpoint,
+        Deadline(u64),
+    }
+    let nodes = |n| EvalOptions {
+        max_value_nodes: Some(n),
+        ..EvalOptions::default()
+    };
+    let steps = |n| EvalOptions {
+        max_steps: n,
+        ..EvalOptions::default()
+    };
+    let chain20 = two_strata_chain(20, false);
+    let chain5 = two_strata_chain(5, false);
+    let chain5_skipped = two_strata_chain(5, true);
+    let cases: Vec<(&str, EvalOptions, Want)> = vec![
+        // 20 edges: 441 facts, 1,260 value nodes derived over both strata.
+        (&chain20, nodes(800), Want::ValueBudget(800)),
+        (&chain20, nodes(1_000), Want::ValueBudget(1_000)),
+        (&chain20, nodes(1_200), Want::ValueBudget(1_200)),
+        // 5 edges: six rounds close `tc`, two more close `tc2`.
+        (&chain5, steps(6), Want::NoFixpoint(6)),
+        (&chain5, steps(7), Want::NoFixpoint(7)),
+        (&chain5, steps(8), Want::Fixpoint),
+        // `tc2` derives nothing: its stratum's one round counts as well.
+        (&chain5_skipped, steps(6), Want::NoFixpoint(6)),
+        (&chain5_skipped, steps(7), Want::Fixpoint),
+        (
+            SECOND_STRATUM_DIVERGES,
+            EvalOptions {
+                deadline: Some(Duration::from_millis(50)),
+                ..EvalOptions::default()
+            },
+            Want::Deadline(50),
+        ),
+    ];
+    for (src, base, want) in &cases {
+        let (schema, edb, rules) = edb_of(src);
+        for compiled in [true, false] {
+            for threads in [1usize, 8] {
+                let opts = EvalOptions {
+                    compiled,
+                    threads,
+                    ..base.clone()
+                };
+                let ctx = format!(
+                    "compiled={compiled} threads={threads} max_steps={} \
+                     max_value_nodes={:?} deadline={:?}",
+                    opts.max_steps, opts.max_value_nodes, opts.deadline
+                );
+                let got = evaluate(&schema, &rules, &edb, Semantics::Stratified, opts);
+                match (want, got) {
+                    (Want::Fixpoint, Ok(_)) => {}
+                    (Want::NoFixpoint(n), Err(EngineError::NoFixpoint { steps })) => {
+                        assert_eq!(steps, *n, "{ctx}")
+                    }
+                    (Want::ValueBudget(n), Err(EngineError::Cancelled { cause, .. })) => {
+                        let CancelCause::ValueBudget { limit, used } = cause else {
+                            panic!("{ctx}: expected a value budget, got {cause:?}");
+                        };
+                        assert_eq!(limit, *n, "{ctx}");
+                        assert!(used > limit, "{ctx}");
+                    }
+                    (Want::Deadline(ms), Err(EngineError::Cancelled { cause, partial })) => {
+                        assert_eq!(cause, CancelCause::Deadline { budget_ms: *ms }, "{ctx}");
+                        let msg = EngineError::Cancelled { cause, partial }.to_string();
+                        assert!(msg.contains(&format!("deadline of {ms}ms")), "{ctx}: {msg}");
+                    }
+                    (_, other) => {
+                        panic!("{ctx}: unexpected outcome {:?}", other.map(|r| r.1.steps))
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Sanity for the Sym import lint: the counter program really does invent.

@@ -251,3 +251,94 @@ fn check_diagnostics_counter_labels_each_code() {
         db.metrics()
     );
 }
+
+/// `covered`/`isolated` with the negating rule listed first: canonical rule
+/// 0 lives in the second stratum.
+const ISOLATED_FIRST: &str = r#"
+    associations
+      node     = (n: integer);
+      edge     = (a: integer, b: integer);
+      covered  = (n: integer);
+      isolated = (n: integer);
+    facts
+      node(n: 1).
+      node(n: 2).
+      node(n: 3).
+      edge(a: 1, b: 2).
+    rules
+      isolated(n: X) <- node(n: X), not covered(n: X).
+      covered(n: X) <- edge(a: X, b: Y).
+      covered(n: X) <- edge(a: Y, b: X).
+"#;
+
+/// A stratified run is one run: profiles, `rule_fired`, the `rule="N"`
+/// series and `:why` all number rules canonically, whichever stratum a rule
+/// sits in, and the trace holds one `eval_start` and run-wide step numbers,
+/// on the interpreter and the compiled path alike.
+#[test]
+fn stratified_runs_number_rules_canonically() {
+    let (schema, edb, rules) = edb_of(ISOLATED_FIRST);
+    let mut derived_by_rule = Vec::new();
+    for compiled in [true, false] {
+        let tracer = logres::engine::Tracer::memory();
+        let registry = Arc::new(MetricsRegistry::new());
+        let opts = EvalOptions {
+            compiled,
+            trace: Some(tracer.clone()),
+            metrics: Some(registry.clone()),
+            ..EvalOptions::default()
+        };
+        let (inst, report) =
+            logres::engine::evaluate(&schema, &rules, &edb, logres::Semantics::Stratified, opts)
+                .expect("stratified run");
+        assert_eq!(inst.assoc_len(logres::Sym::new("isolated")), 1);
+        let texts: Vec<String> = rules.rules.iter().map(|r| r.to_string()).collect();
+        let profiled: Vec<String> = report
+            .rule_profiles
+            .iter()
+            .map(|p| p.rule.clone())
+            .collect();
+        assert_eq!(profiled, texts, "compiled={compiled}: canonical order");
+        let events = tracer.events();
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, logres::TraceEvent::EvalStart { .. }))
+            .count();
+        assert_eq!(starts, 1, "compiled={compiled}: one run, one eval_start");
+        let steps: Vec<usize> = events
+            .iter()
+            .filter_map(|e| match e {
+                logres::TraceEvent::StepStart { step, .. } => Some(*step),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            steps.windows(2).all(|w| w[0] < w[1]),
+            "compiled={compiled}: step numbers {steps:?}"
+        );
+        let mut fired = vec![0usize; rules.rules.len()];
+        for e in &events {
+            if let logres::TraceEvent::RuleFired { rule, derived, .. } = e {
+                fired[*rule] += derived;
+            }
+        }
+        let profiled: Vec<usize> = report.rule_profiles.iter().map(|p| p.derived).collect();
+        assert_eq!(fired, profiled, "compiled={compiled}: rule_fired numbering");
+        let derived: Vec<(String, u64)> = registry
+            .counter_snapshot()
+            .into_iter()
+            .filter(|(series, _)| series.starts_with("logres_rule_derived_facts_total{"))
+            .collect();
+        derived_by_rule.push(derived);
+    }
+    assert_eq!(
+        derived_by_rule[0], derived_by_rule[1],
+        "logres_rule_derived_facts_total{{rule=}} agrees across the paths"
+    );
+    assert_eq!(derived_by_rule[0].len(), 3, "{:?}", derived_by_rule[0]);
+
+    let mut db = logres::Database::from_source(ISOLATED_FIRST).expect("program loads");
+    db.set_semantics(logres::Semantics::Stratified);
+    let why = db.why_source("isolated(n: 3)").expect("why runs");
+    assert!(why.contains("via rule #0 (stratum 1, "), "{why}");
+}
