@@ -114,7 +114,7 @@ pub struct EvalStats {
 /// so repeated evaluations of the same node — one per semi-naive round —
 /// accumulate. `nanos` is *inclusive* wall time (the node plus the
 /// children it actually evaluated); every other field is a deterministic
-/// count, bit-identical across runs and thread counts.
+/// count, bit-identical across runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct OpStats {
     /// Times this node was evaluated (memo hits included).

@@ -843,7 +843,7 @@ impl Database {
     }
 
     /// [`Database::query`] under one-off evaluation options (deadline,
-    /// budgets, trace sink, thread count) without disturbing the database's
+    /// budgets, trace sink, profiling) without disturbing the database's
     /// defaults; returns the rows together with the evaluation report so
     /// callers can inspect profiles and budget consumption.
     pub fn query_with_options(

@@ -17,6 +17,11 @@
 //! (rule, body-valuation), tracked by [`InventionMemo`]; an unbound head
 //! variable of a class type other than the head's own class becomes `nil`
 //! (case c).
+//!
+//! [`OneStep::deltas_governed`] computes both sets in one serial loop over
+//! the rules in canonical order and only reads `F`; [`OneStep::apply`]
+//! writes the successor afterwards, so every rule of a step sees the same
+//! `F` — the step is one simultaneous application.
 
 use logres_lang::{Atom, PredArg, Rule, RuleSet};
 use logres_model::{Fact, Instance, Oid, OidGen, PredKind, Schema, Sym, TypeDesc, Value};
@@ -75,8 +80,8 @@ pub struct DeltaSets {
     /// Total [`Value::node_count`] of the `Δ⁺` facts — what the governor
     /// charges against its value-node budget.
     pub plus_nodes: usize,
-    /// Set when a cancellation token tripped during the match phase; the
-    /// deltas are then incomplete and must not be applied.
+    /// Set when a governor poll tripped before a rule; the deltas are then
+    /// incomplete and must not be applied.
     pub cancelled: bool,
 }
 
@@ -112,65 +117,42 @@ impl<'a> OneStep<'a> {
     }
 
     /// Compute `Δ⁺(R, F)` and `Δ⁻(R, F)` over the rules `rules` (canonical
-    /// indices) for the current round of `gov`'s run, with up to `threads`
-    /// worker threads matching rule bodies against the (immutable)
-    /// instance.
+    /// indices) for the current round of `gov`'s run.
     ///
-    /// Only the match phase is parallel; head instantiation — which
-    /// consumes the invention memo and the oid generator — always runs
-    /// serially in canonical rule order over the order-preserved valuation
-    /// lists, so the deltas (and every invented oid) are byte-for-byte
-    /// identical for every thread count. The serial merge folds each rule's
-    /// share into `gov` (its per-rule profiles and metrics) and records
-    /// provenance when the run keeps it. Workers poll `gov`'s token between
-    /// rules and record which rule they are matching; when it trips
-    /// mid-phase the returned sets carry `cancelled = true` and stop at the
-    /// last contiguously matched rule.
+    /// One serial loop takes each rule in canonical order: poll `gov`,
+    /// match the body against `inst`, instantiate the head for every
+    /// valuation, and fold the rule's share into `gov` (its profile, its
+    /// metrics and, when the run keeps it, provenance). Head instantiation
+    /// reads `inst` only, so every rule sees the round's starting instance
+    /// (Appendix B's simultaneous step) and the invention memo and oid
+    /// generator are consumed in canonical (rule, valuation) order. When a
+    /// poll trips, the returned sets carry `cancelled = true` and hold the
+    /// rules matched before it.
     pub fn deltas_governed(
         &mut self,
         inst: &Instance,
         rules: &[usize],
-        threads: usize,
         gov: &mut Governor,
     ) -> Result<DeltaSets, EngineError> {
-        let schema = self.schema;
-        let all = &self.rules.rules;
-        let (token, metrics) = (gov.token(), gov.metrics());
-        let valuations =
-            crate::parallel::ordered_map_cancellable(threads, rules, token, |_, &i| {
-                token.note_item(i);
-                let start = std::time::Instant::now();
-                // Probe counts accumulate locally and flush once per rule:
-                // per-event updates on the shared atomics would dominate the
-                // match phase on probe-heavy workloads.
-                let tally = crate::metrics::ProbeTally::default();
-                let view = BodyView::plain(inst).with_tally(metrics.map(|_| &tally));
-                let thetas = eval_body(schema, view, &all[i].body, Subst::new());
-                if let Some(m) = metrics {
-                    tally.flush(m);
-                }
-                (thetas, start.elapsed().as_nanos() as u64)
-            });
-
         let step = gov.step();
         let mut out = DeltaSets::default();
         let mut plus_seen: FxHashSet<Fact> = FxHashSet::default();
         let mut minus_seen: FxHashSet<Fact> = FxHashSet::default();
 
-        for (&idx, slot) in rules.iter().zip(valuations) {
-            let Some((thetas, match_nanos)) = slot else {
-                // The match phase was cut short: later rules may have
-                // results, but the merge must stop at the first gap to keep
-                // whatever it produced meaningful.
+        for &idx in rules {
+            if gov.poll(idx) {
                 out.cancelled = true;
                 break;
-            };
-            let rule = &all[idx];
+            }
+            let rule = &self.rules.rules[idx];
+            let start = std::time::Instant::now();
+            let view = BodyView::plain(inst).with_tally(gov.tally());
+            let thetas = eval_body(self.schema, view, &rule.body, Subst::new())?;
             let mut stats = IterationStats {
-                match_nanos,
+                match_nanos: start.elapsed().as_nanos() as u64,
                 ..IterationStats::default()
             };
-            for theta in thetas? {
+            for theta in thetas {
                 out.firings += 1;
                 stats.firings += 1;
                 let memo_before = self.memo.len();
@@ -671,7 +653,7 @@ mod tests {
         let rules = step.rules;
         let mut gov = Governor::open("test", &opts, &rules.rules, rules.rules.len(), 0);
         let all: Vec<usize> = (0..rules.rules.len()).collect();
-        step.deltas_governed(inst, &all, 1, &mut gov).unwrap()
+        step.deltas_governed(inst, &all, &mut gov).unwrap()
     }
 
     #[test]

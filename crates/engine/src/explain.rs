@@ -19,10 +19,10 @@
 //!   micro-closure overhead (E15).
 //!
 //! Determinism: the compiled driver is serial in canonical rule order, so
-//! every counting field of a [`PlanProfile`] is bit-identical at any
-//! `EvalOptions::threads` setting. The two timing fields (`nanos`,
-//! `self_nanos`) are exempt; [`PlanProfile::normalized`] zeroes them so
-//! profiles can be compared across runs, mirroring `TraceEvent::normalized`.
+//! every counting field of a [`PlanProfile`] is the same on every run of a
+//! program. The two timing fields (`nanos`, `self_nanos`) are exempt;
+//! [`PlanProfile::normalized`] zeroes them so profiles can be compared
+//! across runs, mirroring `TraceEvent::normalized`.
 
 use algres::{AlgExpr, Evaluator, OpStats};
 use logres_lang::RuleSet;
@@ -218,8 +218,8 @@ pub fn render_unsupported(u: &CompileUnsupported) -> String {
 
 /// One operator node of one compiled plan, annotated with runtime counters.
 ///
-/// All count fields are deterministic (bit-identical at every thread
-/// count); `nanos` (inclusive wall time) and `self_nanos` (inclusive minus
+/// All count fields are deterministic (bit-identical on every run);
+/// `nanos` (inclusive wall time) and `self_nanos` (inclusive minus
 /// the children's inclusive time) are the only timing fields.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpProfile {
@@ -280,8 +280,8 @@ pub struct PlanProfile {
 
 impl PlanProfile {
     /// A copy with every timing field zeroed, leaving only the
-    /// deterministic counters — profiles of the same run are then equal at
-    /// every thread count (the `TraceEvent::normalized` discipline).
+    /// deterministic counters — profiles of the same program are then
+    /// equal on every run (the `TraceEvent::normalized` discipline).
     pub fn normalized(&self) -> PlanProfile {
         PlanProfile {
             rules: self

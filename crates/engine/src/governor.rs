@@ -17,24 +17,25 @@
 //! * the [`crate::EvalReport`]: per-rule profiles in canonical rule order,
 //!   the iterations, and the rule that was firing when a budget tripped.
 //!
-//! The governor's [`CancelToken`] is shared with parallel match workers;
-//! workers poll it between match tasks, which bounds the latency of a
-//! deadline abort to one round boundary plus one in-flight rule match.
+//! Every driver matches its rules one at a time in one serial loop and
+//! polls the governor before each rule (`Governor::poll`): a deadline
+//! abort therefore lands within one rule match, and the partial report
+//! names the rule that was being matched. The governor also owns the run's
+//! [`ProbeTally`], so matcher access-path counts reach the shared counters
+//! once per run, on every exit path.
 //!
 //! Cancellation never corrupts state: the instance under construction is
 //! discarded and the partial [`crate::EvalReport`] travels inside
 //! [`crate::EngineError::Cancelled`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use logres_lang::Rule;
 
 use crate::error::EngineError;
 use crate::inflationary::{EvalOptions, EvalReport, IterationStats, RuleProfile};
-use crate::metrics::EngineMetrics;
+use crate::metrics::{EngineMetrics, ProbeTally};
 use crate::provenance::Provenance;
 use crate::trace::{self, TraceEvent, Tracer};
 
@@ -71,103 +72,27 @@ impl fmt::Display for CancelCause {
     }
 }
 
-/// Sentinel for "no rule recorded" in [`CancelToken::last_item`].
-const NO_ITEM: usize = usize::MAX;
-
-/// A cheap, cloneable cancellation token shared between the driver and the
-/// parallel match workers.
-///
-/// Workers call [`CancelToken::cancelled`] before claiming each match task;
-/// the check is one atomic load on the fast path, plus a clock read when a
-/// deadline is set. Workers also record which rule they are matching via
-/// [`CancelToken::note_item`], so a cancelled run can report the rule that
-/// was firing.
-#[derive(Debug, Clone)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-    deadline: Option<Instant>,
-    last_item: Arc<AtomicUsize>,
-}
-
-impl CancelToken {
-    /// A token that never cancels (no deadline, never flagged).
-    pub fn unlimited() -> CancelToken {
-        CancelToken {
-            flag: Arc::new(AtomicBool::new(false)),
-            deadline: None,
-            last_item: Arc::new(AtomicUsize::new(NO_ITEM)),
-        }
-    }
-
-    fn with_deadline(deadline: Option<Instant>) -> CancelToken {
-        CancelToken {
-            deadline,
-            ..CancelToken::unlimited()
-        }
-    }
-
-    /// Has the run been cancelled (explicitly, or by deadline expiry)?
-    ///
-    /// Observing an expired deadline latches the flag so later checks stay
-    /// cheap and all clones agree.
-    pub fn cancelled(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        if let Some(d) = self.deadline {
-            if Instant::now() >= d {
-                self.flag.store(true, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Latch the cancellation flag.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
-    }
-
-    /// Record that item (rule) `i` is being matched. Under races the highest
-    /// index wins, keeping the value deterministic enough for diagnostics.
-    pub fn note_item(&self, i: usize) {
-        let mut cur = self.last_item.load(Ordering::Relaxed);
-        while cur == NO_ITEM || cur < i {
-            match self
-                .last_item
-                .compare_exchange_weak(cur, i, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// The highest item index recorded via [`CancelToken::note_item`], if any.
-    pub fn last_item(&self) -> Option<usize> {
-        match self.last_item.load(Ordering::Relaxed) {
-            NO_ITEM => None,
-            i => Some(i),
-        }
-    }
-
-    /// Reset the recorded item at a step boundary.
-    pub fn reset_item(&self) {
-        self.last_item.store(NO_ITEM, Ordering::Relaxed);
-    }
-}
-
 /// The record of one evaluation run: budgets, rounds, trace and report.
 ///
 /// A driver opens it once per run with [`Governor::open`], brackets every
-/// round with `begin_round` and `end_round`, folds each rule's share of a
-/// round in with `record_rule`, closes each match phase with `end_match`,
-/// stops through `check`, and takes the report from [`Governor::finish`].
+/// round with `begin_round` and `end_round`, polls before each rule it
+/// matches, folds each rule's share of a round in with `record_rule`,
+/// closes each match phase with `end_match`, stops through `check`, and
+/// takes the report from [`Governor::finish`].
 pub struct Governor<'a> {
     opts: &'a EvalOptions,
     metrics: Option<EngineMetrics>,
+    /// Matcher access-path decisions of the whole run, flushed into
+    /// `metrics` when the governor drops: per-probe updates of the shared
+    /// atomics measured about 10% overhead on E12.
+    tally: ProbeTally,
     start: Instant,
-    token: CancelToken,
+    deadline: Option<Instant>,
+    /// Latched once a poll observes the deadline passed, or `check` the
+    /// value budget exhausted.
+    tripped: bool,
+    /// The rule whose body is being matched, named by a cancelled report.
+    matching: Option<usize>,
     value_nodes: usize,
     /// Rounds begun so far, across every stratum of the run.
     rounds: usize,
@@ -188,16 +113,27 @@ impl<'a> Governor<'a> {
         facts: usize,
     ) -> Governor<'a> {
         let start = Instant::now();
-        let mut gov = Governor {
+        let gov = Governor {
             opts,
             metrics: opts.metrics.as_ref().map(EngineMetrics::new),
+            tally: ProbeTally::default(),
             start,
-            token: CancelToken::with_deadline(opts.deadline.map(|d| start + d)),
+            deadline: opts.deadline.map(|d| start + d),
+            tripped: false,
+            matching: None,
             value_nodes: 0,
             rounds: 0,
-            report: EvalReport::default(),
+            report: EvalReport {
+                rule_profiles: rules
+                    .iter()
+                    .map(|r| RuleProfile {
+                        rule: r.to_string(),
+                        ..RuleProfile::default()
+                    })
+                    .collect(),
+                ..EvalReport::default()
+            },
         };
-        gov.cover(rules);
         trace::emit(gov.tracer(), || TraceEvent::EvalStart {
             engine,
             rules: live,
@@ -206,31 +142,37 @@ impl<'a> Governor<'a> {
         gov
     }
 
-    /// Open profiles for the rules of `rules` past those already profiled
-    /// (maintenance appends the rules an update adds).
-    pub(crate) fn cover(&mut self, rules: &[Rule]) {
-        let known = self.report.rule_profiles.len();
-        self.report
-            .rule_profiles
-            .extend(rules.iter().skip(known).map(|r| RuleProfile {
-                rule: r.to_string(),
-                ..RuleProfile::default()
-            }));
+    /// Poll before matching rule `rule`: returns whether the run has
+    /// tripped, in which case the driver stops matching; otherwise records
+    /// `rule` as the rule being matched. The check is a flag test plus a
+    /// clock read when a deadline is set.
+    pub(crate) fn poll(&mut self, rule: usize) -> bool {
+        if self.tripped() {
+            return true;
+        }
+        self.matching = Some(rule);
+        false
     }
 
-    /// The cancellation token to hand to match workers.
-    pub fn token(&self) -> &CancelToken {
-        &self.token
+    /// Has the run tripped? A poll for a match phase that works fact by
+    /// fact rather than rule by rule (maintenance's recount and rederive).
+    /// Observing an expired deadline latches the flag.
+    pub(crate) fn tripped(&mut self) -> bool {
+        if !self.tripped && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            self.tripped = true;
+        }
+        self.tripped
+    }
+
+    /// The run's probe tally, for the matcher to count into when the run
+    /// counts.
+    pub(crate) fn tally(&self) -> Option<&ProbeTally> {
+        self.metrics.as_ref().map(|_| &self.tally)
     }
 
     /// The run's trace sink, for the events a driver emits inside a round.
     pub(crate) fn tracer(&self) -> Option<&'a Tracer> {
         self.opts.trace.as_deref()
-    }
-
-    /// The run's metric handles, when it counts.
-    pub(crate) fn metrics(&self) -> Option<&EngineMetrics> {
-        self.metrics.as_ref()
     }
 
     /// The run-wide index of the current round.
@@ -254,8 +196,8 @@ impl<'a> Governor<'a> {
         &mut self.report.rule_profiles[rule]
     }
 
-    /// Begin the next round: enforce the fact cap and `max_steps`, reset
-    /// the token's rule register, and emit `step_start`. Every round begun
+    /// Begin the next round: enforce the fact cap and `max_steps`, forget
+    /// the rule last matched, and emit `step_start`. Every round begun
     /// counts against `max_steps`, whichever stratum it belongs to. Returns
     /// the round's run-wide index.
     pub(crate) fn begin_round(&mut self, facts: usize) -> Result<usize, EngineError> {
@@ -271,7 +213,7 @@ impl<'a> Governor<'a> {
         }
         let step = self.rounds;
         self.rounds += 1;
-        self.token.reset_item();
+        self.matching = None;
         trace::emit(self.tracer(), || TraceEvent::StepStart { step, facts });
         Ok(step)
     }
@@ -332,25 +274,28 @@ impl<'a> Governor<'a> {
 
     /// Stop the run if a budget has tripped: the error carries the report
     /// so far (rounds ended, `facts`, profiles, provenance, and the rule
-    /// the token last saw matched) and the trace gets a `cancelled` event.
-    /// The value budget is checked before the token, so a run that
-    /// exhausts both reports the deterministic cause.
+    /// being matched when a poll tripped) and the trace gets a `cancelled`
+    /// event. The value budget is checked before the deadline, so a run
+    /// that exhausts both reports the deterministic cause. A check that
+    /// passes closes the match phase: no rule is being matched after it.
     pub(crate) fn check(&mut self, facts: usize) -> Result<(), EngineError> {
         let cause = match (self.opts.max_value_nodes, self.value_nodes) {
             (Some(limit), used) if used > limit => {
-                self.token.cancel();
+                self.tripped = true;
                 CancelCause::ValueBudget { limit, used }
             }
-            _ if self.token.cancelled() => CancelCause::Deadline {
+            _ if self.tripped() => CancelCause::Deadline {
                 budget_ms: self.opts.deadline.unwrap_or_default().as_millis() as u64,
             },
-            _ => return Ok(()),
+            _ => {
+                self.matching = None;
+                return Ok(());
+            }
         };
         let mut partial = std::mem::take(&mut self.report);
         partial.facts = facts;
         partial.cancelled_in_rule = self
-            .token
-            .last_item()
+            .matching
             .and_then(|i| partial.rule_profiles.get(i))
             .map(|p| p.rule.clone());
         let step = self.step();
@@ -362,13 +307,6 @@ impl<'a> Governor<'a> {
             cause,
             partial: Box::new(partial),
         })
-    }
-
-    /// The error for a phase the token cut short: a task a worker skipped
-    /// latched the token, so `check` stops the run.
-    pub(crate) fn cancel(&mut self, facts: usize) -> EngineError {
-        self.check(facts)
-            .expect_err("a skipped task latched the cancellation token")
     }
 
     /// End the current round: emit `step_end` and `budget`, record its
@@ -414,11 +352,20 @@ impl<'a> Governor<'a> {
             facts,
             fixpoint: true,
         });
-        self.report
+        std::mem::take(&mut self.report)
     }
 
     fn elapsed_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
+    }
+}
+
+impl Drop for Governor<'_> {
+    /// Flush the run's probe tally, however the run ended.
+    fn drop(&mut self) {
+        if let Some(m) = &self.metrics {
+            self.tally.flush(m);
+        }
     }
 }
 
@@ -428,36 +375,34 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn unlimited_token_never_cancels() {
-        let t = CancelToken::unlimited();
-        assert!(!t.cancelled());
-        assert_eq!(t.last_item(), None);
+    fn polls_name_the_rule_and_latch_an_expired_deadline() {
+        let opts = EvalOptions::default();
+        let rules: Vec<Rule> = logres_lang::parse_program(
+            "associations\n  p = (d: integer);\nrules\n  p(d: 1) <- .\n  p(d: 2) <- .\n",
+        )
+        .expect("parses")
+        .rules
+        .rules;
+        let mut g = Governor::open("test", &opts, &rules, 2, 0);
+        assert!(!g.poll(1), "no deadline, no trip");
+        // The deadline passes while rule 1 is being matched.
+        g.deadline = Some(Instant::now() - Duration::from_millis(1));
+        assert!(g.poll(0), "an expired deadline trips the next poll");
+        assert!(g.tripped(), "and stays latched");
+        let (cause, partial) = cause(g.check(0).unwrap_err());
+        assert_eq!(cause, CancelCause::Deadline { budget_ms: 0 });
+        // The tripped poll left the rule being matched in place.
+        assert_eq!(partial.cancelled_in_rule.as_deref(), Some("p(d: 2) <- ."));
     }
 
     #[test]
-    fn explicit_cancel_latches_across_clones() {
-        let t = CancelToken::unlimited();
-        let clone = t.clone();
-        clone.cancel();
-        assert!(t.cancelled());
-    }
-
-    #[test]
-    fn expired_deadline_cancels() {
-        let t = CancelToken::with_deadline(Some(Instant::now() - Duration::from_millis(1)));
-        assert!(t.cancelled());
-        // Latched: a second check is true without consulting the clock.
-        assert!(t.cancelled());
-    }
-
-    #[test]
-    fn note_item_keeps_highest() {
-        let t = CancelToken::unlimited();
-        t.note_item(3);
-        t.note_item(1);
-        assert_eq!(t.last_item(), Some(3));
-        t.reset_item();
-        assert_eq!(t.last_item(), None);
+    fn unlimited_run_never_trips() {
+        let opts = EvalOptions::default();
+        let mut g = Governor::open("test", &opts, &[], 0, 0);
+        assert!(!g.poll(3));
+        assert!(!g.tripped());
+        assert!(g.check(0).is_ok());
+        assert_eq!(g.matching, None, "a passing check closes the match phase");
     }
 
     fn cause(err: EngineError) -> (CancelCause, EvalReport) {
@@ -486,8 +431,8 @@ mod tests {
             }
         );
         assert_eq!(partial.facts, 7);
-        // Tripping the value budget also latches the shared token.
-        assert!(g.token().cancelled());
+        // Tripping the value budget also latches the flag later polls read.
+        assert!(g.poll(0));
     }
 
     #[test]

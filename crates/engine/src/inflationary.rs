@@ -20,7 +20,6 @@ use crate::delta::OneStep;
 use crate::error::EngineError;
 use crate::governor::Governor;
 use crate::metrics::MetricsRegistry;
-use crate::parallel::effective_threads;
 use crate::provenance::Provenance;
 use crate::trace::{self, TraceEvent, Tracer};
 
@@ -32,16 +31,14 @@ pub struct EvalOptions {
     pub max_steps: usize,
     /// Maximum number of stored facts, checked as each round begins.
     pub max_facts: usize,
-    /// Worker threads for the per-rule body-match phase of each step:
-    /// `1` = serial (the default), `0` = one per available core. The merge
-    /// phase is always serial in canonical rule order, so the produced
-    /// instance — including invented-oid numbering — is identical for every
-    /// setting.
+    /// Ignored. Every driver matches its rules serially in canonical rule
+    /// order; the field stays for callers that still set it, and any value
+    /// produces the same instance, report, trace and counters.
     pub threads: usize,
     /// Wall-clock budget for the whole run, every stratum included. When it
-    /// elapses the governor cancels cooperatively — within one step
-    /// boundary plus one in-flight rule match — and the driver returns
-    /// [`EngineError::Cancelled`] carrying the partial report.
+    /// elapses the governor cancels cooperatively — the driver polls before
+    /// each rule it matches, so within one rule match — and the driver
+    /// returns [`EngineError::Cancelled`] carrying the partial report.
     pub deadline: Option<Duration>,
     /// Budget on the cumulative [`logres_model::Value::node_count`] of the
     /// facts the whole run derives — a machine-independent memory proxy
@@ -52,7 +49,8 @@ pub struct EvalOptions {
     pub trace: Option<Arc<Tracer>>,
     /// Metrics registry the run reports into; `None` (the default) counts
     /// nothing and costs nothing on the hot paths. Counting metrics are
-    /// deterministic across thread counts; timing metrics are not.
+    /// deterministic: the same program, EDB and options count the same on
+    /// every run; timing metrics are not.
     pub metrics: Option<Arc<MetricsRegistry>>,
     /// Record derivation provenance (rule, stratum, step, ground premises)
     /// for every `Δ⁺` fact and invented oid, attached to the report as
@@ -112,7 +110,7 @@ pub struct IterationStats {
 /// Cumulative per-rule profiling counters across a whole run.
 ///
 /// All fields except `match_nanos` are deterministic: the same program and
-/// options produce the same counters at every thread count.
+/// options produce the same counters on every run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RuleProfile {
     /// The rule, rendered by its `Display` impl.
@@ -190,14 +188,13 @@ pub(crate) fn evaluate_strata(
     if opts.provenance {
         gov.record_provenance(Provenance::new(rules, strata));
     }
-    let threads = effective_threads(opts.threads);
     let mut inst = edb.clone();
     for stratum in strata {
         let mut step = OneStep::new(schema, rules, &inst);
         loop {
             let i = gov.begin_round(inst.fact_count())?;
             let match_start = Instant::now();
-            let deltas = step.deltas_governed(&inst, stratum, threads, &mut gov)?;
+            let deltas = step.deltas_governed(&inst, stratum, &mut gov)?;
             let match_nanos = match_start.elapsed().as_nanos() as u64;
             gov.end_match(deltas.plus_nodes, match_nanos);
             if !deltas.cancelled && deltas.is_empty() {

@@ -54,7 +54,6 @@ pub mod magic;
 pub mod maintain;
 pub mod matcher;
 pub mod metrics;
-pub mod parallel;
 pub mod plan;
 pub mod provenance;
 pub mod stratified;
@@ -69,7 +68,7 @@ pub use explain::{
     RulePlanProfile,
 };
 pub use goal::answer_goal;
-pub use governor::{CancelCause, CancelToken, Governor};
+pub use governor::{CancelCause, Governor};
 pub use inflationary::{
     evaluate_inflationary, EvalOptions, EvalReport, IterationStats, RuleProfile,
 };
@@ -81,7 +80,6 @@ pub use maintain::{
 };
 pub use matcher::{rule_access_plan, AccessPlan};
 pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, ProbeTally};
-pub use parallel::{effective_threads, ordered_map, ordered_map_cancellable};
 pub use plan::{
     compile_program, compile_program_with, run_compiled, try_evaluate_compiled, CompileUnsupported,
     CompiledProgram, CompiledStep, StratumPlan,

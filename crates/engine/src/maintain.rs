@@ -33,16 +33,21 @@
 //! the rule and premises of the round that first inserted it, which makes
 //! the premise DAG acyclic. A view derives itself with the same insertion
 //! rounds: [`MaterializedView::build`] starts from the EDB and treats every
-//! rule as new. The whole pass is deterministic: parallel match phases go
-//! through [`ordered_map_cancellable`] and every merge runs serially in
-//! canonical [`Fact`] order, so results are bit-identical at any thread
-//! count — the same contract the fixpoint drivers give.
+//! rule as new.
+//!
+//! Each of the four phases — seeding new rules, a delta round, the recount
+//! and the rederive — first matches every rule or fact against a snapshot
+//! of the view, in one serial loop that polls the pass's [`Governor`], and
+//! only then merges, serially in canonical rule and [`Fact`] order: the
+//! merges write the instance the matches read, so a match must not see an
+//! earlier merge of its own phase. The whole pass is deterministic — the
+//! same contract the fixpoint drivers give.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use logres_lang::analyze::{DepGraph, HeadWrite, RuleShape};
-use logres_lang::{Atom, BodyLiteral, PredArg, Rule, RuleSet};
+use logres_lang::{Atom, PredArg, Rule, RuleSet};
 use logres_model::{Fact, Instance, OidGen, PredKind, Schema, Sym, Value};
 use rustc_hash::{FxHashMap, FxHashSet};
 
@@ -52,8 +57,6 @@ use crate::error::EngineError;
 use crate::governor::Governor;
 use crate::inflationary::{EvalOptions, EvalReport, IterationStats, RuleProfile};
 use crate::matcher::{eval_body, BodyView};
-use crate::metrics::{EngineMetrics, ProbeTally};
-use crate::parallel::{effective_threads, ordered_map_cancellable};
 use crate::provenance::premises_of;
 use crate::stratified::{evaluate, Semantics};
 
@@ -258,7 +261,7 @@ impl MaterializedView {
             dependents: FxHashMap::default(),
             by_rule: FxHashMap::default(),
         };
-        let mut pass = Pass::new(schema, &view, opts);
+        let mut pass = Pass::new(schema, &view, opts, rules.rules.len(), Vec::new());
         pass.deferred = Some(Vec::new());
         for stratum in maintenance_strata(&view.rules, &view.active) {
             let delta = pass.fire_new_rules(&mut view, &stratum.rule_idxs)?;
@@ -366,59 +369,6 @@ fn bind_head(args: &[PredArg], tuple: &Value, inst: &Instance) -> Option<Subst> 
     Some(s)
 }
 
-/// [`eval_body`] with its access-path decisions counted into `metrics`:
-/// a local tally per call, flushed once, as the one-step match phase does
-/// (per-probe updates of the shared atomics would dominate the match).
-fn eval_counted(
-    schema: &Schema,
-    view: BodyView<'_>,
-    body: &[BodyLiteral],
-    init: Subst,
-    metrics: Option<&EngineMetrics>,
-) -> Result<Vec<Subst>, EngineError> {
-    let tally = ProbeTally::default();
-    let subs = eval_body(schema, view.with_tally(metrics.map(|_| &tally)), body, init);
-    if let Some(m) = metrics {
-        tally.flush(m);
-    }
-    subs
-}
-
-/// For each candidate rule (ascending index) whose head can denote `fact`,
-/// the first body valuation extending the head inversion. Verification
-/// (head instantiation must reproduce the fact exactly, including fields
-/// the head leaves `nil`) happens serially in the merge.
-fn derivation_candidates(
-    schema: &Schema,
-    inst: &Instance,
-    rules: &[Rule],
-    rule_idxs: &[usize],
-    fact: &Fact,
-    metrics: Option<&EngineMetrics>,
-) -> Result<Vec<(usize, Subst)>, EngineError> {
-    let Fact::Assoc { assoc, tuple } = fact else {
-        return Ok(Vec::new());
-    };
-    let mut out = Vec::new();
-    for &idx in rule_idxs {
-        let rule = &rules[idx];
-        if rule.head.target() != *assoc {
-            continue;
-        }
-        let Atom::Pred { args, .. } = &rule.head.atom else {
-            continue;
-        };
-        let Some(theta0) = bind_head(args, tuple, inst) else {
-            continue;
-        };
-        let subs = eval_counted(schema, BodyView::plain(inst), &rule.body, theta0, metrics)?;
-        if let Some(theta) = subs.into_iter().next() {
-            out.push((idx, theta));
-        }
-    }
-    Ok(out)
-}
-
 /// A maintenance stratum: one SCC of the predicate-dependency graph over
 /// the active rules, in producer-first order.
 struct Stratum {
@@ -492,7 +442,6 @@ type Record = (Fact, usize, Vec<Fact>);
 /// it derived.
 struct Pass<'a> {
     schema: &'a Schema,
-    threads: usize,
     /// The pass's run record: budgets, delta rounds, trace, and per-rule
     /// profiles indexed by view rule slot.
     gov: Governor<'a>,
@@ -510,16 +459,22 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    fn new(schema: &'a Schema, view: &MaterializedView, opts: &'a EvalOptions) -> Pass<'a> {
-        let live = view.active.iter().filter(|a| **a).count();
+    /// Open the pass's run record over `view` as it stands, with `live`
+    /// rules evaluated and the facts `added` to it so far.
+    fn new(
+        schema: &'a Schema,
+        view: &MaterializedView,
+        opts: &'a EvalOptions,
+        live: usize,
+        added: Vec<Fact>,
+    ) -> Pass<'a> {
         Pass {
             schema,
-            threads: effective_threads(opts.threads),
             gov: Governor::open("maintain", opts, &view.rules, live, view.inst.fact_count()),
             memo: InventionMemo::new(),
             gen: view.inst.oid_gen(),
             rederived: 0,
-            added: Vec::new(),
+            added,
             deferred: None,
         }
     }
@@ -587,32 +542,102 @@ impl<'a> Pass<'a> {
         if rule_idxs.is_empty() {
             return Ok(delta);
         }
-        let (schema, inst, rules) = (self.schema, &view.inst, &view.rules);
-        let (token, metrics) = (self.gov.token(), self.gov.metrics());
-        token.reset_item();
-        let subs_per_rule = ordered_map_cancellable(self.threads, rule_idxs, token, |_, &idx| {
-            token.note_item(idx);
-            eval_counted(
-                schema,
-                BodyView::plain(inst),
-                &rules[idx].body,
-                Subst::new(),
-                metrics,
-            )
-        });
+        let mut matched = Vec::with_capacity(rule_idxs.len());
+        for &idx in rule_idxs {
+            if self.gov.poll(idx) {
+                break;
+            }
+            let bv = BodyView::plain(&view.inst).with_tally(self.gov.tally());
+            let subs = eval_body(self.schema, bv, &view.rules[idx].body, Subst::new())?;
+            matched.push((idx, subs));
+        }
         self.gov.check(view.inst.fact_count())?;
         let mut nodes = 0;
-        for (&idx, slot) in rule_idxs.iter().zip(subs_per_rule) {
-            let Some(subs) = slot else {
-                return Err(self.gov.cancel(view.inst.fact_count()));
-            };
-            for theta in subs? {
+        for (idx, subs) in matched {
+            for theta in subs {
                 nodes += self.fire(view, idx, &theta, &mut delta, None)?;
             }
         }
         self.gov.charge(nodes);
         self.gov.check(view.inst.fact_count())?;
         Ok(delta)
+    }
+
+    /// The match phase of a recount or a rederive, against the view as it
+    /// stands: for each of `facts` (polling before each), every rule of
+    /// `rule_idxs` whose head inverts onto the fact, in ascending order,
+    /// with the first body valuation extending that inversion. The merge
+    /// verifies them afterwards (`Pass::reinstate`).
+    fn candidates(
+        &mut self,
+        view: &MaterializedView,
+        rule_idxs: &[usize],
+        facts: &[Fact],
+    ) -> Result<Vec<Vec<(usize, Subst)>>, EngineError> {
+        let mut out = Vec::with_capacity(facts.len());
+        for fact in facts {
+            if self.gov.tripped() {
+                break;
+            }
+            let mut found = Vec::new();
+            if let Fact::Assoc { assoc, tuple } = fact {
+                for &idx in rule_idxs {
+                    let rule = &view.rules[idx];
+                    let Atom::Pred { args, .. } = &rule.head.atom else {
+                        continue;
+                    };
+                    if rule.head.target() != *assoc {
+                        continue;
+                    }
+                    let Some(theta0) = bind_head(args, tuple, &view.inst) else {
+                        continue;
+                    };
+                    let bv = BodyView::plain(&view.inst).with_tally(self.gov.tally());
+                    let subs = eval_body(self.schema, bv, &rule.body, theta0)?;
+                    if let Some(theta) = subs.into_iter().next() {
+                        found.push((idx, theta));
+                    }
+                }
+            }
+            out.push(found);
+        }
+        self.gov.check(view.inst.fact_count())?;
+        Ok(out)
+    }
+
+    /// Verify `fact`'s derivation candidates in order, with the fact
+    /// absent from the view so the valuation-domain condition lets a head
+    /// instantiate: the first candidate whose head reproduces the fact
+    /// exactly (nil-filled unmentioned fields included) puts it back, with
+    /// that derivation recorded and the firing counted. Returns its rule,
+    /// or `None` when no candidate derives the fact.
+    fn reinstate(
+        &mut self,
+        view: &mut MaterializedView,
+        fact: &Fact,
+        cands: &[(usize, Subst)],
+    ) -> Result<Option<usize>, EngineError> {
+        let schema = self.schema;
+        for (idx, theta) in cands {
+            let rule = &view.rules[*idx];
+            let facts = instantiate_head(
+                schema,
+                &view.inst,
+                rule,
+                *idx,
+                theta,
+                &mut self.memo,
+                &mut self.gen,
+            )?;
+            if facts.contains(fact) {
+                let premises = premises_of(schema, &view.inst, rule, theta);
+                view.inst.insert_fact(schema, fact);
+                view.record(fact.clone(), *idx, premises);
+                self.gov.profile(*idx).firings += 1;
+                return Ok(Some(*idx));
+            }
+        }
+        Ok(None)
     }
 
     /// Incremental semi-naive delta rounds over one stratum's rules: each
@@ -649,18 +674,19 @@ impl<'a> Pass<'a> {
             }
             self.gov.begin_round(view.inst.fact_count())?;
             let match_start = Instant::now();
-            let (schema, inst, rules) = (self.schema, &view.inst, &view.rules);
-            let (token, metrics) = (self.gov.token(), self.gov.metrics());
-            let subs_per_job =
-                ordered_map_cancellable(self.threads, &jobs, token, |_, &(idx, li)| {
-                    token.note_item(idx);
-                    let bv = BodyView {
-                        full: inst,
-                        delta: Some((li, &delta)),
-                        tally: None,
-                    };
-                    eval_counted(schema, bv, &rules[idx].body, Subst::new(), metrics)
-                });
+            let mut matched = Vec::with_capacity(jobs.len());
+            for (idx, li) in jobs {
+                if self.gov.poll(idx) {
+                    break;
+                }
+                let bv = BodyView {
+                    full: &view.inst,
+                    delta: Some((li, &delta)),
+                    tally: self.gov.tally(),
+                };
+                let subs = eval_body(self.schema, bv, &view.rules[idx].body, Subst::new())?;
+                matched.push((idx, subs));
+            }
             let mut stats = IterationStats {
                 match_nanos: match_start.elapsed().as_nanos() as u64,
                 ..IterationStats::default()
@@ -669,11 +695,7 @@ impl<'a> Pass<'a> {
             let apply_start = Instant::now();
             let mut next_delta = Instance::new();
             let mut nodes = 0;
-            for (&(idx, _), slot) in jobs.iter().zip(subs_per_job) {
-                let Some(subs) = slot else {
-                    return Err(self.gov.cancel(view.inst.fact_count()));
-                };
-                let subs = subs?;
+            for (idx, subs) in matched {
                 stats.firings += subs.len();
                 for theta in subs {
                     nodes += self.fire(view, idx, &theta, &mut next_delta, over_set)?;
@@ -707,7 +729,7 @@ pub fn apply_update(
     edb_before: &Instance,
     opts: &EvalOptions,
 ) -> Result<MaintainResult, EngineError> {
-    let mut pass = Pass::new(schema, view, opts);
+    let live = view.active.iter().filter(|a| **a).count();
     let mut removed_total = 0u64;
     let mut pending: BTreeMap<Sym, BTreeSet<Fact>> = BTreeMap::new();
 
@@ -750,7 +772,6 @@ pub fn apply_update(
             added_idxs.push(view.rules.len() - 1);
         }
     }
-    pass.gov.cover(&view.rules);
 
     let ins_set: FxHashSet<Fact> = spec.inserts.iter().cloned().collect();
     let del_set: FxHashSet<Fact> = spec.deletes.iter().cloned().collect();
@@ -770,12 +791,16 @@ pub fn apply_update(
     // loses its support entry (it no longer depends on anything).
     let mut ins_sorted: Vec<Fact> = ins_set.iter().cloned().collect();
     ins_sorted.sort();
-    for f in &ins_sorted {
-        if view.inst.insert_fact(schema, f) {
-            pass.added.push(f.clone());
+    let mut inserted = Vec::new();
+    for f in ins_sorted {
+        view.drop_support(&f);
+        if view.inst.insert_fact(schema, &f) {
+            inserted.push(f);
         }
-        view.drop_support(f);
     }
+    // The run record opens on the instance the pass starts from: the
+    // batch's insertions applied, its rule changes made.
+    let mut pass = Pass::new(schema, view, opts, live, inserted);
 
     // Drain pending facts whose predicate has no active deriving rule:
     // keep the extensionally-backed ones, remove the rest (cascading).
@@ -834,52 +859,18 @@ pub fn apply_update(
         if !cands.is_empty() && !stratum.recursive {
             // Counting-style recount: the stratum is a single predicate
             // that never appears in its own rule bodies, so candidate
-            // presence cannot influence candidate derivability and the
-            // match phase parallelizes over a shared snapshot.
+            // presence cannot influence candidate derivability, and every
+            // candidate is matched against one snapshot before the merge
+            // removes any.
             let (kept_edb, check): (Vec<Fact>, Vec<Fact>) =
                 cands.into_iter().partition(|f| in_new_edb(f));
             for f in &kept_edb {
                 view.drop_support(f);
             }
-            let (inst, rules) = (&view.inst, &view.rules);
-            let (token, metrics) = (pass.gov.token(), pass.gov.metrics());
-            token.reset_item();
-            let per_fact = ordered_map_cancellable(pass.threads, &check, token, |_, f| {
-                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
-            });
-            pass.gov.check(view.inst.fact_count())?;
-            for (f, slot) in check.iter().zip(per_fact) {
-                let Some(cs) = slot else {
-                    return Err(pass.gov.cancel(view.inst.fact_count()));
-                };
-                let cs = cs?;
-                // Verify with the fact absent so the valuation-domain
-                // condition lets the head instantiate, then compare the
-                // instantiated fact (nil-filled unmentioned fields
-                // included) against the candidate.
+            let per_fact = pass.candidates(view, &stratum.rule_idxs, &check)?;
+            for (f, cs) in check.iter().zip(per_fact) {
                 view.inst.remove_fact(schema, f);
-                let mut kept = false;
-                for (idx, theta) in &cs {
-                    let rule = &view.rules[*idx];
-                    let facts = instantiate_head(
-                        schema,
-                        &view.inst,
-                        rule,
-                        *idx,
-                        theta,
-                        &mut pass.memo,
-                        &mut pass.gen,
-                    )?;
-                    if facts.iter().any(|g| g == f) {
-                        let premises = premises_of(schema, &view.inst, rule, theta);
-                        view.inst.insert_fact(schema, f);
-                        view.record(f.clone(), *idx, premises);
-                        pass.gov.profile(*idx).firings += 1;
-                        kept = true;
-                        break;
-                    }
-                }
-                if !kept {
+                if pass.reinstate(view, f, &cs)?.is_none() {
                     removed_total += 1;
                     if let Some((i, _)) = view.support.get(f) {
                         pass.gov.profile(*i).deleted += 1;
@@ -933,42 +924,14 @@ pub fn apply_update(
 
             // Rederive round 0: head inversion over the overdeleted set
             // against the instance with all overdeleted facts absent.
-            let (inst, rules) = (&view.inst, &view.rules);
-            let (token, metrics) = (pass.gov.token(), pass.gov.metrics());
-            token.reset_item();
-            let per_fact = ordered_map_cancellable(pass.threads, &overdeleted, token, |_, f| {
-                derivation_candidates(schema, inst, rules, &stratum.rule_idxs, f, metrics)
-            });
-            pass.gov.check(view.inst.fact_count())?;
+            let per_fact = pass.candidates(view, &stratum.rule_idxs, &overdeleted)?;
             let mut delta = Instance::new();
-            for (f, slot) in overdeleted.iter().zip(per_fact) {
-                let Some(cs) = slot else {
-                    return Err(pass.gov.cancel(view.inst.fact_count()));
-                };
-                let cs = cs?;
-                for (idx, theta) in &cs {
-                    let rule = &view.rules[*idx];
-                    let facts = instantiate_head(
-                        schema,
-                        &view.inst,
-                        rule,
-                        *idx,
-                        theta,
-                        &mut pass.memo,
-                        &mut pass.gen,
-                    )?;
-                    if facts.iter().any(|g| g == f) {
-                        let premises = premises_of(schema, &view.inst, rule, theta);
-                        view.inst.insert_fact(schema, f);
-                        view.record(f.clone(), *idx, premises);
-                        let profile = pass.gov.profile(*idx);
-                        profile.firings += 1;
-                        profile.derived += 1;
-                        pass.rederived += 1;
-                        if let Fact::Assoc { assoc, tuple } = f {
-                            delta.insert_assoc(*assoc, tuple.clone());
-                        }
-                        break;
+            for (f, cs) in overdeleted.iter().zip(per_fact) {
+                if let Some(idx) = pass.reinstate(view, f, &cs)? {
+                    pass.gov.profile(idx).derived += 1;
+                    pass.rederived += 1;
+                    if let Fact::Assoc { assoc, tuple } = f {
+                        delta.insert_assoc(*assoc, tuple.clone());
                     }
                 }
             }

@@ -24,10 +24,11 @@
 //! | `inflationary-negation` | inflationary semantics requested for a program with negation — the compiled path computes the perfect (stratified) model, which coincides with the inflationary fixpoint only on negation-free programs |
 //! | `fragment` | some rule is structurally uncompilable (classes, data functions, deleting heads, invention, unbound negation, …) |
 //!
-//! Execution is always serial in canonical rule order — the produced
-//! instance and every counting metric are bit-identical for any
-//! `EvalOptions::threads` setting, which keeps the thread-count determinism
-//! contract of the interpreted engines trivially true here.
+//! Execution is serial in canonical rule order, like every driver's: the
+//! produced instance and every counting metric are the same on every run.
+//! Each round polls the governor before each rule, times the insert loop
+//! that commits a plan's rows as the round's apply work, and counts
+//! the rest as matching.
 
 use algres::{AlgExpr, Env, EvalStats, Evaluator, Relation};
 use logres_lang::analyze::{infer, seeds_from_instance, Card, FlowSummaries};
@@ -434,9 +435,15 @@ pub fn run_compiled(
                 .iter()
                 .map(|p| (*p, Relation::new(idb_cols[p].clone())))
                 .collect();
+            // One clock read closes each plan's evaluation and one its
+            // inserts; a rule's time runs from the previous rule's last read.
+            let mut mark = match_start;
             for step in &splan.steps {
-                gov.token().note_item(step.rule_index);
-                let rule_start = Instant::now();
+                if gov.poll(step.rule_index) {
+                    break;
+                }
+                let rule_start = mark;
+                let mut rule_apply = 0u64;
                 let plans: &[AlgExpr] = if use_delta {
                     &step.deltas
                 } else {
@@ -447,7 +454,7 @@ pub fn run_compiled(
                     let rel = ev.eval(plan)?;
                     stats.firings += rel.len();
                     per_rule[step.rule_index].firings += rel.len();
-                    let insert_start = opts.profile.then(Instant::now);
+                    let evaluated = Instant::now();
                     let mut inserted = 0u64;
                     for t in rel.iter() {
                         if total.insert_assoc(step.head, t.clone()) {
@@ -461,13 +468,16 @@ pub fn run_compiled(
                                 .insert(t.clone());
                         }
                     }
-                    if let Some(start) = insert_start {
+                    mark = Instant::now();
+                    let insert_nanos = mark.duration_since(evaluated).as_nanos() as u64;
+                    rule_apply += insert_nanos;
+                    if opts.profile {
                         let key = ev.node_id_of(plan).expect("plan registered above");
                         let m = inserts.entry(key).or_default();
                         m.evals += 1;
                         m.rows_in += rel.len() as u64;
                         m.rows_out += inserted;
-                        m.nanos += start.elapsed().as_nanos() as u64;
+                        m.nanos += insert_nanos;
                     }
                 }
                 let stats_after = ev.stats();
@@ -475,12 +485,12 @@ pub fn run_compiled(
                 rs.hash_builds += stats_after.hash_builds - stats_before.hash_builds;
                 rs.probes += stats_after.probes - stats_before.probes;
                 rs.memo_hits += stats_after.memo_hits - stats_before.memo_hits;
-                per_rule[step.rule_index].match_nanos += rule_start.elapsed().as_nanos() as u64;
-                if gov.token().cancelled() {
-                    break;
-                }
+                let rule_nanos = mark.duration_since(rule_start).as_nanos() as u64;
+                per_rule[step.rule_index].match_nanos += rule_nanos.saturating_sub(rule_apply);
+                stats.apply_nanos += rule_apply;
             }
-            stats.match_nanos = match_start.elapsed().as_nanos() as u64;
+            let round_nanos = match_start.elapsed().as_nanos() as u64;
+            stats.match_nanos = round_nanos.saturating_sub(stats.apply_nanos);
             for (idx, s) in per_rule.iter().enumerate() {
                 gov.record_rule(idx, s);
             }

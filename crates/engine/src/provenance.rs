@@ -4,10 +4,9 @@
 //! records, for every fact entering `Δ⁺` and every invented oid, the
 //! canonical rule index, the rule's stratum, the run-wide step, and the
 //! ground premises of the *first* valuation that derived it; one store
-//! covers a whole stratified run. Because the merge runs in canonical rule
-//! order regardless of `threads`, the store is bit-identical at every
-//! thread count — the same determinism contract the trace layer already
-//! gives.
+//! covers a whole stratified run. Because the interpreter takes rules one
+//! at a time in canonical order, the store is bit-identical on every run —
+//! the same determinism contract the trace layer gives.
 //!
 //! Memory cost: one [`ProvEntry`] per derived fact — the fact key, three
 //! machine words, plus one clone of each positive ground premise. For a

@@ -7,9 +7,10 @@
 //! JSON lines to any writer (for offline analysis).
 //!
 //! Determinism contract: with the same program, EDB, and options, the event
-//! *sequence* is identical at every thread count — only the timing fields
+//! *sequence* is identical on every run — every driver emits it from one
+//! serial loop in canonical rule order — and only the timing fields
 //! (`*_nanos`, `elapsed_ms`) may differ. [`TraceEvent::normalized`] zeroes
-//! those fields so tests can compare traces across thread counts.
+//! those fields so tests can compare traces across runs.
 
 use std::fmt;
 use std::io::Write;
@@ -124,8 +125,8 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The event with all timing fields zeroed, for cross-thread-count
-    /// comparisons (the determinism guarantee covers everything else).
+    /// The event with all timing fields zeroed, for comparisons across runs
+    /// (the determinism guarantee covers everything else).
     pub fn normalized(&self) -> TraceEvent {
         let mut ev = self.clone();
         match &mut ev {

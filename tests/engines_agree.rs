@@ -4,8 +4,8 @@
 //! identical fact sets on the shared fragment — and all must match an
 //! independent graph-algorithm reference. The production
 //! dispatcher's compiled fast path (`EvalOptions::compiled`) is held to the
-//! same standard: bit-identical instances against the interpreted oracle at
-//! every thread count, with every fallback accounted for by reason.
+//! same standard: bit-identical instances against the interpreted oracle,
+//! with every fallback accounted for by reason.
 
 use std::sync::Arc;
 
@@ -34,16 +34,6 @@ fn closure_with_all_engines(edges: &[(i64, i64)]) {
         EvalOptions::default(),
     )
     .expect("interpreter");
-    let par_opts = EvalOptions {
-        threads: 4,
-        ..EvalOptions::default()
-    };
-    let (par_interp, _) = evaluate_inflationary(&program.schema, &program.rules, &edb, par_opts)
-        .expect("parallel interpreter");
-    assert_eq!(
-        par_interp, interp,
-        "parallel interpreter diverged from serial"
-    );
     let delta_program =
         compile_program(&program.schema, &program.rules, Semantics::Stratified).expect("compiles");
     // Naive rounds: every recursive rule re-runs its full plan each round.
@@ -242,8 +232,8 @@ fn load(src: &str) -> (logres::lang::Program, Instance) {
 }
 
 /// The compiled dispatcher path is bit-identical to the interpreted oracle
-/// at every thread count — and it really took the compiled path (one run
-/// counted, zero fallbacks).
+/// — and it really took the compiled path (one run counted, zero
+/// fallbacks).
 #[test]
 fn compiled_path_is_bit_identical_at_every_thread_count() {
     let (p, edb) = load(&closure_program(&random_edges(16, 32, 3)));
@@ -259,29 +249,25 @@ fn compiled_path_is_bit_identical_at_every_thread_count() {
         oracle_opts,
     )
     .expect("interpreted oracle");
-    for threads in [1usize, 2, 8, 0] {
-        let reg = Arc::new(MetricsRegistry::new());
-        let opts = EvalOptions {
-            threads,
-            metrics: Some(reg.clone()),
-            ..EvalOptions::default()
-        };
-        let (inst, _) = evaluate(&p.schema, &p.rules, &edb, Semantics::Inflationary, opts)
-            .expect("compiled path");
-        assert_eq!(inst, oracle, "threads={threads} diverges from interpreter");
-        assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
-        let snap = reg.counter_snapshot();
-        assert!(
-            !snap
-                .iter()
-                .any(|(k, v)| k.starts_with("logres_compile_fallbacks_total") && *v > 0),
-            "unexpected fallback at threads={threads}: {snap:?}"
-        );
-    }
+    let reg = Arc::new(MetricsRegistry::new());
+    let opts = EvalOptions {
+        metrics: Some(reg.clone()),
+        ..EvalOptions::default()
+    };
+    let (inst, _) =
+        evaluate(&p.schema, &p.rules, &edb, Semantics::Inflationary, opts).expect("compiled path");
+    assert_eq!(inst, oracle, "compiled path diverges from interpreter");
+    assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
+    let snap = reg.counter_snapshot();
+    assert!(
+        !snap
+            .iter()
+            .any(|(k, v)| k.starts_with("logres_compile_fallbacks_total") && *v > 0),
+        "unexpected fallback: {snap:?}"
+    );
 }
 
-/// Stratified negation also runs compiled, and stays bit-identical across
-/// the thread sweep.
+/// Stratified negation also runs compiled, bit-identical to the oracle.
 #[test]
 fn compiled_negation_is_bit_identical_at_every_thread_count() {
     let (p, edb) = load(
@@ -313,56 +299,41 @@ fn compiled_negation_is_bit_identical_at_every_thread_count() {
     )
     .expect("interpreted oracle");
     assert_eq!(oracle.assoc_len(Sym::new("isolated")), 1);
-    for threads in [1usize, 2, 8, 0] {
-        let reg = Arc::new(MetricsRegistry::new());
-        let opts = EvalOptions {
-            threads,
-            metrics: Some(reg.clone()),
-            ..EvalOptions::default()
-        };
-        let (inst, _) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, opts)
-            .expect("compiled path");
-        assert_eq!(inst, oracle, "threads={threads} diverges from interpreter");
-        assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
-    }
+    let reg = Arc::new(MetricsRegistry::new());
+    let opts = EvalOptions {
+        metrics: Some(reg.clone()),
+        ..EvalOptions::default()
+    };
+    let (inst, _) =
+        evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, opts).expect("compiled path");
+    assert_eq!(inst, oracle, "compiled path diverges from interpreter");
+    assert_eq!(reg.counter("logres_compile_runs_total").get(), 1);
 }
 
-/// Per-operator plan profiles are bit-identical modulo timing at every
-/// thread count: the compiled driver runs rule steps serially in canonical
-/// order, so every counting field (evals, rows, builds, probes, memo hits)
-/// matches exactly; only the wall-clock fields vary, and `normalized()`
-/// zeroes precisely those.
+/// Per-operator plan profiles attribute the materialized rows, and
+/// `normalized()` zeroes precisely the wall-clock fields: every counting
+/// field (evals, rows, builds, probes, memo hits) is deterministic, so
+/// normalized profiles compare across runs.
 #[test]
 fn plan_profiles_are_bit_identical_at_every_thread_count() {
     let (p, edb) = load(&closure_program(&chain_edges(16)));
-    let mut profiles = Vec::new();
-    for threads in [1usize, 2, 8, 0] {
-        let opts = EvalOptions {
-            threads,
-            profile: true,
-            ..EvalOptions::default()
-        };
-        let (_, report) = evaluate(&p.schema, &p.rules, &edb, Semantics::Inflationary, opts)
-            .expect("compiled path");
-        let profile = report
-            .plan_profile
-            .expect("compiled run yields a plan profile");
-        assert!(
-            profile.rules.iter().any(|r| r
-                .ops
-                .iter()
-                .any(|op| op.op == "materialize" && op.rows_out > 0)),
-            "threads={threads}: profile attributes no materialized rows"
-        );
-        profiles.push((threads, profile.normalized()));
-    }
-    let (_, first) = &profiles[0];
-    for (threads, profile) in &profiles[1..] {
-        assert_eq!(
-            profile, first,
-            "threads={threads}: normalized profile diverges"
-        );
-    }
+    let opts = EvalOptions {
+        profile: true,
+        ..EvalOptions::default()
+    };
+    let (_, report) =
+        evaluate(&p.schema, &p.rules, &edb, Semantics::Inflationary, opts).expect("compiled path");
+    let profile = report
+        .plan_profile
+        .expect("compiled run yields a plan profile");
+    assert!(
+        profile.rules.iter().any(|r| r
+            .ops
+            .iter()
+            .any(|op| op.op == "materialize" && op.rows_out > 0)),
+        "profile attributes no materialized rows"
+    );
+    let first = profile.normalized();
     // `normalized()` zeroed every timing field — and only those: row and
     // probe counts from the real run survive.
     let mut rows_out = 0u64;
@@ -472,8 +443,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random-program differential: on arbitrary small digraphs the
-    /// compiled production path equals the interpreted oracle bit for bit
-    /// at every thread count, and both match the graph-theoretic reference.
+    /// compiled production path equals the interpreted oracle bit for bit,
+    /// and both match the graph-theoretic reference.
     #[test]
     fn compiled_and_interpreted_agree_on_random_programs(
         edges in proptest::collection::btree_set((0i64..8, 0i64..8), 1..20)
@@ -487,17 +458,15 @@ proptest! {
         let reference = reference_closure(&edges);
         let tc = Sym::new("tc");
         prop_assert_eq!(oracle.assoc_len(tc), reference.len());
-        for threads in [1usize, 2, 8, 0] {
-            let opts = EvalOptions { threads, ..EvalOptions::default() };
-            let (inst, _) =
-                evaluate(&p.schema, &p.rules, &edb, Semantics::Inflationary, opts).unwrap();
-            prop_assert_eq!(&inst, &oracle, "threads={} diverges", threads);
-            for &(a, b) in &reference {
-                prop_assert!(inst.has_tuple(
-                    tc,
-                    &Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))])
-                ));
-            }
+        let (inst, _) = evaluate(
+            &p.schema, &p.rules, &edb, Semantics::Inflationary, EvalOptions::default(),
+        ).unwrap();
+        prop_assert_eq!(&inst, &oracle, "compiled path diverges");
+        for &(a, b) in &reference {
+            prop_assert!(inst.has_tuple(
+                tc,
+                &Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))])
+            ));
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Differential soundness of the abstract-interpretation flow analyzer
 //! (DESIGN.md §14): the per-predicate summaries `infer` computes are an
 //! over-approximation of every reachable instance. For randomly generated
-//! programs, every fact any engine derives — at every thread setting, on
-//! both the compiled and the interpreted path — must be admitted by the
-//! summary of its predicate. A single inadmissible fact would mean the
+//! programs, every fact any engine derives — on both the compiled and the
+//! interpreted path — must be admitted by the summary of its predicate. A single inadmissible fact would mean the
 //! planner's flow-driven pruning could change results.
 
 use proptest::prelude::*;
@@ -14,9 +13,9 @@ use logres::lang::parse_program;
 use logres::model::{Instance, OidGen};
 use logres_repro::generators::{closure_program, random_edges};
 
-/// Evaluate `src` under `semantics` at threads 1/2/8/0, compiled and
-/// interpreted, and assert (a) every stored fact lies inside the flow
-/// summary and (b) every run produces the same instance — so a flow-driven
+/// Evaluate `src` under `semantics`, compiled and interpreted, and assert
+/// (a) every stored fact lies inside the flow summary and (b) both runs
+/// produce the same instance — so a flow-driven
 /// plan transformation (rule pruning, semijoin skip, reordering) that
 /// changes results fails here even when the changed results still happen
 /// to sit inside the over-approximating summary.
@@ -28,32 +27,27 @@ fn assert_flow_sound(src: &str, semantics: Semantics) {
     let seeds = seeds_from_instance(&p.schema, &edb);
     let summaries = infer(&p.schema, &p.rules, &seeds);
     let mut oracle: Option<Instance> = None;
-    for threads in [1usize, 2, 8, 0] {
-        for compiled in [true, false] {
-            let opts = EvalOptions {
-                threads,
-                compiled,
-                ..EvalOptions::default()
-            };
-            let (inst, _) =
-                evaluate(&p.schema, &p.rules, &edb, semantics, opts).expect("evaluates");
-            for assoc in p.schema.assocs() {
-                for t in inst.tuples_of(assoc) {
-                    assert!(
-                        summaries.admits(assoc, t),
-                        "derived fact {assoc}{t} escapes the flow summary \
-                         (threads={threads}, compiled={compiled}):\n{src}"
-                    );
-                }
+    for compiled in [true, false] {
+        let opts = EvalOptions {
+            compiled,
+            ..EvalOptions::default()
+        };
+        let (inst, _) = evaluate(&p.schema, &p.rules, &edb, semantics, opts).expect("evaluates");
+        for assoc in p.schema.assocs() {
+            for t in inst.tuples_of(assoc) {
+                assert!(
+                    summaries.admits(assoc, t),
+                    "derived fact {assoc}{t} escapes the flow summary \
+                     (compiled={compiled}):\n{src}"
+                );
             }
-            match &oracle {
-                None => oracle = Some(inst),
-                Some(o) => assert_eq!(
-                    &inst, o,
-                    "instance diverges from the first run \
-                     (threads={threads}, compiled={compiled}):\n{src}"
-                ),
-            }
+        }
+        match &oracle {
+            None => oracle = Some(inst),
+            Some(o) => assert_eq!(
+                &inst, o,
+                "instance diverges from the first run (compiled={compiled}):\n{src}"
+            ),
         }
     }
 }

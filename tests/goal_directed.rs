@@ -1,7 +1,7 @@
 //! Differential tests for goal-directed (magic-set) evaluation: every
 //! answer the demand-driven path produces must be bit-identical to the
-//! full-fixpoint answer, at every thread count, and every program the
-//! planner cannot soundly rewrite must fall back — never answer wrongly.
+//! full-fixpoint answer, and every program the planner cannot soundly
+//! rewrite must fall back — never answer wrongly.
 
 use proptest::prelude::*;
 
@@ -19,11 +19,10 @@ type Rows = Vec<Vec<(Sym, Value)>>;
 /// Tight fuel: the corpus deliberately includes divergent programs (oid
 /// invention in a cycle); a run that exhausts this budget is skipped, not
 /// failed.
-fn bounded(threads: usize) -> EvalOptions {
+fn bounded() -> EvalOptions {
     EvalOptions {
         max_steps: 60,
         max_facts: 100_000,
-        threads,
         ..EvalOptions::default()
     }
 }
@@ -113,9 +112,9 @@ fn demand_answer(src: &str, opts: &EvalOptions) -> Option<Rows> {
 /// Every fixture in the analyzer corpus that carries a goal and evaluates:
 /// the corpus goals are all-free, so each is re-asked with its first output
 /// variable bound to a value drawn from the full answer. When the planner
-/// rewrites, the demanded answer must equal the full one — at one thread, a
-/// few, and auto. Exempt fixtures (negation, functions, invention …) must
-/// fall back, which the test counts but does not fail on.
+/// rewrites, the demanded answer must equal the full one. Exempt fixtures
+/// (negation, functions, invention …) must fall back, which the test counts
+/// but does not fail on.
 #[test]
 fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
     let mut rewritten = 0usize;
@@ -128,7 +127,7 @@ fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
         if load_facts(&p.schema, &mut edb, &p.facts, &mut gen).is_err() {
             continue;
         }
-        let Ok((inst, _)) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, bounded(1))
+        let Ok((inst, _)) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, bounded())
         else {
             continue;
         };
@@ -150,23 +149,17 @@ fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
         let Ok(want) = answer_goal(&p.schema, &inst, &bound_goal) else {
             continue;
         };
-        for threads in [1usize, 2, 8, 0] {
-            let demand = answer_goal_demand(
-                &p.schema,
-                &p.rules,
-                &edb,
-                &bound_goal,
-                Semantics::Stratified,
-                bounded(threads),
-            );
-            if let Ok(Some((got, _))) = demand {
-                assert_eq!(
-                    got, want,
-                    "fixture {} diverges at threads={threads}",
-                    f.name
-                );
-                rewritten += 1;
-            }
+        let demand = answer_goal_demand(
+            &p.schema,
+            &p.rules,
+            &edb,
+            &bound_goal,
+            Semantics::Stratified,
+            bounded(),
+        );
+        if let Ok(Some((got, _))) = demand {
+            assert_eq!(got, want, "fixture {} diverges", f.name);
+            rewritten += 1;
         }
     }
     // The corpus is not allowed to silently stop exercising the rewrite.
@@ -177,7 +170,7 @@ fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
 }
 
 /// The compiled fast path inside `evaluate_demand` is invisible: for every
-/// corpus fixture and every thread count, running the demand path with
+/// corpus fixture, running the demand path with
 /// `compiled` on (the default) and with `compiled` off produces the same
 /// fallback decision and, when both answer, the same rows.
 #[test]
@@ -195,7 +188,7 @@ fn corpus_demand_answers_match_between_compiled_and_interpreted_paths() {
         // Corpus goals are all-free and would fall back at the planner;
         // bind the first scalar output variable (as the full-fixpoint
         // corpus test does) so the demand path actually runs.
-        let Ok((inst, _)) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, bounded(1))
+        let Ok((inst, _)) = evaluate(&p.schema, &p.rules, &edb, Semantics::Stratified, bounded())
         else {
             continue;
         };
@@ -212,43 +205,39 @@ fn corpus_demand_answers_match_between_compiled_and_interpreted_paths() {
         let Some(goal) = bind_goal_var(&goal, var, &val) else {
             continue;
         };
-        for threads in [1usize, 2, 8, 0] {
-            let compiled = answer_goal_demand(
-                &p.schema,
-                &p.rules,
-                &edb,
-                &goal,
-                Semantics::Stratified,
-                bounded(threads),
-            );
-            let interpreted = answer_goal_demand(
-                &p.schema,
-                &p.rules,
-                &edb,
-                &goal,
-                Semantics::Stratified,
-                EvalOptions {
-                    compiled: false,
-                    ..bounded(threads)
-                },
-            );
-            match (compiled, interpreted) {
-                (Ok(Some((got, _))), Ok(Some((want, _)))) => {
-                    assert_eq!(
-                        got, want,
-                        "fixture {} diverges between compiled and interpreted \
-                         demand paths at threads={threads}",
-                        f.name
-                    );
-                    compared += 1;
-                }
-                (Ok(None), Ok(None)) | (Err(_), Err(_)) => {}
-                (c, i) => panic!(
-                    "fixture {}: fallback decision differs at threads={threads}: \
-                     compiled={c:?} interpreted={i:?}",
+        let compiled = answer_goal_demand(
+            &p.schema,
+            &p.rules,
+            &edb,
+            &goal,
+            Semantics::Stratified,
+            bounded(),
+        );
+        let interpreted = answer_goal_demand(
+            &p.schema,
+            &p.rules,
+            &edb,
+            &goal,
+            Semantics::Stratified,
+            EvalOptions {
+                compiled: false,
+                ..bounded()
+            },
+        );
+        match (compiled, interpreted) {
+            (Ok(Some((got, _))), Ok(Some((want, _)))) => {
+                assert_eq!(
+                    got, want,
+                    "fixture {} diverges between compiled and interpreted demand paths",
                     f.name
-                ),
+                );
+                compared += 1;
             }
+            (Ok(None), Ok(None)) | (Err(_), Err(_)) => {}
+            (c, i) => panic!(
+                "fixture {}: fallback decision differs: compiled={c:?} interpreted={i:?}",
+                f.name
+            ),
         }
     }
     assert!(
@@ -285,16 +274,13 @@ proptest! {
             "#
         );
         // The oracle runs interpreted (`compiled: false`); the demand path
-        // runs with the compiled fast path on (the default), at every
-        // thread count — so this doubles as a compiled-vs-interpreter
-        // differential over the magic-rewritten programs.
+        // runs with the compiled fast path on (the default) — so this
+        // doubles as a compiled-vs-interpreter differential over the
+        // magic-rewritten programs.
         let oracle = EvalOptions { compiled: false, ..EvalOptions::default() };
         let want = full_answer(&src, &oracle).expect("closure evaluates");
-        for threads in [1usize, 2, 8, 0] {
-            let opts = EvalOptions { threads, ..EvalOptions::default() };
-            let got = demand_answer(&src, &opts).expect("bound source rewrites");
-            prop_assert_eq!(&got, &want);
-        }
+        let got = demand_answer(&src, &EvalOptions::default()).expect("bound source rewrites");
+        prop_assert_eq!(&got, &want);
         // Round 1 joins the one-row demand seed with `e`: whenever `e`
         // holds more rows than that, the join probes `e`'s argument index
         // (unless flow analysis prunes the join, when no edge leaves the

@@ -1,8 +1,9 @@
 //! The evaluation governor (DESIGN.md §7): deadline and value-budget
 //! cancellation must return a structured error with a partial report — no
-//! panic, no hang — at every thread count, and a governed run whose budgets
-//! never trip must be **bit-identical** to an ungoverned one. Structured
-//! traces must likewise agree across thread counts modulo timing fields.
+//! panic, no hang — and a governed run whose budgets never trip must be
+//! **bit-identical** to an ungoverned one. `EvalOptions::threads` is
+//! ignored: a run at `threads: 8` leaves the instance and the normalized
+//! trace unchanged.
 
 use std::time::Duration;
 
@@ -48,37 +49,29 @@ fn edb_of(src: &str) -> (logres::Schema, Instance, logres::lang::RuleSet) {
 }
 
 /// The acceptance scenario: a 50ms deadline over the diverging ruleset
-/// returns a structured cancellation carrying a partial report, both
-/// serially and with one worker per core.
+/// returns a structured cancellation carrying a partial report.
 #[test]
 fn deadline_cancels_diverging_run_with_partial_report() {
     let (schema, edb, rules) = edb_of(DIVERGING);
-    for threads in [1usize, 0] {
-        let opts = EvalOptions {
-            threads,
-            deadline: Some(Duration::from_millis(50)),
-            ..EvalOptions::default()
-        };
-        let err = evaluate_inflationary(&schema, &rules, &edb, opts)
-            .expect_err("the diverging run must be cancelled");
-        let EngineError::Cancelled { cause, partial } = err else {
-            panic!("expected Cancelled, got {err}");
-        };
-        assert_eq!(
-            cause,
-            CancelCause::Deadline { budget_ms: 50 },
-            "threads={threads}"
-        );
-        assert!(partial.steps > 0, "threads={threads}: no progress recorded");
-        assert!(partial.facts > 0, "threads={threads}: no facts recorded");
-        // Per-rule profiles cover every rule and show real firings.
-        assert_eq!(partial.rule_profiles.len(), rules.rules.len());
-        let firings: usize = partial.rule_profiles.iter().map(|p| p.firings).sum();
-        assert!(firings > 0, "threads={threads}: profiles are empty");
-        // The error formats without panicking and names the cause.
-        let msg = EngineError::Cancelled { cause, partial }.to_string();
-        assert!(msg.contains("deadline of 50ms"), "{msg}");
-    }
+    let opts = EvalOptions {
+        deadline: Some(Duration::from_millis(50)),
+        ..EvalOptions::default()
+    };
+    let err = evaluate_inflationary(&schema, &rules, &edb, opts)
+        .expect_err("the diverging run must be cancelled");
+    let EngineError::Cancelled { cause, partial } = err else {
+        panic!("expected Cancelled, got {err}");
+    };
+    assert_eq!(cause, CancelCause::Deadline { budget_ms: 50 });
+    assert!(partial.steps > 0, "no progress recorded");
+    assert!(partial.facts > 0, "no facts recorded");
+    // Per-rule profiles cover every rule and show real firings.
+    assert_eq!(partial.rule_profiles.len(), rules.rules.len());
+    let firings: usize = partial.rule_profiles.iter().map(|p| p.firings).sum();
+    assert!(firings > 0, "profiles are empty");
+    // The error formats without panicking and names the cause.
+    let msg = EngineError::Cancelled { cause, partial }.to_string();
+    assert!(msg.contains("deadline of 50ms"), "{msg}");
 }
 
 #[test]
@@ -152,8 +145,9 @@ fn traced_run(src: &str, threads: usize) -> (Instance, Vec<TraceEvent>) {
     (inst, tracer.events())
 }
 
-/// PR-1 determinism extends to traces: the event *sequence* is identical at
-/// every thread count; only timing fields may differ.
+/// `EvalOptions::threads` is ignored: a run at `threads: 8` derives the same
+/// instance and the same event *sequence* as the default run; only timing
+/// fields may differ.
 #[test]
 fn traces_agree_across_thread_counts_modulo_timing() {
     for src in [INVENTING, &closure_program(&random_edges(16, 32, 9))] {
@@ -163,14 +157,50 @@ fn traces_agree_across_thread_counts_modulo_timing() {
             base.iter().any(|e| matches!(e, TraceEvent::StepEnd { .. })),
             "trace has no step events"
         );
-        for threads in [2usize, 8] {
-            let (inst, events) = traced_run(src, threads);
-            assert_eq!(inst, base_inst, "instance differs at threads={threads}");
-            let normalized: Vec<TraceEvent> = events.iter().map(TraceEvent::normalized).collect();
-            assert_eq!(
-                normalized, base,
-                "trace sequence differs at threads={threads}"
-            );
+        let (inst, events) = traced_run(src, 8);
+        assert_eq!(inst, base_inst, "instance differs at threads=8");
+        let normalized: Vec<TraceEvent> = events.iter().map(TraceEvent::normalized).collect();
+        assert_eq!(normalized, base, "trace sequence differs at threads=8");
+    }
+}
+
+/// A compiled round times the inserts that commit its rows as apply work:
+/// every round that derives something reports it, in the report and in its
+/// `step_end` event.
+#[test]
+fn compiled_rounds_report_their_apply_time() {
+    let (schema, edb, rules) = edb_of(&closure_program(&random_edges(16, 32, 9)));
+    let tracer = Tracer::memory();
+    let opts = EvalOptions {
+        trace: Some(tracer.clone()),
+        ..EvalOptions::default()
+    };
+    let (_, report) =
+        evaluate(&schema, &rules, &edb, Semantics::Stratified, opts).expect("compiled run");
+    let events = tracer.events();
+    assert!(
+        matches!(
+            events.first(),
+            Some(TraceEvent::EvalStart {
+                engine: "compiled",
+                ..
+            })
+        ),
+        "{events:?}"
+    );
+    let deriving: Vec<_> = report.iterations.iter().filter(|s| s.derived > 0).collect();
+    assert!(deriving.len() > 1, "{:?}", report.iterations);
+    for stats in deriving {
+        assert!(stats.apply_nanos > 0, "{stats:?}");
+    }
+    for ev in &events {
+        if let TraceEvent::StepEnd {
+            derived,
+            apply_nanos,
+            ..
+        } = ev
+        {
+            assert!(*derived == 0 || *apply_nanos > 0, "{ev:?}");
         }
     }
 }
@@ -319,38 +349,34 @@ fn stratified_budgets_bound_the_whole_run_on_both_paths() {
     for (src, base, want) in &cases {
         let (schema, edb, rules) = edb_of(src);
         for compiled in [true, false] {
-            for threads in [1usize, 8] {
-                let opts = EvalOptions {
-                    compiled,
-                    threads,
-                    ..base.clone()
-                };
-                let ctx = format!(
-                    "compiled={compiled} threads={threads} max_steps={} \
-                     max_value_nodes={:?} deadline={:?}",
-                    opts.max_steps, opts.max_value_nodes, opts.deadline
-                );
-                let got = evaluate(&schema, &rules, &edb, Semantics::Stratified, opts);
-                match (want, got) {
-                    (Want::Fixpoint, Ok(_)) => {}
-                    (Want::NoFixpoint(n), Err(EngineError::NoFixpoint { steps })) => {
-                        assert_eq!(steps, *n, "{ctx}")
-                    }
-                    (Want::ValueBudget(n), Err(EngineError::Cancelled { cause, .. })) => {
-                        let CancelCause::ValueBudget { limit, used } = cause else {
-                            panic!("{ctx}: expected a value budget, got {cause:?}");
-                        };
-                        assert_eq!(limit, *n, "{ctx}");
-                        assert!(used > limit, "{ctx}");
-                    }
-                    (Want::Deadline(ms), Err(EngineError::Cancelled { cause, partial })) => {
-                        assert_eq!(cause, CancelCause::Deadline { budget_ms: *ms }, "{ctx}");
-                        let msg = EngineError::Cancelled { cause, partial }.to_string();
-                        assert!(msg.contains(&format!("deadline of {ms}ms")), "{ctx}: {msg}");
-                    }
-                    (_, other) => {
-                        panic!("{ctx}: unexpected outcome {:?}", other.map(|r| r.1.steps))
-                    }
+            let opts = EvalOptions {
+                compiled,
+                ..base.clone()
+            };
+            let ctx = format!(
+                "compiled={compiled} max_steps={} max_value_nodes={:?} deadline={:?}",
+                opts.max_steps, opts.max_value_nodes, opts.deadline
+            );
+            let got = evaluate(&schema, &rules, &edb, Semantics::Stratified, opts);
+            match (want, got) {
+                (Want::Fixpoint, Ok(_)) => {}
+                (Want::NoFixpoint(n), Err(EngineError::NoFixpoint { steps })) => {
+                    assert_eq!(steps, *n, "{ctx}")
+                }
+                (Want::ValueBudget(n), Err(EngineError::Cancelled { cause, .. })) => {
+                    let CancelCause::ValueBudget { limit, used } = cause else {
+                        panic!("{ctx}: expected a value budget, got {cause:?}");
+                    };
+                    assert_eq!(limit, *n, "{ctx}");
+                    assert!(used > limit, "{ctx}");
+                }
+                (Want::Deadline(ms), Err(EngineError::Cancelled { cause, partial })) => {
+                    assert_eq!(cause, CancelCause::Deadline { budget_ms: *ms }, "{ctx}");
+                    let msg = EngineError::Cancelled { cause, partial }.to_string();
+                    assert!(msg.contains(&format!("deadline of {ms}ms")), "{ctx}: {msg}");
+                }
+                (_, other) => {
+                    panic!("{ctx}: unexpected outcome {:?}", other.map(|r| r.1.steps))
                 }
             }
         }

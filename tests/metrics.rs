@@ -1,19 +1,19 @@
 //! Observability determinism and exposition-format goldens.
 //!
 //! Counting metrics and derivation provenance are part of the determinism
-//! contract (DESIGN.md §8): the merge phase runs serially in canonical
-//! rule order at every thread count, so `counter_snapshot()` (counters
-//! only — timing histograms and the headroom gauge are exempt) and the
-//! provenance store must be **bit-identical** at threads 1, 2, 8, and 0.
+//! contract (DESIGN.md §8): every driver counts and records in one serial
+//! loop in canonical rule order, so `counter_snapshot()` (counters only —
+//! timing histograms and the headroom gauge are exempt) and the provenance
+//! store are fixed by the program and its EDB, and the counters add up to
+//! what the run's report says it did.
 
 use std::sync::Arc;
 
 use logres::engine::{evaluate_inflationary, load_facts, EvalOptions, MetricsRegistry, Provenance};
 use logres::lang::parse_program;
 use logres::model::{Instance, OidGen};
+use logres::EvalReport;
 use logres_repro::generators::{closure_program, random_edges};
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 8, 0]; // 0 = one worker per core
 
 /// Example 4.2 in miniature: derivation + deletion through Δ⁻.
 const UPDATE: &str = r#"
@@ -56,39 +56,63 @@ fn edb_of(src: &str) -> (logres::Schema, Instance, logres::lang::RuleSet) {
 }
 
 /// One instrumented run on a fresh registry: the deterministic surface
-/// (counter snapshot + provenance store) plus the instance.
-fn instrumented_run(
-    src: &str,
-    threads: usize,
-) -> (Vec<(String, u64)>, Option<Provenance>, Instance) {
+/// (counter snapshot + provenance store), the instance and the report.
+fn instrumented_run(src: &str) -> (Vec<(String, u64)>, Option<Provenance>, Instance, EvalReport) {
     let (schema, edb, rules) = edb_of(src);
     let registry = Arc::new(MetricsRegistry::new());
     let opts = EvalOptions {
-        threads,
         metrics: Some(registry.clone()),
         provenance: true,
         ..EvalOptions::default()
     };
-    let (inst, report) =
+    let (inst, mut report) =
         evaluate_inflationary(&schema, &rules, &edb, opts).expect("inflationary runs");
-    (registry.counter_snapshot(), report.provenance, inst)
+    let prov = report.provenance.take();
+    (registry.counter_snapshot(), prov, inst, report)
 }
 
+/// A counter's value in a snapshot (0 when the series never registered).
+fn counter(snapshot: &[(String, u64)], name: &str) -> u64 {
+    snapshot
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
+}
+
+/// The run records provenance, and its counters — aggregate and per rule —
+/// add up to the per-rule profiles and rounds of its report.
 fn assert_observably_deterministic(src: &str) {
-    let (base_counters, base_prov, base_inst) = instrumented_run(src, 1);
+    let (counters, prov, _, report) = instrumented_run(src);
     assert!(
-        base_prov.as_ref().is_some_and(|p| !p.is_empty()),
+        prov.as_ref().is_some_and(|p| !p.is_empty()),
         "provenance recorded something"
     );
-    for threads in THREAD_COUNTS {
-        let (counters, prov, inst) = instrumented_run(src, threads);
-        assert_eq!(inst, base_inst, "instance differs at threads={threads}");
-        assert_eq!(
-            counters, base_counters,
-            "counter snapshot differs at threads={threads}"
-        );
-        assert_eq!(prov, base_prov, "provenance differs at threads={threads}");
+    let families = [
+        ("logres_firings_total", "logres_rule_firings_total"),
+        (
+            "logres_derived_facts_total",
+            "logres_rule_derived_facts_total",
+        ),
+        (
+            "logres_deleted_facts_total",
+            "logres_rule_deleted_facts_total",
+        ),
+    ];
+    for (f, (total, per_rule)) in families.into_iter().enumerate() {
+        let mut sum = 0;
+        for (i, p) in report.rule_profiles.iter().enumerate() {
+            let want = [p.firings, p.derived, p.deleted][f] as u64;
+            let name = format!("{per_rule}{{rule=\"{i}\"}}");
+            assert_eq!(counter(&counters, &name), want, "{name}: {counters:?}");
+            sum += want;
+        }
+        assert_eq!(counter(&counters, total), sum, "{total}: {counters:?}");
     }
+    assert_eq!(
+        counter(&counters, "logres_eval_steps_total"),
+        report.iterations.len() as u64,
+        "one counted round per iteration: {counters:?}"
+    );
 }
 
 #[test]
@@ -109,7 +133,7 @@ fn invention_metrics_are_thread_count_invariant() {
 
 #[test]
 fn counters_reflect_the_work_done() {
-    let (counters, prov, inst) = instrumented_run(INVENTION, 1);
+    let (counters, prov, inst, _) = instrumented_run(INVENTION);
     let get = |name: &str| {
         counters
             .iter()
@@ -200,7 +224,7 @@ fn why_walks_a_deep_chain_to_edb() {
     // A 6-link chain: tc(0,6) needs the full genealogy of hops.
     let edges: Vec<(i64, i64)> = (0..6).map(|i| (i, i + 1)).collect();
     let src = closure_program(&edges);
-    let (_, prov, _) = instrumented_run(&src, 1);
+    let (_, prov, _, _) = instrumented_run(&src);
     let prov = prov.expect("provenance on");
     let fact = logres::model::Fact::Assoc {
         assoc: logres::Sym::new("tc"),

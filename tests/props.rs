@@ -4,11 +4,11 @@
 use proptest::prelude::*;
 
 use logres::engine::{
-    evaluate, evaluate_inflationary, load_facts, maintainable, EvalOptions, MaterializedView,
-    Semantics,
+    apply_update, evaluate, evaluate_inflationary, load_facts, maintainable, EvalOptions,
+    MaterializedView, Semantics, UpdateSpec,
 };
 use logres::lang::parse_program;
-use logres::model::{Instance, Oid, OidGen, Schema, Sym, TypeDesc, Value};
+use logres::model::{Fact, Instance, Oid, OidGen, Schema, Sym, TypeDesc, Value};
 use logres_repro::generators::{closure_program, reference_closure};
 
 // ---------------------------------------------------------------------------
@@ -301,6 +301,17 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Render a random positive association program from rule-template picks.
+/// The three binary associations the random rule sets range over.
+const P: [&str; 3] = ["p", "q", "r"];
+
+/// The fact `P[pi](a: a, b: b)`.
+fn pqr_fact(&(pi, a, b): &(usize, i64, i64)) -> Fact {
+    Fact::Assoc {
+        assoc: Sym::new(P[pi]),
+        tuple: Value::tuple([("a", Value::Int(a)), ("b", Value::Int(b))]),
+    }
+}
+
 /// Every template is positive, association-only and builtin-free, so the
 /// whole program stays inside the semi-naive fragment, and the value domain
 /// is finite (no arithmetic), so every program terminates.
@@ -308,7 +319,6 @@ fn ruleset_src(
     rules: &[(usize, usize, usize, usize)],
     facts: &std::collections::BTreeSet<(usize, i64, i64)>,
 ) -> String {
-    const P: [&str; 3] = ["p", "q", "r"];
     let mut src = String::from(
         "associations\n  \
            p = (a: integer, b: integer);\n  \
@@ -334,12 +344,15 @@ fn ruleset_src(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On random positive rule sets the serial and parallel inflationary
-    /// interpreter, the compiled path, and a maintenance view build at
-    /// threads 1 and 8 all produce the same instance, and the view records
-    /// a derivation for every fact beyond the EDB.
+    /// On random positive rule sets the inflationary interpreter, the
+    /// compiled path and a maintenance view build all produce the same
+    /// instance, and the view records a derivation for every fact beyond
+    /// the EDB. A random insert/delete batch over `p`, `q` and `r`, applied
+    /// to the view with `apply_update`, then leaves the view itself equal
+    /// to the fixpoint of the updated EDB, again with one recorded
+    /// derivation per derived fact.
     #[test]
     fn random_positive_rulesets_agree(
         rules in proptest::collection::vec(
@@ -350,6 +363,11 @@ proptest! {
             (0usize..3, 0i64..4, 0i64..4),
             1..12,
         ),
+        inserts in proptest::collection::btree_set(
+            (0usize..3, 0i64..4, 0i64..4),
+            0..4,
+        ),
+        deletes in proptest::collection::vec(0usize..12, 0..4),
     ) {
         let src = ruleset_src(&rules, &facts);
         let p = parse_program(&src).unwrap();
@@ -363,21 +381,40 @@ proptest! {
             &p.schema, &p.rules, &edb, Semantics::Stratified, EvalOptions::default(),
         ).unwrap();
         prop_assert_eq!(&compiled, &infl, "compiled path disagrees on:\n{}", src);
-        let par_opts = EvalOptions { threads: 8, ..EvalOptions::default() };
-        let (par, _) =
-            evaluate_inflationary(&p.schema, &p.rules, &edb, par_opts).unwrap();
-        prop_assert_eq!(&par, &infl, "parallel run disagrees on:\n{}", src);
-        for threads in [1, 8] {
-            let opts = EvalOptions { threads, ..EvalOptions::default() };
-            let (view, _) = MaterializedView::build(&p.schema, &p.rules, &edb, &opts).unwrap();
-            prop_assert_eq!(
-                view.instance(), &infl, "view build at threads={} disagrees on:\n{}", threads, src
-            );
-            prop_assert_eq!(
-                view.supported_count(), infl.fact_count() - edb.fact_count(),
-                "view build at threads={} misses a derivation on:\n{}", threads, src
-            );
+        let opts = EvalOptions::default();
+        let (mut view, _) = MaterializedView::build(&p.schema, &p.rules, &edb, &opts).unwrap();
+        prop_assert_eq!(view.instance(), &infl, "view build disagrees on:\n{}", src);
+        prop_assert_eq!(
+            view.supported_count(), infl.fact_count() - edb.fact_count(),
+            "view build misses a derivation on:\n{}", src
+        );
+
+        // Deletions name EDB facts; insertions range over the whole domain,
+        // so they may repeat an EDB fact or make a derived one extensional.
+        let edb_facts: Vec<&(usize, i64, i64)> = facts.iter().collect();
+        let spec = UpdateSpec {
+            inserts: inserts.iter().map(pqr_fact).collect(),
+            deletes: deletes.iter().map(|&i| pqr_fact(edb_facts[i % edb_facts.len()])).collect(),
+            ..UpdateSpec::default()
+        };
+        apply_update(&p.schema, &mut view, &spec, &edb, &opts).unwrap();
+        let mut updated = edb.clone();
+        for f in &spec.deletes {
+            updated.remove_fact(&p.schema, f);
         }
+        for f in &spec.inserts {
+            updated.insert_fact(&p.schema, f);
+        }
+        let (want, _) =
+            evaluate_inflationary(&p.schema, &p.rules, &updated, EvalOptions::default()).unwrap();
+        prop_assert_eq!(
+            view.instance(), &want,
+            "maintained view disagrees after {:?} on:\n{}", spec, src
+        );
+        prop_assert_eq!(
+            view.supported_count(), want.fact_count() - updated.fact_count(),
+            "maintained view misses a derivation after {:?} on:\n{}", spec, src
+        );
     }
 }
 
