@@ -58,6 +58,30 @@ pub fn closure_program(edges: &[(i64, i64)]) -> String {
     )
 }
 
+/// The reference closure of an edge list, computed by plain DFS, for
+/// cross-checking the engines.
+pub fn reference_closure(edges: &[(i64, i64)]) -> std::collections::BTreeSet<(i64, i64)> {
+    let mut adj: std::collections::BTreeMap<i64, Vec<i64>> = Default::default();
+    let mut nodes: std::collections::BTreeSet<i64> = Default::default();
+    for &(a, b) in edges {
+        adj.entry(a).or_default().push(b);
+        nodes.insert(a);
+        nodes.insert(b);
+    }
+    let mut out = std::collections::BTreeSet::new();
+    for &start in &nodes {
+        let mut stack = adj.get(&start).cloned().unwrap_or_default();
+        let mut seen = std::collections::BTreeSet::new();
+        while let Some(x) = stack.pop() {
+            if seen.insert(x) {
+                out.insert((start, x));
+                stack.extend(adj.get(&x).cloned().unwrap_or_default());
+            }
+        }
+    }
+    out
+}
+
 /// The powerset program of Example 3.3 over `{1..n}`.
 pub fn powerset_program(n: usize) -> String {
     let facts: String = (1..=n).map(|i| format!("  r(d: {i}).\n")).collect();

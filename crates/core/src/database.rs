@@ -7,14 +7,25 @@
 //! "LOGRES modules and databases are parametric with respect to the
 //! semantics of the rules they support" — so every application may override
 //! the database's default semantics.
+//!
+//! Each application computes its mode's next `S`, `R` and stored denials
+//! once, in one transition that writes out the Section 4.1 table; only `E′`
+//! is left to the route. The full path computes `E′` by evaluation and
+//! checks the whole candidate; the maintained path of the data-variant
+//! modes computes it as an update over `E` and checks the delta. Both
+//! commit through the same assignment. RIDI is the same pipeline with no
+//! check and no commit, and a query runs it after (or instead of) the
+//! demand-driven attempt, over the one transient state both share.
 
 use std::sync::Arc;
 
+use logres_engine::maintain::{self, MaterializedView, UpdateSpec};
 use logres_engine::{
-    answer_goal, evaluate, load_facts, maintain, note_fallback, Derivation, EvalOptions,
-    EvalReport, MetricsRegistry, Semantics,
+    answer_goal, compile_program_for, evaluate, load_facts, note_fallback, render_program,
+    render_unsupported, Derivation, EvalOptions, EvalReport, MetricsRegistry, Provenance,
+    Semantics,
 };
-use logres_lang::analyze::RuleShape;
+use logres_lang::analyze::{plan_goal, RuleShape};
 use logres_lang::{parse_program, AnalysisInput, Diagnostic, Rule, RuleSet};
 use logres_model::{
     integrity, Fact, Instance, IntegrityConstraint, Oid, PredKind, Schema, Sym, Value,
@@ -60,14 +71,7 @@ pub struct Database {
 impl Database {
     /// An empty database over a validated schema.
     pub fn new(schema: Schema) -> Database {
-        Database {
-            state: DatabaseState::new(schema),
-            semantics: Semantics::default(),
-            opts: EvalOptions::default(),
-            view: None,
-            incremental: true,
-            parse_cache: FxHashMap::default(),
-        }
+        Database::from_state(DatabaseState::new(schema))
     }
 
     /// Bootstrap a database from a program text: schema sections define
@@ -80,19 +84,12 @@ impl Database {
         let mut gen = logres_model::OidGen::new();
         load_facts(&program.schema, &mut edb, &program.facts, &mut gen)
             .map_err(CoreError::Engine)?;
-        Ok(Database {
-            state: DatabaseState {
-                schema: program.schema,
-                rules: program.rules,
-                edb,
-                constraints: program.constraints,
-            },
-            semantics: Semantics::default(),
-            opts: EvalOptions::default(),
-            view: None,
-            incremental: true,
-            parse_cache: FxHashMap::default(),
-        })
+        Ok(Database::from_state(DatabaseState {
+            schema: program.schema,
+            rules: program.rules,
+            edb,
+            constraints: program.constraints,
+        }))
     }
 
     /// Wrap an existing state (e.g. one restored by [`crate::persist::load`]).
@@ -255,29 +252,17 @@ impl Database {
     /// back to its EDB leaves. `Ok(None)` means the fact is not in the
     /// instance at all; an EDB fact comes back as a leaf derivation.
     pub fn why(&self, fact: &Fact) -> Result<Option<Derivation>, CoreError> {
-        let mut opts = self.opts.clone();
-        opts.provenance = true;
-        let (inst, report) = self
-            .state
-            .instance(self.semantics, opts)
-            .map_err(CoreError::Engine)?;
-        if !inst.contains_fact(&self.state.schema, fact) {
-            return Ok(None);
-        }
-        let prov = report.provenance.unwrap_or_default();
-        Ok(Some(prov.explain(fact)))
+        let (inst, prov) = self.provenance()?;
+        Ok(inst
+            .contains_fact(&self.state.schema, fact)
+            .then(|| prov.explain(fact)))
     }
 
     /// [`Database::why`] over a textual fact such as `tc(a: 1, b: 3)` or
     /// `emp(name: "smith")`, returning the rendered derivation chain (or a
     /// message explaining why there is nothing to show).
     pub fn why_source(&self, fact_src: &str) -> Result<String, CoreError> {
-        let mut opts = self.opts.clone();
-        opts.provenance = true;
-        let (inst, report) = self
-            .state
-            .instance(self.semantics, opts)
-            .map_err(CoreError::Engine)?;
+        let (inst, prov) = self.provenance()?;
         let Some(fact) = self.resolve_fact_src(fact_src, &inst)? else {
             return Ok(format!(
                 "no fact matching `{}` in the instance",
@@ -287,11 +272,19 @@ impl Database {
         if !inst.contains_fact(&self.state.schema, &fact) {
             return Ok(format!("{fact} is not in the instance"));
         }
-        Ok(report
-            .provenance
-            .unwrap_or_default()
-            .explain(&fact)
-            .render())
+        Ok(prov.explain(&fact).render())
+    }
+
+    /// The instance and its derivations: `(E, R)` re-evaluated with
+    /// provenance recording on.
+    fn provenance(&self) -> Result<(Instance, Provenance), CoreError> {
+        let mut opts = self.opts.clone();
+        opts.provenance = true;
+        let (inst, report) = self
+            .state
+            .instance(self.semantics, opts)
+            .map_err(CoreError::Engine)?;
+        Ok((inst, report.provenance.unwrap_or_default()))
     }
 
     /// Parse a textual ground fact and resolve it against `inst`. Class
@@ -406,196 +399,160 @@ impl Database {
         if mode != Mode::Ridi && Self::module_carries_schema(module) {
             self.parse_cache.clear();
         }
+        let mut next = self.next_state(module, mode)?;
+        if mode == Mode::Ridi {
+            return self.ridi(module, &next, semantics);
+        }
+        let maintained = if mode.data_variant() && self.incremental {
+            self.try_incremental(module, mode, semantics, &next)?
+        } else {
+            None
+        };
+        let (answer, report, view) = match maintained {
+            // E′ is E patched in place by the checked update.
+            Some((spec, view, report)) => {
+                for f in &spec.deletes {
+                    self.state.edb.remove_fact(&next.schema, f);
+                }
+                for f in &spec.inserts {
+                    self.state.edb.insert_fact(&next.schema, f);
+                }
+                std::mem::swap(&mut next.edb, &mut self.state.edb);
+                (None, report, Some(view))
+            }
+            // E′ by evaluation; the whole candidate instance must be
+            // consistent (Section 4.1: the new instance must be defined).
+            None => {
+                let (edb, evaluated) = self.evaluate_edb(module, mode, semantics, &next.schema)?;
+                next.edb = edb;
+                let (inst, report) = next
+                    .instance(semantics, self.opts.clone())
+                    .map_err(CoreError::Engine)?;
+                next.check_consistency(&inst)?.into_result()?;
+                let answer = answer(&next.schema, &inst, module)?;
+                (answer, evaluated.unwrap_or(report), None)
+            }
+        };
+        self.state = next;
+        self.view = view;
+        Ok(ApplicationOutcome { answer, report })
+    }
 
-        match mode {
-            Mode::Ridi => {
-                // Transient: evaluate R ∪ R_M over E with S ∪ S_M; nothing
-                // persists.
-                let schema = self.union_schema(module)?;
-                let rules = self.state.rules.union(&module.rules);
-                let (inst, report) = evaluate(
-                    &schema,
-                    &rules,
-                    &self.state.edb,
-                    semantics,
-                    self.opts.clone(),
-                )
-                .map_err(CoreError::Engine)?;
-                let answer = self.answer(&schema, &inst, module)?;
-                Ok(ApplicationOutcome { answer, report })
-            }
-            Mode::Radi => {
-                let schema = self.union_schema(module)?;
-                let rules = self.state.rules.union(&module.rules);
-                let mut constraints = self.state.constraints.clone();
-                for d in &module.constraints {
-                    if !constraints.contains(d) {
-                        constraints.push(d.clone());
-                    }
-                }
-                let candidate = DatabaseState {
-                    schema,
-                    rules,
-                    edb: self.state.edb.clone(),
-                    constraints,
-                };
-                let (inst, report) = self.check_candidate(&candidate, semantics)?;
-                let answer = self.answer(&candidate.schema, &inst, module)?;
-                self.state = candidate;
-                self.view = None;
-                Ok(ApplicationOutcome { answer, report })
-            }
-            Mode::Rddi => {
-                let mut schema = self.state.schema.difference(&module.schema);
+    /// The state Section 4.1 gives `mode` next, less `E′`: `S′`, `R′` and
+    /// the stored denials `D′`, over an empty EDB the route fills in.
+    /// RIDI's is the transient state it evaluates and never commits.
+    ///
+    /// | mode | `S′` | `R′` | `D′` |
+    /// |---|---|---|---|
+    /// | RIDI | `S ∪ S_M` | `R ∪ R_M` | kept |
+    /// | RIDV | `S ∪ S_M` | `R` | kept |
+    /// | RADI, RADV | `S ∪ S_M` | `R ∪ R_M` | `D ∪ D_M` |
+    /// | RDDI, RDDV | `S − S_M` | `R − R_M` | `D − D_M` |
+    fn next_state(&self, module: &Module, mode: Mode) -> Result<DatabaseState, CoreError> {
+        let state = &self.state;
+        let schema = match mode {
+            Mode::Rddi | Mode::Rddv => {
+                let mut schema = state.schema.difference(&module.schema);
                 schema.validate().map_err(CoreError::Model)?;
-                let rules = self.state.rules.difference(&module.rules);
-                let constraints: Vec<_> = self
-                    .state
-                    .constraints
-                    .iter()
-                    .filter(|d| !module.constraints.contains(d))
-                    .cloned()
-                    .collect();
-                let candidate = DatabaseState {
-                    schema,
-                    rules,
-                    edb: self.state.edb.clone(),
-                    constraints,
-                };
-                let (inst, report) = self.check_candidate(&candidate, semantics)?;
-                let answer = self.answer(&candidate.schema, &inst, module)?;
-                self.state = candidate;
-                self.view = None;
-                Ok(ApplicationOutcome { answer, report })
+                schema
             }
-            Mode::Ridv => {
-                if let Some(outcome) = self.try_incremental(module, mode, semantics)? {
-                    return Ok(outcome);
-                }
-                // E' = result of applying the *module* rules to E; the
-                // persistent rules are untouched but S gains the module's
-                // new type equations (the paper's S_M(EDB)).
-                let schema = self.union_schema(module)?;
-                let (new_edb, report) = evaluate(
-                    &schema,
-                    &module.rules,
-                    &self.state.edb,
-                    semantics,
-                    self.opts.clone(),
-                )
-                .map_err(CoreError::Engine)?;
-                let candidate = DatabaseState {
-                    schema,
-                    rules: self.state.rules.clone(),
-                    edb: new_edb,
-                    constraints: self.state.constraints.clone(),
-                };
-                let (_, _) = self.check_candidate(&candidate, semantics)?;
-                self.state = candidate;
-                self.view = None;
-                Ok(ApplicationOutcome {
-                    answer: None,
-                    report,
-                })
-            }
-            Mode::Radv => {
-                if let Some(outcome) = self.try_incremental(module, mode, semantics)? {
-                    return Ok(outcome);
-                }
-                let schema = self.union_schema(module)?;
-                let (new_edb, report) = evaluate(
-                    &schema,
-                    &module.rules,
-                    &self.state.edb,
-                    semantics,
-                    self.opts.clone(),
-                )
-                .map_err(CoreError::Engine)?;
-                let rules = self.state.rules.union(&module.rules);
-                let mut constraints = self.state.constraints.clone();
+            _ => self.union_schema(module)?,
+        };
+        let mut constraints = state.constraints.clone();
+        let rules = match mode {
+            Mode::Ridv => state.rules.clone(),
+            Mode::Ridi => state.rules.union(&module.rules),
+            Mode::Radi | Mode::Radv => {
                 for d in &module.constraints {
                     if !constraints.contains(d) {
                         constraints.push(d.clone());
                     }
                 }
-                let candidate = DatabaseState {
-                    schema,
-                    rules,
-                    edb: new_edb,
-                    constraints,
-                };
-                let (_, _) = self.check_candidate(&candidate, semantics)?;
-                self.state = candidate;
-                self.view = None;
-                Ok(ApplicationOutcome {
-                    answer: None,
-                    report,
-                })
+                state.rules.union(&module.rules)
             }
+            Mode::Rddi | Mode::Rddv => {
+                constraints.retain(|d| !module.constraints.contains(d));
+                state.rules.difference(&module.rules)
+            }
+        };
+        Ok(DatabaseState {
+            schema,
+            rules,
+            edb: Instance::new(),
+            constraints,
+        })
+    }
+
+    /// RIDI over its transient state `next`: evaluate `R ∪ R_M` over `E`
+    /// with `S ∪ S_M` and answer the goal. Nothing is checked or committed.
+    fn ridi(
+        &self,
+        module: &Module,
+        next: &DatabaseState,
+        semantics: Semantics,
+    ) -> Result<ApplicationOutcome, CoreError> {
+        let (inst, report) = evaluate(
+            &next.schema,
+            &next.rules,
+            &self.state.edb,
+            semantics,
+            self.opts.clone(),
+        )
+        .map_err(CoreError::Engine)?;
+        let answer = answer(&next.schema, &inst, module)?;
+        Ok(ApplicationOutcome { answer, report })
+    }
+
+    /// `E′` by evaluation, with the report of the evaluation that made it.
+    /// RADI and RDDI keep `E`. RIDV and RADV apply the module's rules to `E`
+    /// (the paper's `S_M(EDB)`) under `schema`, their `S ∪ S_M`; RDDV
+    /// removes `E_M`, the instance of `(∅, R_M)` under `S ∪ S_M`.
+    fn evaluate_edb(
+        &self,
+        module: &Module,
+        mode: Mode,
+        semantics: Semantics,
+        schema: &Schema,
+    ) -> Result<(Instance, Option<EvalReport>), CoreError> {
+        let eval = |schema: &Schema, edb: &Instance| {
+            evaluate(schema, &module.rules, edb, semantics, self.opts.clone())
+                .map_err(CoreError::Engine)
+        };
+        match mode {
+            Mode::Ridv | Mode::Radv => eval(schema, &self.state.edb).map(|(e, r)| (e, Some(r))),
             Mode::Rddv => {
-                if let Some(outcome) = self.try_incremental(module, mode, semantics)? {
-                    return Ok(outcome);
-                }
-                // E_M = the instance of (∅, R_M); E' = E − E_M.
                 let schema = self.union_schema(module)?;
-                let (em, report) = evaluate(
-                    &schema,
-                    &module.rules,
-                    &Instance::new(),
-                    semantics,
-                    self.opts.clone(),
-                )
-                .map_err(CoreError::Engine)?;
-                let mut new_edb = self.state.edb.clone();
+                let (em, report) = eval(&schema, &Instance::new())?;
+                let mut edb = self.state.edb.clone();
                 for fact in em.facts(&schema) {
-                    new_edb.remove_fact(&schema, &fact);
+                    edb.remove_fact(&schema, &fact);
                 }
-                let mut new_schema = self.state.schema.difference(&module.schema);
-                new_schema.validate().map_err(CoreError::Model)?;
-                let rules = self.state.rules.difference(&module.rules);
-                let constraints: Vec<_> = self
-                    .state
-                    .constraints
-                    .iter()
-                    .filter(|d| !module.constraints.contains(d))
-                    .cloned()
-                    .collect();
-                let candidate = DatabaseState {
-                    schema: new_schema,
-                    rules,
-                    edb: new_edb,
-                    constraints,
-                };
-                let (_, _) = self.check_candidate(&candidate, semantics)?;
-                self.state = candidate;
-                self.view = None;
-                Ok(ApplicationOutcome {
-                    answer: None,
-                    report,
-                })
+                Ok((edb, Some(report)))
             }
+            _ => Ok((self.state.edb.clone(), None)),
         }
     }
 
     /// Serve a data-variant application through the incremental maintenance
     /// engine ([`logres_engine::maintain`]) when the module and the
-    /// persistent program lie in the supported fragment.
+    /// persistent program lie in the supported fragment. `next` is the
+    /// application's next state less `E′`; this route computes `E′` as an
+    /// update over `E` instead of by evaluation, and checks the update
+    /// against `next`'s schema and denials.
     ///
     /// `Ok(None)` means the caller must take the full rederivation path;
     /// the reason has already been recorded on the
-    /// `logres_maintain_fallbacks_total` metric. `Ok(Some(..))` means the
-    /// update was applied and committed incrementally. Rejections and
-    /// engine failures leave the persistent state untouched (the stale view
-    /// is discarded).
+    /// `logres_maintain_fallbacks_total` metric. `Ok(Some(..))` is the
+    /// checked update, the view that already reflects it and the report,
+    /// for the caller to commit. Rejections and engine failures leave the
+    /// persistent state untouched (the stale view is discarded).
     fn try_incremental(
         &mut self,
         module: &Module,
         mode: Mode,
         semantics: Semantics,
-    ) -> Result<Option<ApplicationOutcome>, CoreError> {
-        if !self.incremental || module.goal.is_some() {
-            return Ok(None);
-        }
+        next: &DatabaseState,
+    ) -> Result<Option<(UpdateSpec, MaterializedView, EvalReport)>, CoreError> {
         macro_rules! fall_back {
             ($reason:expr) => {{
                 note_fallback(&self.opts, "logres_maintain_fallbacks_total", $reason);
@@ -611,6 +568,8 @@ impl Database {
         {
             fall_back!("schema");
         }
+        // RDDV's next schema is `S − S_M`; its update runs under the
+        // current `S`.
         let schema = match mode {
             Mode::Rddv => {
                 // RDDV subtracts the module schema; dropping declarations
@@ -620,13 +579,13 @@ impl Database {
                 {
                     fall_back!("schema");
                 }
-                self.state.schema.clone()
+                &self.state.schema
             }
-            _ => self.union_schema(module)?,
+            _ => &next.schema,
         };
         // The persistent program must be maintainable for the view to
         // exist at all (no oid invention, no data functions, no negation).
-        if !maintain::maintainable(&schema, &self.state.rules) {
+        if !maintain::maintainable(schema, &self.state.rules) {
             fall_back!("fragment");
         }
 
@@ -634,11 +593,9 @@ impl Database {
             .rules
             .rules
             .iter()
-            .partition(|r| maintain::is_ground_batch_rule(&schema, r));
+            .partition(|r| maintain::is_ground_batch_rule(schema, r));
 
-        let mut spec = maintain::UpdateSpec::default();
-        let mut rules = self.state.rules.clone();
-        let mut constraints = self.state.constraints.clone();
+        let mut spec = UpdateSpec::default();
         // Profile entries for the module's own (transient) rules, merged
         // into the synthesized report so `:profile` covers them.
         let mut module_profiles: Vec<logres_engine::RuleProfile> = Vec::new();
@@ -647,13 +604,13 @@ impl Database {
                 if !nonground.is_empty() {
                     fall_back!("nonground-rule");
                 }
-                let effect = match maintain::apply_batch(&schema, &ground, &self.state.edb) {
+                let effect = match maintain::apply_batch(schema, &ground, &self.state.edb) {
                     Ok(e) => e,
                     Err(_) => fall_back!("batch"),
                 };
                 let deleting: Vec<&Rule> =
                     ground.iter().copied().filter(|r| r.head.negated).collect();
-                match maintain::batch_conflicts(&schema, &deleting, &effect) {
+                match maintain::batch_conflicts(schema, &deleting, &effect) {
                     Ok(false) => {}
                     // A batch that inserts and deletes the same fact does
                     // not reach a one-step fixpoint; let the full path
@@ -668,12 +625,11 @@ impl Database {
                 if module.rules.rules.iter().any(|r| r.head.negated) {
                     fall_back!("deleting-rule");
                 }
-                rules = self.state.rules.union(&module.rules);
-                if !maintain::maintainable(&schema, &rules) {
+                if !maintain::maintainable(schema, &next.rules) {
                     fall_back!("fragment");
                 }
                 spec.inserts = if nonground.is_empty() {
-                    match maintain::apply_batch(&schema, &ground, &self.state.edb) {
+                    match maintain::apply_batch(schema, &ground, &self.state.edb) {
                         Ok(e) => {
                             module_profiles = e.profiles;
                             e.inserted
@@ -681,33 +637,21 @@ impl Database {
                         Err(_) => fall_back!("batch"),
                     }
                 } else {
-                    // The module's EDB effect is the same evaluation the
-                    // full path performs first; the saving is skipping the
-                    // candidate's full rederivation afterwards.
-                    let evaluated = evaluate(
-                        &schema,
-                        &module.rules,
-                        &self.state.edb,
-                        semantics,
-                        self.opts.clone(),
-                    );
-                    let (new_edb, eval_report) = match evaluated {
-                        Ok(r) => r,
-                        Err(_) => fall_back!("batch"),
+                    // The module's EDB effect is the full path's `E′`; the
+                    // saving is skipping the candidate's full rederivation
+                    // afterwards.
+                    let evaluated = self.evaluate_edb(module, mode, semantics, schema);
+                    let Ok((new_edb, Some(eval_report))) = evaluated else {
+                        fall_back!("batch");
                     };
                     module_profiles = eval_report.rule_profiles;
                     new_edb
-                        .facts(&schema)
+                        .facts(schema)
                         .into_iter()
-                        .filter(|f| !self.state.edb.contains_fact(&schema, f))
+                        .filter(|f| !self.state.edb.contains_fact(schema, f))
                         .collect()
                 };
                 spec.add_rules = module.rules.rules.clone();
-                for d in &module.constraints {
-                    if !constraints.contains(d) {
-                        constraints.push(d.clone());
-                    }
-                }
             }
             Mode::Rddv => {
                 let inserts: Vec<&Rule> =
@@ -717,7 +661,7 @@ impl Database {
                     // empty instance: require a positive stored-predicate
                     // literal in every non-ground body.
                     for r in &nonground {
-                        if !RuleShape::of(&schema, r).anchored {
+                        if !RuleShape::of(schema, r).anchored {
                             fall_back!("em-unsafe");
                         }
                     }
@@ -728,7 +672,7 @@ impl Database {
                     if !nonground.is_empty() || inserts.len() != ground.len() {
                         fall_back!("mixed");
                     }
-                    match maintain::apply_batch(&schema, &inserts, &Instance::new()) {
+                    match maintain::apply_batch(schema, &inserts, &Instance::new()) {
                         Ok(e) => {
                             module_profiles = e.profiles;
                             e.inserted
@@ -738,19 +682,17 @@ impl Database {
                 };
                 spec.deletes = em_inserted
                     .into_iter()
-                    .filter(|f| self.state.edb.contains_fact(&schema, f))
+                    .filter(|f| self.state.edb.contains_fact(schema, f))
                     .collect();
                 spec.remove_rules = module
                     .rules
                     .rules
                     .iter()
-                    .filter(|r| rules.rules.contains(r))
+                    .filter(|r| self.state.rules.rules.contains(r))
                     .cloned()
                     .collect();
-                rules = self.state.rules.difference(&module.rules);
-                constraints.retain(|d| !module.constraints.contains(d));
             }
-            _ => return Ok(None),
+            Mode::Ridi | Mode::Radi | Mode::Rddi => unreachable!("{mode:?} is not data-variant"),
         }
 
         if self.view.is_none() {
@@ -758,12 +700,8 @@ impl Database {
             // user-visible evaluation: keep it out of the trace stream.
             let mut build_opts = self.opts.clone();
             build_opts.trace = None;
-            let built = maintain::MaterializedView::build(
-                &schema,
-                &self.state.rules,
-                &self.state.edb,
-                &build_opts,
-            );
+            let built =
+                MaterializedView::build(schema, &self.state.rules, &self.state.edb, &build_opts);
             let (view, _) = match built {
                 Ok(v) => v,
                 Err(_) => fall_back!("build"),
@@ -781,42 +719,17 @@ impl Database {
 
         let mut view = self.view.take().expect("view was just ensured");
         let mut result =
-            match maintain::apply_update(&schema, &mut view, &spec, &self.state.edb, &self.opts) {
-                Ok(r) => r,
-                Err(e) => return Err(CoreError::Engine(e)),
-            };
+            maintain::apply_update(schema, &mut view, &spec, &self.state.edb, &self.opts)
+                .map_err(CoreError::Engine)?;
         if !module_profiles.is_empty() {
             module_profiles.append(&mut result.report.rule_profiles);
             result.report.rule_profiles = module_profiles;
         }
-        let candidate = DatabaseState {
-            schema,
-            rules,
-            edb: Instance::new(),
-            constraints,
-        };
-        let consistency = candidate.check_consistency_delta(view.instance(), &result.added)?;
-        if !consistency.is_consistent() {
-            // Atomic rejection: the persistent state is untouched and the
-            // mutated view is discarded.
-            return Err(CoreError::Rejected {
-                violations: consistency.violations,
-            });
-        }
-        for f in &spec.deletes {
-            self.state.edb.remove_fact(&candidate.schema, f);
-        }
-        for f in &spec.inserts {
-            self.state.edb.insert_fact(&candidate.schema, f);
-        }
-        self.state.schema = candidate.schema;
-        self.state.rules = candidate.rules;
-        self.state.constraints = candidate.constraints;
-        self.view = Some(view);
-        Ok(Some(ApplicationOutcome {
-            answer: None,
-            report: result.report,
-        }))
+        // Atomic rejection: the persistent state is untouched and the
+        // mutated view is discarded.
+        next.check_consistency_delta(view.instance(), &result.added)?
+            .into_result()?;
+        Ok(Some((spec, view, result.report)))
     }
 
     /// Evaluate a goal-only module (convenience for queries). Goals whose
@@ -832,13 +745,26 @@ impl Database {
     /// demand path and the full RIDI fallback report through the same
     /// [`EvalReport`] shape, so `:profile` and EXPLAIN ANALYZE see per-rule
     /// (and, with [`EvalOptions::profile`], per-operator) statistics
-    /// whichever path answered.
+    /// whichever path answered. Both evaluate the one transient state
+    /// `(S ∪ S_M, R ∪ R_M)`.
     pub fn query_report(&mut self, src: &str) -> Result<(Rows, EvalReport), CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        if let Some((rows, report)) = self.try_demand_answer(&module)? {
-            return Ok((rows, report));
+        let next = self.next_state(&module, Mode::Ridi)?;
+        if let Some(goal) = &module.goal {
+            let demand = logres_engine::answer_goal_demand(
+                &next.schema,
+                &next.rules,
+                &self.state.edb,
+                goal,
+                self.semantics,
+                self.opts.clone(),
+            )
+            .map_err(CoreError::Engine)?;
+            if let Some(answered) = demand {
+                return Ok(answered);
+            }
         }
-        let outcome = self.apply(&module, Mode::Ridi)?;
+        let outcome = self.ridi(&module, &next, self.semantics)?;
         Ok((outcome.answer.unwrap_or_default(), outcome.report))
     }
 
@@ -852,14 +778,7 @@ impl Database {
         opts: EvalOptions,
     ) -> Result<(Rows, EvalReport), CoreError> {
         let saved = std::mem::replace(&mut self.opts, opts);
-        let result = (|| {
-            let module = Module::parse(src, &self.state.schema)?;
-            if let Some((rows, report)) = self.try_demand_answer(&module)? {
-                return Ok((rows, report));
-            }
-            let outcome = self.apply(&module, Mode::Ridi)?;
-            Ok((outcome.answer.unwrap_or_default(), outcome.report))
-        })();
+        let result = self.query_report(src);
         self.opts = saved;
         result
     }
@@ -873,40 +792,35 @@ impl Database {
         let Some(goal) = &module.goal else {
             return Ok("no goal: nothing to plan\n".to_owned());
         };
-        let schema = self.union_schema(&module)?;
-        let rules = self.state.rules.union(&module.rules);
-        let plan = logres_lang::analyze::plan_goal(&schema, &rules, goal);
-        Ok(plan.render(&rules))
+        let next = self.next_state(&module, Mode::Ridi)?;
+        let plan = plan_goal(&next.schema, &next.rules, goal);
+        Ok(plan.render(&next.rules))
     }
 
-    /// The compiled program a module source lowers to, as deterministic
-    /// indented text (EXPLAIN): the persistent rules unioned with the
-    /// module's, stratified and translated to ALGRES operator trees. When
-    /// the program falls outside the compilable fragment, the fallback
-    /// reason is rendered instead. Nothing is evaluated.
+    /// The compiled program a module source's query evaluates, as
+    /// deterministic indented text (EXPLAIN): for a goal whose plan admits
+    /// the magic-set rewrite, the demand-rewritten program; otherwise the
+    /// persistent rules unioned with the module's. Either is stratified,
+    /// translated to ALGRES operator trees and planned with the flow
+    /// summaries of the current EDB, exactly as the query runs it, so the
+    /// `rule #N` numbering matches EXPLAIN ANALYZE's. When the program falls
+    /// outside the compilable fragment, the fallback reason is rendered
+    /// instead. Nothing is evaluated.
     pub fn explain_goal(&self, src: &str) -> Result<String, CoreError> {
-        self.explain_with(src, logres_engine::render_program)
-    }
-
-    /// [`Database::explain_goal`] as fixed-key-order JSON lines, one object
-    /// per stratum, rule, and operator node — byte-identical for the same
-    /// program, so suitable for golden tests and tooling.
-    pub fn explain_goal_json(&self, src: &str) -> Result<String, CoreError> {
-        self.explain_with(src, logres_engine::render_program_json)
-    }
-
-    fn explain_with(
-        &self,
-        src: &str,
-        render: fn(&logres_engine::CompiledProgram, &RuleSet) -> String,
-    ) -> Result<String, CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        let schema = self.union_schema(&module)?;
-        let rules = self.state.rules.union(&module.rules);
-        match logres_engine::compile_program(&schema, &rules, self.semantics) {
-            Ok(program) => Ok(render(&program, &rules)),
-            Err(u) => Ok(logres_engine::render_unsupported(&u)),
-        }
+        let next = self.next_state(&module, Mode::Ridi)?;
+        let rewrite = (module.goal.as_ref())
+            .and_then(|goal| plan_goal(&next.schema, &next.rules, goal).rewrite);
+        let (schema, rules) = match &rewrite {
+            Some(rw) => (&rw.schema, &rw.rules),
+            None => (&next.schema, &next.rules),
+        };
+        Ok(
+            match compile_program_for(schema, rules, &self.state.edb, self.semantics) {
+                Ok(program) => render_program(&program, rules),
+                Err(u) => render_unsupported(&u),
+            },
+        )
     }
 
     /// EXPLAIN ANALYZE: evaluate the module source with per-operator
@@ -928,26 +842,6 @@ impl Database {
         }
     }
 
-    /// The demand-driven fast path shared by [`Database::query`] and
-    /// [`Database::query_with_options`]: `Ok(None)` means the goal's plan
-    /// fell back and the caller must run the full RIDI application.
-    fn try_demand_answer(&self, module: &Module) -> Result<Option<(Rows, EvalReport)>, CoreError> {
-        let Some(goal) = &module.goal else {
-            return Ok(None);
-        };
-        let schema = self.union_schema(module)?;
-        let rules = self.state.rules.union(&module.rules);
-        logres_engine::answer_goal_demand(
-            &schema,
-            &rules,
-            &self.state.edb,
-            goal,
-            self.semantics,
-            self.opts.clone(),
-        )
-        .map_err(CoreError::Engine)
-    }
-
     // ----- helpers ----------------------------------------------------------
 
     fn union_schema(&self, module: &Module) -> Result<Schema, CoreError> {
@@ -959,39 +853,15 @@ impl Database {
         s.validate().map_err(CoreError::Model)?;
         Ok(s)
     }
+}
 
-    /// Compute the candidate state's instance and reject the application if
-    /// it is inconsistent (Section 4.1: the new instance must be defined).
-    fn check_candidate(
-        &self,
-        candidate: &DatabaseState,
-        semantics: Semantics,
-    ) -> Result<(Instance, EvalReport), CoreError> {
-        let (inst, report) = candidate
-            .instance(semantics, self.opts.clone())
-            .map_err(CoreError::Engine)?;
-        let consistency = candidate.check_consistency(&inst)?;
-        if !consistency.is_consistent() {
-            return Err(CoreError::Rejected {
-                violations: consistency.violations,
-            });
-        }
-        Ok((inst, report))
-    }
-
-    fn answer(
-        &self,
-        schema: &Schema,
-        inst: &Instance,
-        module: &Module,
-    ) -> Result<Option<Rows>, CoreError> {
-        match &module.goal {
-            Some(goal) => Ok(Some(
-                answer_goal(schema, inst, goal).map_err(CoreError::Engine)?,
-            )),
-            None => Ok(None),
-        }
-    }
+/// The module goal's answer over `inst`, if the module has a goal.
+fn answer(schema: &Schema, inst: &Instance, module: &Module) -> Result<Option<Rows>, CoreError> {
+    let rows = module
+        .goal
+        .as_ref()
+        .map(|goal| answer_goal(schema, inst, goal));
+    rows.transpose().map_err(CoreError::Engine)
 }
 
 #[cfg(test)]

@@ -428,10 +428,11 @@ impl Repl {
     }
 
     /// `:explain-plan [analyze] [goal]` — the compiled ALGRES operator
-    /// trees the program lowers to (EXPLAIN), or, with `analyze`, the same
-    /// trees annotated with per-operator runtime counters from a profiled
-    /// evaluation (EXPLAIN ANALYZE). With no goal, the persistent rules
-    /// alone are explained (or, for `analyze`, evaluated).
+    /// trees of the program the goal's query evaluates (EXPLAIN; the
+    /// demand-rewritten program for a bound goal), or, with `analyze`, the
+    /// same trees annotated with per-operator runtime counters from a
+    /// profiled evaluation (EXPLAIN ANALYZE). With no goal, the persistent
+    /// rules alone are explained (or, for `analyze`, evaluated).
     fn explain_plan_command(&mut self, arg: &str) -> String {
         let Some(db) = &mut self.db else {
             return "no database loaded".to_owned();
@@ -655,10 +656,11 @@ LOGRES interactive session
                         predicates and the rewritten rules, or why the
                         goal falls back to the full fixpoint
   :explain-plan [analyze] [goal]
-                        the compiled ALGRES operator trees (EXPLAIN); with
-                        `analyze`, evaluate with profiling and annotate
-                        every operator with rows, builds, probes, memo
-                        hits, and wall time (EXPLAIN ANALYZE)
+                        the compiled ALGRES operator trees the query
+                        runs (EXPLAIN); with `analyze`, evaluate with
+                        profiling and annotate every operator with rows,
+                        builds, probes, memo hits, and wall time
+                        (EXPLAIN ANALYZE)
   :deadline <ms>|off    wall-clock budget for evaluations; runs that
                         exceed it stop with a partial report
 Anything else is module source: it accumulates until an empty line (or a

@@ -37,6 +37,16 @@ impl ConsistencyReport {
     pub fn is_consistent(&self) -> bool {
         self.violations.is_empty()
     }
+
+    /// `Ok` when consistent; otherwise the application's rejection.
+    pub(crate) fn into_result(self) -> Result<(), CoreError> {
+        match self.is_consistent() {
+            true => Ok(()),
+            false => Err(CoreError::Rejected {
+                violations: self.violations,
+            }),
+        }
+    }
 }
 
 impl DatabaseState {

@@ -81,8 +81,8 @@ pub use maintain::{
 pub use matcher::{rule_access_plan, AccessPlan};
 pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, ProbeTally};
 pub use plan::{
-    compile_program, compile_program_with, run_compiled, try_evaluate_compiled, CompileUnsupported,
-    CompiledProgram, CompiledStep, StratumPlan,
+    compile_program, compile_program_for, compile_program_with, run_compiled,
+    try_evaluate_compiled, CompileUnsupported, CompiledProgram, CompiledStep, StratumPlan,
 };
 pub use provenance::{Derivation, ProvEntry, Provenance};
 pub use stratified::{evaluate, evaluate_stratified, Semantics};

@@ -261,7 +261,7 @@ impl MaterializedView {
             dependents: FxHashMap::default(),
             by_rule: FxHashMap::default(),
         };
-        let mut pass = Pass::new(schema, &view, opts, rules.rules.len(), Vec::new());
+        let mut pass = Pass::new(schema, &view, opts, Vec::new());
         pass.deferred = Some(Vec::new());
         for stratum in maintenance_strata(&view.rules, &view.active) {
             let delta = pass.fire_new_rules(&mut view, &stratum.rule_idxs)?;
@@ -459,15 +459,15 @@ struct Pass<'a> {
 }
 
 impl<'a> Pass<'a> {
-    /// Open the pass's run record over `view` as it stands, with `live`
-    /// rules evaluated and the facts `added` to it so far.
+    /// Open the pass's run record over `view` as it stands: its active
+    /// rules, its instance and the facts `added` to it so far.
     fn new(
         schema: &'a Schema,
         view: &MaterializedView,
         opts: &'a EvalOptions,
-        live: usize,
         added: Vec<Fact>,
     ) -> Pass<'a> {
+        let live = view.active.iter().filter(|a| **a).count();
         Pass {
             schema,
             gov: Governor::open("maintain", opts, &view.rules, live, view.inst.fact_count()),
@@ -729,7 +729,6 @@ pub fn apply_update(
     edb_before: &Instance,
     opts: &EvalOptions,
 ) -> Result<MaintainResult, EngineError> {
-    let live = view.active.iter().filter(|a| **a).count();
     let mut removed_total = 0u64;
     let mut pending: BTreeMap<Sym, BTreeSet<Fact>> = BTreeMap::new();
 
@@ -800,7 +799,7 @@ pub fn apply_update(
     }
     // The run record opens on the instance the pass starts from: the
     // batch's insertions applied, its rule changes made.
-    let mut pass = Pass::new(schema, view, opts, live, inserted);
+    let mut pass = Pass::new(schema, view, opts, inserted);
 
     // Drain pending facts whose predicate has no active deriving rule:
     // keep the extensionally-backed ones, remove the rest (cascading).

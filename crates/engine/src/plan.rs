@@ -309,6 +309,21 @@ fn assoc_cols(schema: &Schema, assoc: Sym) -> Option<Vec<Sym>> {
     Some(ty.as_tuple()?.iter().map(|f| f.label).collect())
 }
 
+/// The program [`try_evaluate_compiled`] runs over `edb`: the rules lowered
+/// by [`compile_program_with`] under the flow summaries inferred from
+/// `edb`. Pruning and ordering decisions are sound for exactly this EDB, so
+/// the program is rebuilt per evaluation, never cached across mutations.
+/// EXPLAIN renders the same program.
+pub fn compile_program_for(
+    schema: &Schema,
+    rules: &RuleSet,
+    edb: &Instance,
+    semantics: Semantics,
+) -> Result<CompiledProgram, CompileUnsupported> {
+    let summaries = infer(schema, rules, &seeds_from_instance(schema, edb));
+    compile_program_with(schema, rules, semantics, Some(&summaries))
+}
+
 /// Try the compiled fast path. `None` means the program (or the options)
 /// fell outside the fragment — the fallback has already been counted and
 /// traced, and the caller should run the interpreter.
@@ -323,19 +338,13 @@ pub fn try_evaluate_compiled(
         note_fallback(opts, "logres_compile_fallbacks_total", "provenance");
         return None;
     }
-    // Flow summaries from the evaluation's own starting instance: pruning
-    // and ordering decisions are sound for exactly this EDB (the compiled
-    // program is rebuilt per evaluation, never cached across mutations).
-    let seeds = seeds_from_instance(schema, edb);
-    let summaries = infer(schema, rules, &seeds);
-    let program = match compile_program_with(schema, rules, semantics, Some(&summaries)) {
-        Ok(p) => p,
+    match compile_program_for(schema, rules, edb, semantics) {
+        Ok(program) => Some(run_compiled(schema, &program, rules, edb, opts)),
         Err(u) => {
             note_fallback(opts, "logres_compile_fallbacks_total", u.reason);
-            return None;
+            None
         }
-    };
-    Some(run_compiled(schema, &program, rules, edb, opts))
+    }
 }
 
 /// The relations a stratum's plans scan.

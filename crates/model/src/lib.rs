@@ -29,7 +29,6 @@
 //! in the schema and their extensions live in the instance, so that the rule
 //! engine can populate them via `member(X, f(Y))` literals.
 
-pub mod builder;
 pub mod error;
 pub mod instance;
 pub mod integrity;
@@ -42,7 +41,6 @@ pub mod sym;
 pub mod types;
 pub mod value;
 
-pub use builder::SchemaBuilder;
 pub use error::ModelError;
 pub use instance::{Fact, Instance};
 pub use integrity::{IntegrityConstraint, RefTarget, Violation};

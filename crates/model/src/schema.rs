@@ -888,6 +888,25 @@ mod tests {
     }
 
     #[test]
+    fn ambiguous_unlabeled_double_embedding_is_rejected() {
+        // EMPL = (emp: PERSON, manager: PERSON); `EMPL ISA PERSON` names
+        // neither embedded component.
+        let mut s = Schema::new();
+        s.add_class("person", TypeDesc::tuple([("name", TypeDesc::Str)]))
+            .unwrap();
+        s.add_class(
+            "empl",
+            TypeDesc::tuple([
+                ("emp", TypeDesc::class("person")),
+                ("manager", TypeDesc::class("person")),
+            ]),
+        )
+        .unwrap();
+        s.add_isa("empl", "person", None);
+        assert!(s.validate().is_err());
+    }
+
+    #[test]
     fn flat_isa_is_accepted_when_attributes_are_redeclared() {
         let mut s = Schema::new();
         s.add_class("person", TypeDesc::tuple([("name", TypeDesc::Str)]))

@@ -1,94 +1,18 @@
-//! Integration surface for the LOGRES reproduction: shared workload
-//! generators used by the cross-crate tests in `tests/` and re-exported for
-//! ad-hoc experimentation.
+//! Integration surface for the LOGRES reproduction: the workload
+//! generators the cross-crate tests in `tests/` share with the experiment
+//! suite, re-exported for ad-hoc experimentation.
 //!
 //! The real library lives in the `logres` crate (and its substrates
 //! `logres-model`, `logres-lang`, `logres-engine`, `algres`).
 
 pub mod generators {
-    //! Synthetic workloads: edge sets and LOGRES program sources.
+    //! Synthetic workloads: edge sets, the closure program over them and
+    //! its reference answer. One copy serves the experiment suite and the
+    //! tests: these are `logres_bench::workloads`' generators.
 
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    /// A chain `0 → 1 → … → n`.
-    pub fn chain_edges(n: usize) -> Vec<(i64, i64)> {
-        (0..n as i64).map(|i| (i, i + 1)).collect()
-    }
-
-    /// A complete binary tree with `n` edges (parent `i` → children
-    /// `2i+1`, `2i+2`).
-    pub fn tree_edges(n: usize) -> Vec<(i64, i64)> {
-        let mut out = Vec::with_capacity(n);
-        let mut i = 0i64;
-        while out.len() < n {
-            out.push((i, 2 * i + 1));
-            if out.len() < n {
-                out.push((i, 2 * i + 2));
-            }
-            i += 1;
-        }
-        out
-    }
-
-    /// A random graph over `nodes` vertices with `edges` distinct edges.
-    pub fn random_edges(nodes: usize, edges: usize, seed: u64) -> Vec<(i64, i64)> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut seen = std::collections::BTreeSet::new();
-        while seen.len() < edges {
-            let a = rng.gen_range(0..nodes as i64);
-            let b = rng.gen_range(0..nodes as i64);
-            if a != b {
-                seen.insert((a, b));
-            }
-        }
-        seen.into_iter().collect()
-    }
-
-    /// The transitive-closure program over a given edge set, as LOGRES
-    /// source (associations `e` and `tc`).
-    pub fn closure_program(edges: &[(i64, i64)]) -> String {
-        let facts: String = edges
-            .iter()
-            .map(|(a, b)| format!("  e(a: {a}, b: {b}).\n"))
-            .collect();
-        format!(
-            r#"
-            associations
-              e  = (a: integer, b: integer);
-              tc = (a: integer, b: integer);
-            facts
-            {facts}
-            rules
-              tc(a: X, b: Y) <- e(a: X, b: Y).
-              tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
-        "#
-        )
-    }
-
-    /// The reference closure computed by plain DFS, for cross-checking the
-    /// engines.
-    pub fn reference_closure(edges: &[(i64, i64)]) -> std::collections::BTreeSet<(i64, i64)> {
-        let mut adj: std::collections::BTreeMap<i64, Vec<i64>> = Default::default();
-        let mut nodes: std::collections::BTreeSet<i64> = Default::default();
-        for &(a, b) in edges {
-            adj.entry(a).or_default().push(b);
-            nodes.insert(a);
-            nodes.insert(b);
-        }
-        let mut out = std::collections::BTreeSet::new();
-        for &start in &nodes {
-            let mut stack = adj.get(&start).cloned().unwrap_or_default();
-            let mut seen = std::collections::BTreeSet::new();
-            while let Some(x) = stack.pop() {
-                if seen.insert(x) {
-                    out.insert((start, x));
-                    stack.extend(adj.get(&x).cloned().unwrap_or_default());
-                }
-            }
-        }
-        out
-    }
+    pub use logres_bench::workloads::{
+        chain_edges, closure_program, random_edges, reference_closure, tree_edges,
+    };
 }
 
 #[cfg(test)]

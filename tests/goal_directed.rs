@@ -436,3 +436,53 @@ fn database_query_is_transparent_about_the_demand_path() {
     assert_eq!(fast, slow);
     assert_eq!(db.rules().len(), 2);
 }
+
+/// The rule numbers of the `rule #N` headers in an EXPLAIN or EXPLAIN
+/// ANALYZE rendering.
+fn rule_headers(text: &str) -> std::collections::BTreeSet<usize> {
+    text.lines()
+        .filter_map(|l| l.trim_start().strip_prefix("rule #"))
+        .map(|rest| {
+            let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().expect("rule number")
+        })
+        .collect()
+}
+
+/// EXPLAIN shows the program a query evaluates: for a bound goal, the
+/// demand-rewritten program, numbered as EXPLAIN ANALYZE numbers it.
+#[test]
+fn explain_renders_the_program_the_query_runs() {
+    let mut db = Database::from_source(
+        r#"
+        associations
+          parent = (par: string, chil: string);
+          anc    = (a: string, d: string);
+          never  = (a: string);
+        facts
+          parent(par: "adam", chil: "cain").
+          parent(par: "cain", chil: "enoch").
+          parent(par: "eve", chil: "abel").
+        rules
+          anc(a: X, d: Y) <- parent(par: X, chil: Y).
+          anc(a: X, d: Z) <- anc(a: X, d: Y), parent(par: Y, chil: Z).
+          never(a: X) <- parent(par: X, chil: "zzz").
+    "#,
+    )
+    .unwrap();
+    let goal = r#"goal anc(a: "adam", d: X)?"#;
+    let explain = db.explain_goal(goal).unwrap();
+    let analyze = db.explain_analyze_goal(goal).unwrap();
+    assert!(explain.contains("@magic_anc"), "{explain}");
+    assert!(!explain.contains("never"), "{explain}");
+    assert!(!rule_headers(&analyze).is_empty(), "{analyze}");
+    assert_eq!(
+        rule_headers(&explain),
+        rule_headers(&analyze),
+        "EXPLAIN:\n{explain}\nANALYZE:\n{analyze}"
+    );
+    // An all-free goal runs the full program, and EXPLAIN says so.
+    let full = db.explain_goal("goal anc(a: X, d: Y)?").unwrap();
+    assert!(!full.contains("@magic_"), "{full}");
+    assert!(full.contains("never"), "{full}");
+}

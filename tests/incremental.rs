@@ -3,8 +3,9 @@
 //! The incremental path (counting recounts + Delete-and-Rederive behind
 //! `Database`'s RIDV/RADV/RDDV routing) must be observationally identical
 //! to full rederivation: same extensional database, same rule set, same
-//! materialized instance, for random programs and random update batches. Modules outside the supported fragment must fall
-//! back transparently and say so on the
+//! schema, same stored denials, same materialized instance, for random
+//! programs and random update batches. Modules outside the supported
+//! fragment must fall back transparently and say so on the
 //! `logres_maintain_fallbacks_total{reason=...}` metric.
 
 use std::collections::BTreeSet;
@@ -92,7 +93,8 @@ fn materialized(db: &Database) -> Instance {
 }
 
 /// Apply the same module to both databases and check that the persistent
-/// states remain identical (both the stored EDB and the derived closure).
+/// states remain identical: the stored EDB, the rules, the schema, the
+/// stored denials and the derived closure.
 fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
     let a = inc.apply_source(src, mode);
     let b = full.apply_source(src, mode);
@@ -106,6 +108,16 @@ fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
         inc.rules(),
         full.rules(),
         "rule drift after {mode:?} on:\n{src}"
+    );
+    assert_eq!(
+        inc.schema().to_string(),
+        full.schema().to_string(),
+        "schema drift after {mode:?} on:\n{src}"
+    );
+    assert_eq!(
+        inc.state().constraints,
+        full.state().constraints,
+        "denial drift after {mode:?} on:\n{src}"
     );
     assert_eq!(
         materialized(inc),
@@ -268,6 +280,109 @@ fn maintenance_is_deterministic_across_thread_counts() {
     }
     // Every update applied: 0→1, 2→3, 3→4, 4→0 and 1→3 remain.
     assert_eq!(inc.edb().assoc_len(Sym::new("edge")), 5);
+}
+
+// ---------------------------------------------------------------------------
+// Whole-state agreement: modules that carry declarations and denials
+// ---------------------------------------------------------------------------
+
+/// A maintainable base that declares a data function `f` (no rule uses it)
+/// and stores one denial.
+const DECLARING_BASE: &str = r#"
+    associations
+      e  = (a: integer, b: integer);
+      tc = (a: integer, b: integer);
+    functions
+      f: integer -> {integer};
+    facts
+      e(a: 1, b: 2).
+      e(a: 2, b: 3).
+    rules
+      tc(a: X, b: Y) <- e(a: X, b: Y).
+    constraints
+      <- e(a: 9, b: 9).
+"#;
+
+/// Apply `module` under `mode` to a maintained and a full-path copy of
+/// [`DECLARING_BASE`] and require the whole states to agree; the maintained
+/// copy must have taken the incremental path.
+fn declaring_module_agrees(module: &str, mode: Mode) -> Database {
+    let (mut inc, mut full) = db_pair(DECLARING_BASE);
+    let registry = inc.enable_metrics();
+    // Build the maintained view first, so the module under test is the
+    // view's second update.
+    apply_both(
+        &mut inc,
+        &mut full,
+        "rules\n  e(a: 3, b: 4) <- .",
+        Mode::Ridv,
+    );
+    apply_both(&mut inc, &mut full, module, mode);
+    let snap = registry.counter_snapshot();
+    assert_eq!(
+        series(&snap, "logres_maintain_applies_total"),
+        2,
+        "both updates were maintained: {snap:?}"
+    );
+    inc
+}
+
+#[test]
+fn ridv_with_a_declaration_keeps_the_whole_state_in_step() {
+    let db = declaring_module_agrees(
+        r#"
+        associations
+          tag = (v: integer);
+        constraints
+          <- tag(v: 0).
+        rules
+          tag(v: 1) <- .
+          e(a: 4, b: 5) <- .
+        "#,
+        Mode::Ridv,
+    );
+    // RIDV keeps the module's equations but not its denials.
+    assert!(db.schema().assoc_type(Sym::new("tag")).is_some());
+    assert_eq!(db.state().constraints.len(), 1);
+}
+
+#[test]
+fn radv_with_a_declaration_keeps_the_whole_state_in_step() {
+    let db = declaring_module_agrees(
+        r#"
+        associations
+          hop = (a: integer, b: integer);
+        constraints
+          <- hop(a: 0, b: 0).
+        rules
+          hop(a: X, b: Y) <- e(a: X, b: Y).
+        "#,
+        Mode::Radv,
+    );
+    assert!(db.schema().assoc_type(Sym::new("hop")).is_some());
+    assert_eq!(db.state().constraints.len(), 2);
+    assert_eq!(db.rules().len(), 2);
+    assert_eq!(db.edb().assoc_len(Sym::new("hop")), 3);
+}
+
+/// RDDV subtracts the module's equations and denials on both paths: the
+/// maintained path once committed the schema unchanged, keeping `f`.
+#[test]
+fn rddv_with_a_declaration_keeps_the_whole_state_in_step() {
+    let db = declaring_module_agrees(
+        r#"
+        functions
+          f: integer -> {integer};
+        constraints
+          <- e(a: 9, b: 9).
+        rules
+          e(a: 1, b: 2) <- .
+        "#,
+        Mode::Rddv,
+    );
+    assert!(db.schema().function(Sym::new("f")).is_none());
+    assert!(db.state().constraints.is_empty());
+    assert_eq!(db.edb().assoc_len(Sym::new("e")), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -225,3 +225,52 @@ fn maintained_insert_matches_its_golden() {
         render(&tracer.events(), &registry, &outcome.report),
     );
 }
+
+/// A maintained RADV that adds the recursive closure rule to a one-rule
+/// view: the pass evaluates both rules, and `eval_start` counts both. The
+/// view is built by a first (untraced) RIDV insert.
+#[test]
+fn maintained_rule_addition_matches_its_golden() {
+    let mut db = Database::from_source(
+        r#"
+        associations
+          e  = (a: integer, b: integer);
+          tc = (a: integer, b: integer);
+        facts
+          e(a: 0, b: 1).
+          e(a: 1, b: 2).
+        rules
+          tc(a: X, b: Y) <- e(a: X, b: Y).
+    "#,
+    )
+    .expect("loads");
+    let registry = db.enable_metrics();
+    db.apply_source("rules\n  e(a: 2, b: 3) <- .\n", Mode::Ridv)
+        .expect("builds the view");
+    let tracer = Tracer::memory();
+    let mut opts = db.options().clone();
+    opts.trace = Some(tracer.clone());
+    db.set_options(opts);
+    let outcome = db
+        .apply_source(
+            "rules\n  tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).\n",
+            Mode::Radv,
+        )
+        .expect("maintained rule addition");
+    let events = tracer.events();
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            TraceEvent::EvalStart {
+                engine: "maintain",
+                rules: 2,
+                ..
+            }
+        )),
+        "the pass opened over both rules: {events:?}"
+    );
+    assert_golden(
+        "maintained_rule_addition",
+        render(&events, &registry, &outcome.report),
+    );
+}
