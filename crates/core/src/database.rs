@@ -21,12 +21,12 @@ use std::sync::Arc;
 
 use logres_engine::maintain::{self, MaterializedView, UpdateSpec};
 use logres_engine::{
-    answer_goal, compile_program_for, evaluate, load_facts, note_fallback, render_program,
-    render_unsupported, Derivation, EvalOptions, EvalReport, MetricsRegistry, Provenance,
+    answer_goal, compile_program_for, evaluate, load_facts, note_fallback, render_route,
+    Derivation, EvalOptions, EvalReport, LiftedGoal, MetricsRegistry, PreparedGoal, Provenance,
     Semantics,
 };
 use logres_lang::analyze::{plan_goal, RuleShape};
-use logres_lang::{parse_program, AnalysisInput, Diagnostic, Rule, RuleSet};
+use logres_lang::{parse_program, AnalysisInput, Diagnostic, Goal, Rule, RuleSet};
 use logres_model::{
     integrity, Fact, Instance, IntegrityConstraint, Oid, PredKind, Schema, Sym, Value,
 };
@@ -66,6 +66,58 @@ pub struct Database {
     /// own (the only way `S` changes between applications). Bounded; the
     /// common repeat-the-same-update workload (benchmark E5) parses once.
     parse_cache: FxHashMap<String, Arc<Module>>,
+    /// Prepared goals of goal-only queries.
+    goals: GoalMemo,
+}
+
+/// The prepared goals ([`PreparedGoal`]) of goal-only queries, each with
+/// the EDB generation it was last validated at. An entry is keyed by its
+/// lifted goal, compared structurally, and the semantics; never by source
+/// text, span or address. A plan is a pure function of the schema, the
+/// rules, the semantics and the flow seeds of `E`, so the memo is cleared
+/// whenever `S` or `R` changes, and an entry validated before the current
+/// generation recomputes its seeds before it runs, re-planning only if
+/// they changed. Bounded like the parse cache.
+#[derive(Debug, Clone, Default)]
+struct GoalMemo {
+    entries: Vec<(PreparedGoal, u64)>,
+    /// Bumped by every commit and every `materialize`.
+    generation: u64,
+}
+
+impl GoalMemo {
+    /// The prepared goal for `lifted` over `state`: a memoised one, brought
+    /// up to date with `E` when `E` may have changed since, or a new one.
+    /// A memoised plan that runs as it is counts on
+    /// `logres_magic_plan_reuses_total`.
+    fn prepared(
+        &mut self,
+        state: &DatabaseState,
+        lifted: &LiftedGoal<'_>,
+        semantics: Semantics,
+        opts: &EvalOptions,
+    ) -> &PreparedGoal {
+        let found = self
+            .entries
+            .iter()
+            .position(|(p, _)| p.is_for(lifted, semantics));
+        let Some(i) = found else {
+            if self.entries.len() >= 64 {
+                self.entries.clear();
+            }
+            let prepared =
+                PreparedGoal::prepare(&state.schema, &state.rules, &state.edb, lifted, semantics);
+            self.entries.push((prepared, self.generation));
+            return &self.entries.last().expect("just pushed").0;
+        };
+        let (prepared, validated) = &mut self.entries[i];
+        let kept = *validated == self.generation || prepared.refresh(&state.edb);
+        *validated = self.generation;
+        if let (true, true, Some(m)) = (kept, prepared.rewrites(), &opts.metrics) {
+            m.counter("logres_magic_plan_reuses_total").inc();
+        }
+        prepared
+    }
 }
 
 impl Database {
@@ -101,6 +153,7 @@ impl Database {
             view: None,
             incremental: true,
             parse_cache: FxHashMap::default(),
+            goals: GoalMemo::default(),
         }
     }
 
@@ -350,6 +403,7 @@ impl Database {
         let (inst, report) = self.instance()?;
         self.state.edb = inst;
         self.view = None;
+        self.goals.generation += 1;
         Ok(report)
     }
 
@@ -435,6 +489,10 @@ impl Database {
         };
         self.state = next;
         self.view = view;
+        self.goals.generation += 1;
+        if mode != Mode::Ridv || !schema_free(&module.schema) {
+            self.goals.entries.clear();
+        }
         Ok(ApplicationOutcome { answer, report })
     }
 
@@ -746,26 +804,55 @@ impl Database {
     /// [`EvalReport`] shape, so `:profile` and EXPLAIN ANALYZE see per-rule
     /// (and, with [`EvalOptions::profile`], per-operator) statistics
     /// whichever path answered. Both evaluate the one transient state
-    /// `(S ∪ S_M, R ∪ R_M)`.
+    /// `(S ∪ S_M, R ∪ R_M)`. The goal of a module that carries nothing else
+    /// is prepared once per shape and memoised; any other goal is prepared
+    /// afresh, through the same [`PreparedGoal`].
     pub fn query_report(&mut self, src: &str) -> Result<(Rows, EvalReport), CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        let next = self.next_state(&module, Mode::Ridi)?;
+        let goal_only = module.rules.is_empty() && schema_free(&module.schema);
+        let next = if goal_only {
+            None
+        } else {
+            Some(self.next_state(&module, Mode::Ridi)?)
+        };
         if let Some(goal) = &module.goal {
-            let demand = logres_engine::answer_goal_demand(
-                &next.schema,
-                &next.rules,
-                &self.state.edb,
-                goal,
-                self.semantics,
-                self.opts.clone(),
-            )
-            .map_err(CoreError::Engine)?;
-            if let Some(answered) = demand {
+            if let Some(answered) = self.answer_demand(goal, next.as_ref())? {
                 return Ok(answered);
             }
         }
+        let next = match next {
+            Some(next) => next,
+            None => self.next_state(&module, Mode::Ridi)?,
+        };
         let outcome = self.ridi(&module, &next, self.semantics)?;
         Ok((outcome.answer.unwrap_or_default(), outcome.report))
+    }
+
+    /// The demand attempt of a query over `E`: the goal of a goal-only
+    /// module (`next` is `None`, and the transient state is the persistent
+    /// one) from the memo, any other against `next`, prepared afresh.
+    fn answer_demand(
+        &mut self,
+        goal: &Goal,
+        next: Option<&DatabaseState>,
+    ) -> Result<Option<(Rows, EvalReport)>, CoreError> {
+        let edb = &self.state.edb;
+        let answered = match next {
+            None => {
+                let schema = &self.state.schema;
+                let lifted = LiftedGoal::lift(schema, goal);
+                let prepared =
+                    self.goals
+                        .prepared(&self.state, &lifted, self.semantics, &self.opts);
+                prepared.answer(schema, edb, &lifted, &self.opts)
+            }
+            Some(next) => {
+                let lifted = LiftedGoal::lift(&next.schema, goal);
+                PreparedGoal::prepare(&next.schema, &next.rules, edb, &lifted, self.semantics)
+                    .answer(&next.schema, edb, &lifted, &self.opts)
+            }
+        };
+        answered.map_err(CoreError::Engine)
     }
 
     /// [`Database::query`] under one-off evaluation options (deadline,
@@ -797,30 +884,33 @@ impl Database {
         Ok(plan.render(&next.rules))
     }
 
-    /// The compiled program a module source's query evaluates, as
-    /// deterministic indented text (EXPLAIN): for a goal whose plan admits
-    /// the magic-set rewrite, the demand-rewritten program; otherwise the
-    /// persistent rules unioned with the module's. Either is stratified,
-    /// translated to ALGRES operator trees and planned with the flow
-    /// summaries of the current EDB, exactly as the query runs it, so the
-    /// `rule #N` numbering matches EXPLAIN ANALYZE's. When the program falls
-    /// outside the compilable fragment, the fallback reason is rendered
-    /// instead. Nothing is evaluated.
+    /// The program a module source's query evaluates, as deterministic
+    /// indented text (EXPLAIN): for a goal whose plan admits the magic-set
+    /// rewrite, the demand-rewritten program of its prepared goal, with the
+    /// goal's constants read from `@goal`; otherwise the persistent rules
+    /// unioned with the module's. Either is stratified, translated to ALGRES
+    /// operator trees and planned with the flow summaries of the current
+    /// EDB, exactly as the query runs it, so the `rule #N` numbering matches
+    /// EXPLAIN ANALYZE's. When the query runs on the interpreter under the
+    /// current options — the compiled path is off, provenance is on, or the
+    /// program falls outside the compilable fragment — the reason is
+    /// rendered instead. Nothing is evaluated.
     pub fn explain_goal(&self, src: &str) -> Result<String, CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
         let next = self.next_state(&module, Mode::Ridi)?;
-        let rewrite = (module.goal.as_ref())
-            .and_then(|goal| plan_goal(&next.schema, &next.rules, goal).rewrite);
-        let (schema, rules) = match &rewrite {
-            Some(rw) => (&rw.schema, &rw.rules),
-            None => (&next.schema, &next.rules),
-        };
-        Ok(
-            match compile_program_for(schema, rules, &self.state.edb, self.semantics) {
-                Ok(program) => render_program(&program, rules),
-                Err(u) => render_unsupported(&u),
-            },
-        )
+        let edb = &self.state.edb;
+        Ok(match &module.goal {
+            Some(goal) => {
+                let lifted = LiftedGoal::lift(&next.schema, goal);
+                PreparedGoal::prepare(&next.schema, &next.rules, edb, &lifted, self.semantics)
+                    .explain(&next.schema, &next.rules, edb, &self.opts)
+            }
+            None => render_route(
+                &compile_program_for(&next.schema, &next.rules, edb, self.semantics),
+                &next.rules,
+                &self.opts,
+            ),
+        })
     }
 
     /// EXPLAIN ANALYZE: evaluate the module source with per-operator
@@ -853,6 +943,16 @@ impl Database {
         s.validate().map_err(CoreError::Model)?;
         Ok(s)
     }
+}
+
+/// Does a module's schema declare nothing, so that `S ∪ S_M` is `S`?
+fn schema_free(schema: &Schema) -> bool {
+    schema.classes().next().is_none()
+        && schema.assocs().next().is_none()
+        && schema.functions_iter().next().is_none()
+        && schema.domains().next().is_none()
+        && schema.isa_edges().is_empty()
+        && schema.renames().is_empty()
 }
 
 /// The module goal's answer over `inst`, if the module has a goal.

@@ -28,6 +28,7 @@ use algres::{AlgExpr, Evaluator, OpStats};
 use logres_lang::RuleSet;
 use rustc_hash::FxHashMap;
 
+use crate::inflationary::EvalOptions;
 use crate::plan::{CompileUnsupported, CompiledProgram, StratumPlan};
 
 /// Direct children of an operator node, in evaluation order.
@@ -204,6 +205,25 @@ pub fn render_program_json(program: &CompiledProgram, rules: &RuleSet) -> String
         }
     }
     out
+}
+
+/// EXPLAIN of the program a run under `opts` executes: the operator trees
+/// of `program` when the run compiles; otherwise why the interpreter runs
+/// it — the compiled path is off, or [`render_unsupported`]'s notice with
+/// the reason the fallback counter records (`provenance`, or the
+/// lowering's own reason).
+pub fn render_route(
+    program: &Result<CompiledProgram, CompileUnsupported>,
+    rules: &RuleSet,
+    opts: &EvalOptions,
+) -> String {
+    match crate::plan::route(program, opts) {
+        Ok(program) => render_program(program, rules),
+        Err(Some(u)) => render_unsupported(&u),
+        Err(None) => "not compiled: the compiled path is off (EvalOptions::compiled = false)\n\
+                      the tuple-at-a-time interpreter evaluates this program\n"
+            .to_owned(),
+    }
 }
 
 /// Render a compile failure the way EXPLAIN surfaces it: the fallback

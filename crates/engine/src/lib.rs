@@ -37,8 +37,8 @@
 //! * **incremental maintenance** of a materialized view on the positive
 //!   association fragment, whose semi-naive insertion rounds also derive
 //!   the view in the first place;
-//! * goal answering (demand-driven through the magic-set rewrite) and
-//!   extensional fact loading.
+//! * goal answering (demand-driven through the magic-set rewrite, planned
+//!   once per goal shape by [`PreparedGoal`]) and extensional fact loading.
 
 pub mod binding;
 pub mod builtins;
@@ -55,6 +55,7 @@ pub mod maintain;
 pub mod matcher;
 pub mod metrics;
 pub mod plan;
+pub mod prepared;
 pub mod provenance;
 pub mod stratified;
 pub mod trace;
@@ -64,7 +65,7 @@ pub use compile::{env_from_instance, FlowHints};
 pub use delta::{DeltaSets, OneStep};
 pub use error::EngineError;
 pub use explain::{
-    render_program, render_program_json, render_unsupported, OpProfile, PlanProfile,
+    render_program, render_program_json, render_route, render_unsupported, OpProfile, PlanProfile,
     RulePlanProfile,
 };
 pub use goal::answer_goal;
@@ -84,6 +85,7 @@ pub use plan::{
     compile_program, compile_program_for, compile_program_with, run_compiled,
     try_evaluate_compiled, CompileUnsupported, CompiledProgram, CompiledStep, StratumPlan,
 };
+pub use prepared::{LiftedGoal, PreparedGoal};
 pub use provenance::{Derivation, ProvEntry, Provenance};
 pub use stratified::{evaluate, evaluate_stratified, Semantics};
 pub use trace::{note_fallback, TraceEvent, Tracer};

@@ -1,14 +1,15 @@
 //! Demand-driven (magic-set) evaluation of goals.
 //!
-//! [`evaluate_demand`] plans a goal with
-//! [`logres_lang::analyze::plan_goal`], and — when the plan produced a
-//! rewrite — runs the magic-transformed program through [`evaluate`] under
-//! the requested semantics: the compiled path, where the `@magic_*` guards
-//! lower to semijoin reducers, or the interpreter when the compiled path
-//! falls back. The rewritten program is evaluated under the same
-//! [`EvalOptions`] as a full run, so the governor's budgets, tracing,
-//! metrics, provenance, and the determinism guarantee all carry over
-//! unchanged.
+//! [`evaluate_demand`] prepares a goal ([`PreparedGoal::prepare`]: the
+//! constants lifted into the `@goal` parameter relation, the lifted goal
+//! planned with [`logres_lang::analyze::plan_goal`], the rewrite compiled)
+//! and executes it once. When the plan produced a rewrite, the
+//! magic-transformed program runs under the requested semantics: on the
+//! compiled path, where the `@magic_*` guards lower to semijoin reducers,
+//! or on the interpreter when the compiled path falls back. The rewritten
+//! program is evaluated under the same [`EvalOptions`] as a full run, so
+//! the governor's budgets, tracing, metrics, provenance, and the
+//! determinism guarantee all carry over unchanged.
 //!
 //! The partial instance it returns contains, for every original predicate,
 //! exactly the demanded part of the full model (plus the `@magic_*` demand
@@ -17,14 +18,13 @@
 //! When the plan falls back (`None`), the caller runs full evaluation; the
 //! decision is counted on the `logres_magic_*` metrics.
 
-use logres_lang::analyze::plan_goal;
 use logres_lang::{Goal, RuleSet};
 use logres_model::{Instance, Schema, Sym, Value};
 
 use crate::error::EngineError;
-use crate::goal::answer_goal;
 use crate::inflationary::{EvalOptions, EvalReport};
-use crate::stratified::{evaluate, Semantics};
+use crate::prepared::{LiftedGoal, PreparedGoal};
+use crate::stratified::Semantics;
 
 /// Evaluate only the demanded part of the model for a goal. Returns
 /// `Ok(None)` when the goal's plan falls back to full evaluation (the
@@ -38,32 +38,17 @@ pub fn evaluate_demand(
     semantics: Semantics,
     opts: EvalOptions,
 ) -> Result<Option<(Instance, EvalReport)>, EngineError> {
-    let plan = plan_goal(schema, rules, goal);
-    let Some(rw) = plan.rewrite else {
-        if let Some(m) = &opts.metrics {
-            m.counter("logres_magic_fallbacks_total").inc();
-        }
-        return Ok(None);
-    };
-    if let Some(m) = &opts.metrics {
-        m.counter("logres_magic_rewrites_total").inc();
-        m.counter("logres_magic_demand_rules_total")
-            .add(rw.demand_rules as u64);
-        m.counter("logres_magic_guarded_rules_total")
-            .add(rw.guarded_rules as u64);
-        m.counter("logres_magic_dropped_rules_total")
-            .add(rw.dropped_rules as u64);
-    }
-    evaluate(&rw.schema, &rw.rules, edb, semantics, opts).map(Some)
+    let lifted = LiftedGoal::lift(schema, goal);
+    PreparedGoal::prepare(schema, rules, edb, &lifted, semantics).evaluate(edb, &lifted, &opts)
 }
 
 /// Goal answer rows: per row, `(variable, value)` bindings in the goal's
 /// output-variable order.
 pub type AnswerRows = Vec<Vec<(Sym, Value)>>;
 
-/// Answer a goal demand-first: plan, evaluate the rewritten program, and
-/// answer against the partial instance. `Ok(None)` means the plan fell back
-/// and the caller must answer over the full fixpoint instead.
+/// Answer a goal demand-first: prepare it, evaluate the rewritten program,
+/// and answer against the partial instance. `Ok(None)` means the plan fell
+/// back and the caller must answer over the full fixpoint instead.
 pub fn answer_goal_demand(
     schema: &Schema,
     rules: &RuleSet,
@@ -72,10 +57,9 @@ pub fn answer_goal_demand(
     semantics: Semantics,
     opts: EvalOptions,
 ) -> Result<Option<(AnswerRows, EvalReport)>, EngineError> {
-    match evaluate_demand(schema, rules, edb, goal, semantics, opts)? {
-        Some((inst, report)) => Ok(Some((answer_goal(schema, &inst, goal)?, report))),
-        None => Ok(None),
-    }
+    let lifted = LiftedGoal::lift(schema, goal);
+    PreparedGoal::prepare(schema, rules, edb, &lifted, semantics)
+        .answer(schema, edb, &lifted, &opts)
 }
 
 #[cfg(test)]
@@ -83,8 +67,10 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::goal::answer_goal;
     use crate::load::load_facts;
     use crate::metrics::MetricsRegistry;
+    use crate::stratified::evaluate;
     use logres_lang::parse_program;
     use logres_model::OidGen;
 

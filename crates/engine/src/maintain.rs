@@ -36,12 +36,14 @@
 //! rule as new.
 //!
 //! Each of the four phases — seeding new rules, a delta round, the recount
-//! and the rederive — first matches every rule or fact against a snapshot
-//! of the view, in one serial loop that polls the pass's [`Governor`], and
-//! only then merges, serially in canonical rule and [`Fact`] order: the
-//! merges write the instance the matches read, so a match must not see an
-//! earlier merge of its own phase. The whole pass is deterministic — the
-//! same contract the fixpoint drivers give.
+//! and the rederive — is a round of the pass's [`Governor`], so every
+//! firing lands in a round's record and counts against `max_steps`. Each
+//! first matches every rule or fact against a snapshot of the view, in one
+//! serial loop that polls the governor, and only then merges, serially in
+//! canonical rule and [`Fact`] order: the merges write the instance the
+//! matches read, so a match must not see an earlier merge of its own
+//! phase. The whole pass is deterministic — the same contract the fixpoint
+//! drivers give.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -530,9 +532,23 @@ impl<'a> Pass<'a> {
         Ok(nodes)
     }
 
-    /// Seed rules new to the view: each body evaluated over the whole
-    /// instance. Returns the facts it inserted, the first delta. The pass
-    /// is charged for them and checked, but it is not a delta round.
+    /// Close the current round: charge the `nodes` its merge inserted,
+    /// stop if a budget tripped, and record `stats` as the round's.
+    fn end_round(
+        &mut self,
+        stats: IterationStats,
+        nodes: usize,
+        facts: usize,
+    ) -> Result<(), EngineError> {
+        self.gov.end_match(nodes, stats.match_nanos);
+        self.gov.check(facts)?;
+        self.gov.end_round(stats, facts);
+        Ok(())
+    }
+
+    /// Seed rules new to the view, as a round of the pass: each body
+    /// evaluated over the whole instance. Returns the facts it inserted,
+    /// the first delta.
     fn fire_new_rules(
         &mut self,
         view: &mut MaterializedView,
@@ -542,6 +558,8 @@ impl<'a> Pass<'a> {
         if rule_idxs.is_empty() {
             return Ok(delta);
         }
+        self.gov.begin_round(view.inst.fact_count())?;
+        let match_start = Instant::now();
         let mut matched = Vec::with_capacity(rule_idxs.len());
         for &idx in rule_idxs {
             if self.gov.poll(idx) {
@@ -551,15 +569,22 @@ impl<'a> Pass<'a> {
             let subs = eval_body(self.schema, bv, &view.rules[idx].body, Subst::new())?;
             matched.push((idx, subs));
         }
+        let mut stats = IterationStats {
+            match_nanos: match_start.elapsed().as_nanos() as u64,
+            ..IterationStats::default()
+        };
         self.gov.check(view.inst.fact_count())?;
+        let apply_start = Instant::now();
         let mut nodes = 0;
         for (idx, subs) in matched {
+            stats.firings += subs.len();
             for theta in subs {
                 nodes += self.fire(view, idx, &theta, &mut delta, None)?;
             }
         }
-        self.gov.charge(nodes);
-        self.gov.check(view.inst.fact_count())?;
+        stats.derived = delta.fact_count();
+        stats.apply_nanos = apply_start.elapsed().as_nanos() as u64;
+        self.end_round(stats, nodes, view.inst.fact_count())?;
         Ok(delta)
     }
 
@@ -640,6 +665,52 @@ impl<'a> Pass<'a> {
         Ok(None)
     }
 
+    /// A recount or a rederive, as one round of the pass: the derivation
+    /// candidates of every fact of `facts` are matched against the view
+    /// as it stands, then each fact is taken out and put back by the first
+    /// candidate that still derives it (`Pass::reinstate`), a firing.
+    /// Returns, per fact, the rule that put it back. A recount's facts were
+    /// present, so putting one back derives nothing; a `rederive` restores
+    /// an overdeleted fact, which counts as derived, and as rederived.
+    fn verify(
+        &mut self,
+        view: &mut MaterializedView,
+        rule_idxs: &[usize],
+        facts: &[Fact],
+        rederive: bool,
+    ) -> Result<Vec<Option<usize>>, EngineError> {
+        if facts.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.gov.begin_round(view.inst.fact_count())?;
+        let match_start = Instant::now();
+        let per_fact = self.candidates(view, rule_idxs, facts)?;
+        let mut stats = IterationStats {
+            match_nanos: match_start.elapsed().as_nanos() as u64,
+            ..IterationStats::default()
+        };
+        let apply_start = Instant::now();
+        let mut nodes = 0;
+        let mut kept = Vec::with_capacity(facts.len());
+        for (f, cs) in facts.iter().zip(per_fact) {
+            view.inst.remove_fact(self.schema, f);
+            let by = self.reinstate(view, f, &cs)?;
+            if let Some(idx) = by {
+                stats.firings += 1;
+                if rederive {
+                    self.gov.profile(idx).derived += 1;
+                    self.rederived += 1;
+                    stats.derived += 1;
+                    nodes += fact_nodes(f);
+                }
+            }
+            kept.push(by);
+        }
+        stats.apply_nanos = apply_start.elapsed().as_nanos() as u64;
+        self.end_round(stats, nodes, view.inst.fact_count())?;
+        Ok(kept)
+    }
+
     /// Incremental semi-naive delta rounds over one stratum's rules: each
     /// rule fires once per body position bound to the delta, and the facts
     /// the round inserts become the next delta, until it drains. Each round
@@ -703,9 +774,7 @@ impl<'a> Pass<'a> {
             }
             stats.derived = next_delta.fact_count();
             stats.apply_nanos = apply_start.elapsed().as_nanos() as u64;
-            self.gov.end_match(nodes, stats.match_nanos);
-            self.gov.check(view.inst.fact_count())?;
-            self.gov.end_round(stats, view.inst.fact_count());
+            self.end_round(stats, nodes, view.inst.fact_count())?;
             delta = next_delta;
         }
     }
@@ -866,10 +935,9 @@ pub fn apply_update(
             for f in &kept_edb {
                 view.drop_support(f);
             }
-            let per_fact = pass.candidates(view, &stratum.rule_idxs, &check)?;
-            for (f, cs) in check.iter().zip(per_fact) {
-                view.inst.remove_fact(schema, f);
-                if pass.reinstate(view, f, &cs)?.is_none() {
+            let kept = pass.verify(view, &stratum.rule_idxs, &check, false)?;
+            for (f, by) in check.iter().zip(kept) {
+                if by.is_none() {
                     removed_total += 1;
                     if let Some((i, _)) = view.support.get(f) {
                         pass.gov.profile(*i).deleted += 1;
@@ -923,15 +991,11 @@ pub fn apply_update(
 
             // Rederive round 0: head inversion over the overdeleted set
             // against the instance with all overdeleted facts absent.
-            let per_fact = pass.candidates(view, &stratum.rule_idxs, &overdeleted)?;
+            let kept = pass.verify(view, &stratum.rule_idxs, &overdeleted, true)?;
             let mut delta = Instance::new();
-            for (f, cs) in overdeleted.iter().zip(per_fact) {
-                if let Some(idx) = pass.reinstate(view, f, &cs)? {
-                    pass.gov.profile(idx).derived += 1;
-                    pass.rederived += 1;
-                    if let Fact::Assoc { assoc, tuple } = f {
-                        delta.insert_assoc(*assoc, tuple.clone());
-                    }
+            for (f, by) in overdeleted.iter().zip(kept) {
+                if let (Some(_), Fact::Assoc { assoc, tuple }) = (by, f) {
+                    delta.insert_assoc(*assoc, tuple.clone());
                 }
             }
 
@@ -1034,6 +1098,98 @@ mod tests {
         evaluate_inflationary(schema, rules, edb, EvalOptions::default())
             .unwrap()
             .0
+    }
+
+    /// The firings and derived facts summed over a report's rounds, and
+    /// over its rule profiles.
+    fn totals(report: &EvalReport) -> ((usize, usize), (usize, usize)) {
+        let rounds =
+            (report.iterations.iter()).fold((0, 0), |(f, d), it| (f + it.firings, d + it.derived));
+        let profiles =
+            (report.rule_profiles.iter()).fold((0, 0), |(f, d), p| (f + p.firings, d + p.derived));
+        (rounds, profiles)
+    }
+
+    /// Every rule a pass fires, it fires inside a round of its run record:
+    /// a view build's and an added rule's round 0, a recount, and DRed's
+    /// rederive round 0 are rounds, so their firings and derived facts
+    /// reach the iterations and the trace as well as the rule profiles.
+    #[test]
+    fn every_firing_of_a_pass_belongs_to_a_round() {
+        let opts = EvalOptions::default();
+        let check = |report: &EvalReport| {
+            let (rounds, profiles) = totals(report);
+            assert_eq!(rounds, profiles, "{report:?}");
+            assert!(rounds.0 > 0, "{report:?}");
+        };
+        // A view build.
+        let (schema, edb, rules) = setup(&tc_program(3));
+        let (mut view, report) = MaterializedView::build(&schema, &rules, &edb, &opts).unwrap();
+        check(&report);
+        assert_eq!(report.iterations[0].derived, 3, "round 0 derives the edges");
+
+        // A rule addition (RADV): the base rule alone, then the recursive one.
+        let base = RuleSet {
+            rules: vec![rules.rules[0].clone()],
+        };
+        let (mut grown, _) = MaterializedView::build(&schema, &base, &edb, &opts).unwrap();
+        let spec = UpdateSpec {
+            add_rules: vec![rules.rules[1].clone()],
+            ..UpdateSpec::default()
+        };
+        let added = apply_update(&schema, &mut grown, &spec, &edb, &opts).unwrap();
+        check(&added.report);
+        assert_eq!(grown.instance(), &rebuilt(&schema, &rules, &edb));
+
+        // A delete that rederives: with e(0, 2) stored, deleting e(1, 2)
+        // overdeletes tc(0, 2), which round 0 puts back through e(0, 2).
+        let spec = UpdateSpec {
+            inserts: vec![edge(0, 2)],
+            ..UpdateSpec::default()
+        };
+        apply_update(&schema, &mut view, &spec, &edb, &opts).unwrap();
+        let mut before = edb.clone();
+        before.insert_fact(&schema, &edge(0, 2));
+        let spec = UpdateSpec {
+            deletes: vec![edge(1, 2)],
+            ..UpdateSpec::default()
+        };
+        let deleted = apply_update(&schema, &mut view, &spec, &before, &opts).unwrap();
+        check(&deleted.report);
+        assert!(deleted.report.iterations[0].derived > 0, "{deleted:?}");
+        let mut after = before.clone();
+        after.remove_fact(&schema, &edge(1, 2));
+        assert_eq!(view.instance(), &rebuilt(&schema, &rules, &after));
+
+        // A recount: p(1) loses its q support and keeps its r one.
+        let (schema, edb, rules) = setup(
+            r#"
+            associations
+              q = (d: integer);
+              r = (d: integer);
+              p = (d: integer);
+            facts
+              q(d: 1).
+              r(d: 1).
+            rules
+              p(d: X) <- q(d: X).
+              p(d: X) <- r(d: X).
+        "#,
+        );
+        let (mut view, _) = MaterializedView::build(&schema, &rules, &edb, &opts).unwrap();
+        let q1 = Fact::Assoc {
+            assoc: Sym::new("q"),
+            tuple: Value::tuple([("d", Value::Int(1))]),
+        };
+        let spec = UpdateSpec {
+            deletes: vec![q1.clone()],
+            ..UpdateSpec::default()
+        };
+        let recounted = apply_update(&schema, &mut view, &spec, &edb, &opts).unwrap();
+        check(&recounted.report);
+        let mut after = edb.clone();
+        after.remove_fact(&schema, &q1);
+        assert_eq!(view.instance(), &rebuilt(&schema, &rules, &after));
     }
 
     #[test]

@@ -335,7 +335,7 @@ pub fn try_evaluate_compiled(
     opts: &EvalOptions,
 ) -> Option<Result<(Instance, EvalReport), EngineError>> {
     if opts.provenance {
-        note_fallback(opts, "logres_compile_fallbacks_total", "provenance");
+        note_fallback(opts, "logres_compile_fallbacks_total", PROVENANCE);
         return None;
     }
     match compile_program_for(schema, rules, edb, semantics) {
@@ -345,6 +345,31 @@ pub fn try_evaluate_compiled(
             None
         }
     }
+}
+
+/// The fallback reason of a run that records provenance: plans do not
+/// track premises.
+const PROVENANCE: &str = "provenance";
+
+/// The route a run under `opts` takes for a program lowered to `program`:
+/// the compiled program, or `Err` for the interpreter, carrying the
+/// fallback the compile counter records (`None` when the compiled path is
+/// switched off, which is a choice, not a fallback). Provenance is decided
+/// before the lowering, exactly as [`try_evaluate_compiled`] decides it.
+pub(crate) fn route<'p>(
+    program: &'p Result<CompiledProgram, CompileUnsupported>,
+    opts: &EvalOptions,
+) -> Result<&'p CompiledProgram, Option<CompileUnsupported>> {
+    if !opts.compiled {
+        return Err(None);
+    }
+    if opts.provenance {
+        return Err(Some(CompileUnsupported {
+            reason: PROVENANCE,
+            detail: "provenance recording is on; compiled plans do not track premises".to_owned(),
+        }));
+    }
+    program.as_ref().map_err(|u| Some(u.clone()))
 }
 
 /// The relations a stratum's plans scan.
@@ -383,6 +408,22 @@ pub fn run_compiled(
     edb: &Instance,
     opts: &EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
+    run_compiled_with(schema, program, rules, edb, None, opts)
+}
+
+/// [`run_compiled`] with a parameter relation bound in place of `edb`'s
+/// extent of the same name: a prepared goal's one-row `@goal`
+/// ([`crate::prepared`]). The relation is only read, never copied into the
+/// result, so the instance returned holds exactly what `run_compiled`'s
+/// would, and `edb` itself is neither cloned with the row nor re-indexed.
+pub(crate) fn run_compiled_with(
+    schema: &Schema,
+    program: &CompiledProgram,
+    rules: &RuleSet,
+    edb: &Instance,
+    param: Option<(Sym, Relation)>,
+    opts: &EvalOptions,
+) -> Result<(Instance, EvalReport), EngineError> {
     let mut total = edb.clone();
     let n = rules.rules.len();
     let mut gov = Governor::open("compiled", opts, &rules.rules, n, edb.fact_count());
@@ -401,6 +442,9 @@ pub fn run_compiled(
                 env.bind_stored(a, cols, edb);
             }
         }
+    }
+    if let Some((name, rel)) = param {
+        env.bind(name, rel);
     }
     for splan in &program.strata {
         for p in scanned(splan) {

@@ -54,6 +54,18 @@ pub fn evaluate(
             return result;
         }
     }
+    interpret(schema, rules, edb, semantics, opts)
+}
+
+/// The interpreter under the chosen semantics: the reference path, and
+/// where every compiled route falls back to.
+pub(crate) fn interpret(
+    schema: &Schema,
+    rules: &RuleSet,
+    edb: &Instance,
+    semantics: Semantics,
+    opts: EvalOptions,
+) -> Result<(Instance, EvalReport), EngineError> {
     match semantics {
         Semantics::Inflationary => evaluate_inflationary(schema, rules, edb, opts),
         Semantics::Stratified => evaluate_stratified(schema, rules, edb, opts),

@@ -722,6 +722,28 @@ pub fn seeds_from_instance(schema: &Schema, inst: &Instance) -> BTreeMap<Sym, Pr
 /// The static no-information element for an attribute position: the schema
 /// already refines it (class references enter the class lattice, integer
 /// attributes enter the interval component).
+/// The seed of a *parameter relation*, such as a prepared goal's `@goal`:
+/// one row whose every column is ⊤ of its declared type. The row changes
+/// from run to run while the plan inferred from this seed does not, so no
+/// run's value may reach the summaries: a rule pruned because one
+/// constant contradicts a stored column would answer the next constant
+/// wrongly. The columns are never `exact`, so no semijoin guard is skipped
+/// on them. Left unseeded, the relation would read as empty and flow would
+/// prune every rule that reads it.
+pub fn seed_parameter(schema: &Schema, pred: Sym) -> PredSummary {
+    let args = schema
+        .attributes(pred)
+        .unwrap_or_default()
+        .iter()
+        .map(|f| (f.label, static_arg_top(schema, pred, f.label)))
+        .filter(|(_, av)| !av.is_top())
+        .collect();
+    PredSummary {
+        card: Card::AtMostOne,
+        args,
+    }
+}
+
 fn static_arg_top(schema: &Schema, pred: Sym, label: Sym) -> AbsVal {
     let mut av = AbsVal::top();
     if let Some(fields) = schema.attributes(pred) {

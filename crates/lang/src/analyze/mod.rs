@@ -50,7 +50,10 @@ pub use adorn::{plan_goal, Adornment, Exemption, GoalPlan, MagicRewrite};
 pub use diag::{
     render_all_human, render_all_json, sort_diagnostics, Diagnostic, Related, Severity,
 };
-pub use flow::{flow_program, infer, seeds_from_facts, seeds_from_instance, Card, FlowSummaries};
+pub use flow::{
+    flow_program, infer, seed_parameter, seeds_from_facts, seeds_from_instance, Card,
+    FlowSummaries, PredSummary,
+};
 pub use graph::{DepGraph, EdgeKind};
 pub use shape::{ExemptReason, HeadWrite, RuleShape};
 

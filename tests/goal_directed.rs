@@ -449,27 +449,27 @@ fn rule_headers(text: &str) -> std::collections::BTreeSet<usize> {
         .collect()
 }
 
+/// The database the EXPLAIN tests explain.
+const EXPLAINED: &str = r#"
+    associations
+      parent = (par: string, chil: string);
+      anc    = (a: string, d: string);
+      never  = (a: string);
+    facts
+      parent(par: "adam", chil: "cain").
+      parent(par: "cain", chil: "enoch").
+      parent(par: "eve", chil: "abel").
+    rules
+      anc(a: X, d: Y) <- parent(par: X, chil: Y).
+      anc(a: X, d: Z) <- anc(a: X, d: Y), parent(par: Y, chil: Z).
+      never(a: X) <- parent(par: X, chil: "zzz").
+"#;
+
 /// EXPLAIN shows the program a query evaluates: for a bound goal, the
 /// demand-rewritten program, numbered as EXPLAIN ANALYZE numbers it.
 #[test]
 fn explain_renders_the_program_the_query_runs() {
-    let mut db = Database::from_source(
-        r#"
-        associations
-          parent = (par: string, chil: string);
-          anc    = (a: string, d: string);
-          never  = (a: string);
-        facts
-          parent(par: "adam", chil: "cain").
-          parent(par: "cain", chil: "enoch").
-          parent(par: "eve", chil: "abel").
-        rules
-          anc(a: X, d: Y) <- parent(par: X, chil: Y).
-          anc(a: X, d: Z) <- anc(a: X, d: Y), parent(par: Y, chil: Z).
-          never(a: X) <- parent(par: X, chil: "zzz").
-    "#,
-    )
-    .unwrap();
+    let mut db = Database::from_source(EXPLAINED).unwrap();
     let goal = r#"goal anc(a: "adam", d: X)?"#;
     let explain = db.explain_goal(goal).unwrap();
     let analyze = db.explain_analyze_goal(goal).unwrap();
@@ -485,4 +485,47 @@ fn explain_renders_the_program_the_query_runs() {
     let full = db.explain_goal("goal anc(a: X, d: Y)?").unwrap();
     assert!(!full.contains("@magic_"), "{full}");
     assert!(full.contains("never"), "{full}");
+}
+
+/// EXPLAIN renders the route the current options take. With provenance on
+/// or the compiled path off, a query runs on the interpreter, so EXPLAIN
+/// prints no operator tree but the reason, as the fallback counter labels
+/// it; under the default options it still prints what EXPLAIN ANALYZE
+/// profiles.
+#[test]
+fn explain_follows_the_route_the_options_choose() {
+    let mut db = Database::from_source(EXPLAINED).unwrap();
+    let bound = r#"goal anc(a: "adam", d: X)?"#;
+    let routes = [
+        (
+            EvalOptions {
+                provenance: true,
+                ..EvalOptions::default()
+            },
+            "not compiled (provenance)",
+        ),
+        (
+            EvalOptions {
+                compiled: false,
+                ..EvalOptions::default()
+            },
+            "the compiled path is off",
+        ),
+    ];
+    for (opts, reason) in routes {
+        db.set_options(opts);
+        for src in [bound, "goal anc(a: X, d: Y)?"] {
+            let explain = db.explain_goal(src).unwrap();
+            assert!(rule_headers(&explain).is_empty(), "{explain}");
+            assert!(explain.contains(reason), "{explain}");
+            assert!(explain.contains("interpreter"), "{explain}");
+        }
+        let analyze = db.explain_analyze_goal(bound).unwrap();
+        assert!(analyze.contains("ran on the interpreter"), "{analyze}");
+    }
+    db.set_options(EvalOptions::default());
+    let explain = db.explain_goal(bound).unwrap();
+    let analyze = db.explain_analyze_goal(bound).unwrap();
+    assert!(!rule_headers(&explain).is_empty(), "{explain}");
+    assert_eq!(rule_headers(&explain), rule_headers(&analyze));
 }
