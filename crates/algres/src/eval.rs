@@ -790,26 +790,30 @@ impl<'a> Evaluator<'a> {
                     let key: Vec<Value> = group_cols
                         .iter()
                         .map(|c| {
-                            t.field(*c).cloned().ok_or(AlgError::UnknownColumn {
+                            t.field(*c).cloned().ok_or_else(|| AlgError::UnknownColumn {
                                 rel: format!("{:?}", rel.cols()),
                                 col: *c,
                             })
                         })
                         .collect::<Result<_, _>>()?;
                     let elem = if cols.len() == 1 {
-                        t.field(cols[0]).cloned().ok_or(AlgError::UnknownColumn {
-                            rel: format!("{:?}", rel.cols()),
-                            col: cols[0],
-                        })?
+                        t.field(cols[0])
+                            .cloned()
+                            .ok_or_else(|| AlgError::UnknownColumn {
+                                rel: format!("{:?}", rel.cols()),
+                                col: cols[0],
+                            })?
                     } else {
                         Value::tuple(
                             cols.iter()
                                 .map(|c| {
                                     Ok((
                                         *c,
-                                        t.field(*c).cloned().ok_or(AlgError::UnknownColumn {
-                                            rel: format!("{:?}", rel.cols()),
-                                            col: *c,
+                                        t.field(*c).cloned().ok_or_else(|| {
+                                            AlgError::UnknownColumn {
+                                                rel: format!("{:?}", rel.cols()),
+                                                col: *c,
+                                            }
                                         })?,
                                     ))
                                 })
@@ -877,16 +881,19 @@ impl<'a> Evaluator<'a> {
                     let key: Vec<Value> = group
                         .iter()
                         .map(|c| {
-                            t.field(*c).cloned().ok_or(AlgError::UnknownColumn {
+                            t.field(*c).cloned().ok_or_else(|| AlgError::UnknownColumn {
                                 rel: format!("{:?}", rel.cols()),
                                 col: *c,
                             })
                         })
                         .collect::<Result<_, _>>()?;
-                    let v = t.field(*on).cloned().ok_or(AlgError::UnknownColumn {
-                        rel: format!("{:?}", rel.cols()),
-                        col: *on,
-                    })?;
+                    let v = t
+                        .field(*on)
+                        .cloned()
+                        .ok_or_else(|| AlgError::UnknownColumn {
+                            rel: format!("{:?}", rel.cols()),
+                            col: *on,
+                        })?;
                     if !groups.contains_key(&key) {
                         order.push(key.clone());
                     }
@@ -1232,10 +1239,13 @@ fn check_same_cols(l: &Relation, r: &Relation) -> Result<(), AlgError> {
 /// Evaluate a scalar against a tuple.
 pub fn eval_scalar(s: &Scalar, tuple: &Value) -> Result<Value, AlgError> {
     match s {
-        Scalar::Col(c) => tuple.field(*c).cloned().ok_or(AlgError::UnknownColumn {
-            rel: tuple.to_string(),
-            col: *c,
-        }),
+        Scalar::Col(c) => tuple
+            .field(*c)
+            .cloned()
+            .ok_or_else(|| AlgError::UnknownColumn {
+                rel: tuple.to_string(),
+                col: *c,
+            }),
         Scalar::Const(v) => Ok(v.clone()),
         Scalar::Add(a, b) => int_op(a, b, tuple, |x, y| x.checked_add(y)),
         Scalar::Sub(a, b) => int_op(a, b, tuple, |x, y| x.checked_sub(y)),

@@ -212,7 +212,10 @@ fn push_conjuncts(input: AlgExpr, conjuncts: Vec<Pred>, catalog: Catalog<'_>) ->
 ///   the original chain;
 /// - absorbed `Select` predicates are prepended to the accumulated
 ///   predicate, so conjuncts still evaluate bottom-up in the original
-///   order.
+///   order;
+/// - once its input is fused, an emit directly over an emit composes with
+///   it into one node (`emit_over`), which is how a rule with one body
+///   literal stops relabeling each row twice.
 ///
 /// The fused plan may fail *less* often than the original on ill-formed
 /// plans (it only evaluates the scalars it still references, and only on
@@ -280,10 +283,18 @@ fn try_fuse_chain(expr: &AlgExpr) -> Option<AlgExpr> {
                 absorbed += 1;
             }
             AlgExpr::Extend { input, col, value } if !saw_select => {
+                // `col ↦ value`: the substitution that folds the Extend away.
+                let fold = |c: Sym| {
+                    if c == *col {
+                        value.clone()
+                    } else {
+                        Scalar::Col(c)
+                    }
+                };
                 for (_, s) in &mut mapping {
-                    *s = replace_col_scalar(s, *col, value);
+                    *s = map_cols_scalar(s, &fold);
                 }
-                pred = replace_col_pred(&pred, *col, value);
+                pred = map_cols_pred(&pred, &fold);
                 cur = input;
                 absorbed += 1;
             }
@@ -302,11 +313,65 @@ fn try_fuse_chain(expr: &AlgExpr) -> Option<AlgExpr> {
     if renames.is_empty() && absorbed == 0 {
         return None;
     }
-    Some(AlgExpr::Emit {
-        input: Box::new(fuse_reshapes(cur.clone())),
-        pred,
-        cols: mapping,
-    })
+    Some(emit_over(fuse_reshapes(cur.clone()), pred, mapping))
+}
+
+/// An emit of `cols` filtered by `pred` over `input`, composed with
+/// `input` when that is an emit itself. `emit[p_o, m_o]` over
+/// `emit[p_i, m_i]` over `x` becomes one emit over `x` that keeps a row
+/// when `p_i` holds and then `p_o[m_i]` holds, and writes `m_o[m_i]`: each
+/// column the outer node reads is replaced by the inner scalar that wrote
+/// it. A single-literal rule thus relabels each row once, not twice.
+///
+/// The composed node yields the same relation in the same insertion order:
+/// the inner node's deduplication only drops rows whose outer image is a
+/// duplicate too, and the first input row to produce each output row is
+/// the same. It never fails more often: the conjunction evaluates `p_i`
+/// first and skips the rest on rows it rejects, and an inner scalar is
+/// evaluated only on rows the inner node evaluated it on, and only when the
+/// outer node reads its column. The inner mapping must name each column
+/// once and cover every column the outer node reads; otherwise the nodes
+/// stay apart.
+fn emit_over(input: AlgExpr, pred: Pred, cols: Vec<(Sym, Scalar)>) -> AlgExpr {
+    let writes_once =
+        |inner: &[(Sym, Scalar)], c: Sym| inner.iter().filter(|(o, _)| *o == c).count() == 1;
+    match input {
+        AlgExpr::Emit {
+            input: inner,
+            pred: inner_pred,
+            cols: inner_cols,
+        } if inner_cols.iter().all(|(o, _)| writes_once(&inner_cols, *o))
+            && referenced_cols(&cols, &pred)
+                .into_iter()
+                .all(|c| writes_once(&inner_cols, c)) =>
+        {
+            let through = |c: Sym| {
+                inner_cols
+                    .iter()
+                    .find(|(o, _)| *o == c)
+                    .map(|(_, s)| s.clone())
+                    .expect("the guard checked that the inner emit writes every column read")
+            };
+            let pred = match (inner_pred, map_cols_pred(&pred, &through)) {
+                (p, Pred::True) | (Pred::True, p) => p,
+                (p_in, p_out) => Pred::And(Box::new(p_in), Box::new(p_out)),
+            };
+            let cols = cols
+                .iter()
+                .map(|(c, s)| (*c, map_cols_scalar(s, &through)))
+                .collect();
+            AlgExpr::Emit {
+                input: inner,
+                pred,
+                cols,
+            }
+        }
+        input => AlgExpr::Emit {
+            input: Box::new(input),
+            pred,
+            cols,
+        },
+    }
 }
 
 /// All columns the emit mapping and residual predicate read.
@@ -368,11 +433,7 @@ fn fuse_children(expr: AlgExpr) -> AlgExpr {
             col,
             value,
         },
-        AlgExpr::Emit { input, pred, cols } => AlgExpr::Emit {
-            input: Box::new(fuse_reshapes(*input)),
-            pred,
-            cols,
-        },
+        AlgExpr::Emit { input, pred, cols } => emit_over(fuse_reshapes(*input), pred, cols),
         AlgExpr::Nest { input, cols, into } => AlgExpr::Nest {
             input: Box::new(fuse_reshapes(*input)),
             cols,
@@ -398,110 +459,59 @@ fn fuse_children(expr: AlgExpr) -> AlgExpr {
     }
 }
 
-/// Replace references to column `col` with the scalar `with` — the
-/// substitution that folds an `Extend` away.
-fn replace_col_scalar(s: &Scalar, col: Sym, with: &Scalar) -> Scalar {
+/// Replace every column reference `Col(c)` in a scalar by `f(c)`. Field
+/// labels of nested values are untouched: only relation columns are
+/// rewritten.
+fn map_cols_scalar(s: &Scalar, f: &impl Fn(Sym) -> Scalar) -> Scalar {
+    let bin = |a: &Scalar, b: &Scalar| {
+        (
+            Box::new(map_cols_scalar(a, f)),
+            Box::new(map_cols_scalar(b, f)),
+        )
+    };
     match s {
-        Scalar::Col(c) if *c == col => with.clone(),
-        Scalar::Col(c) => Scalar::Col(*c),
+        Scalar::Col(c) => f(*c),
         Scalar::Const(v) => Scalar::Const(v.clone()),
-        Scalar::Add(a, b) => Scalar::Add(
-            Box::new(replace_col_scalar(a, col, with)),
-            Box::new(replace_col_scalar(b, col, with)),
-        ),
-        Scalar::Sub(a, b) => Scalar::Sub(
-            Box::new(replace_col_scalar(a, col, with)),
-            Box::new(replace_col_scalar(b, col, with)),
-        ),
-        Scalar::Mul(a, b) => Scalar::Mul(
-            Box::new(replace_col_scalar(a, col, with)),
-            Box::new(replace_col_scalar(b, col, with)),
-        ),
-        Scalar::Div(a, b) => Scalar::Div(
-            Box::new(replace_col_scalar(a, col, with)),
-            Box::new(replace_col_scalar(b, col, with)),
-        ),
+        Scalar::Add(a, b) => {
+            let (a, b) = bin(a, b);
+            Scalar::Add(a, b)
+        }
+        Scalar::Sub(a, b) => {
+            let (a, b) = bin(a, b);
+            Scalar::Sub(a, b)
+        }
+        Scalar::Mul(a, b) => {
+            let (a, b) = bin(a, b);
+            Scalar::Mul(a, b)
+        }
+        Scalar::Div(a, b) => {
+            let (a, b) = bin(a, b);
+            Scalar::Div(a, b)
+        }
         Scalar::Tuple(fs) => Scalar::Tuple(
             fs.iter()
-                .map(|(l, e)| (*l, replace_col_scalar(e, col, with)))
+                .map(|(l, e)| (*l, map_cols_scalar(e, f)))
                 .collect(),
         ),
-        Scalar::Field(e, l) => Scalar::Field(Box::new(replace_col_scalar(e, col, with)), *l),
+        Scalar::Field(e, l) => Scalar::Field(Box::new(map_cols_scalar(e, f)), *l),
     }
 }
 
-/// Replace references to column `col` with the scalar `with` in a predicate.
-fn replace_col_pred(p: &Pred, col: Sym, with: &Scalar) -> Pred {
+/// [`map_cols_scalar`] over every scalar of a predicate.
+fn map_cols_pred(p: &Pred, f: &impl Fn(Sym) -> Scalar) -> Pred {
     match p {
         Pred::True => Pred::True,
-        Pred::Cmp(op, a, b) => Pred::Cmp(
-            *op,
-            replace_col_scalar(a, col, with),
-            replace_col_scalar(b, col, with),
-        ),
-        Pred::In(a, b) => Pred::In(
-            replace_col_scalar(a, col, with),
-            replace_col_scalar(b, col, with),
-        ),
-        Pred::And(a, b) => Pred::And(
-            Box::new(replace_col_pred(a, col, with)),
-            Box::new(replace_col_pred(b, col, with)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(replace_col_pred(a, col, with)),
-            Box::new(replace_col_pred(b, col, with)),
-        ),
-        Pred::Not(i) => Pred::Not(Box::new(replace_col_pred(i, col, with))),
-    }
-}
-
-/// Replace column references `old` with `new` in a scalar. Field labels of
-/// nested values are untouched — only relation columns are renamed.
-fn subst_scalar(s: &Scalar, old: Sym, new: Sym) -> Scalar {
-    match s {
-        Scalar::Col(c) => Scalar::Col(if *c == old { new } else { *c }),
-        Scalar::Const(v) => Scalar::Const(v.clone()),
-        Scalar::Add(a, b) => Scalar::Add(
-            Box::new(subst_scalar(a, old, new)),
-            Box::new(subst_scalar(b, old, new)),
-        ),
-        Scalar::Sub(a, b) => Scalar::Sub(
-            Box::new(subst_scalar(a, old, new)),
-            Box::new(subst_scalar(b, old, new)),
-        ),
-        Scalar::Mul(a, b) => Scalar::Mul(
-            Box::new(subst_scalar(a, old, new)),
-            Box::new(subst_scalar(b, old, new)),
-        ),
-        Scalar::Div(a, b) => Scalar::Div(
-            Box::new(subst_scalar(a, old, new)),
-            Box::new(subst_scalar(b, old, new)),
-        ),
-        Scalar::Tuple(fs) => Scalar::Tuple(
-            fs.iter()
-                .map(|(l, e)| (*l, subst_scalar(e, old, new)))
-                .collect(),
-        ),
-        Scalar::Field(e, l) => Scalar::Field(Box::new(subst_scalar(e, old, new)), *l),
+        Pred::Cmp(op, a, b) => Pred::Cmp(*op, map_cols_scalar(a, f), map_cols_scalar(b, f)),
+        Pred::In(a, b) => Pred::In(map_cols_scalar(a, f), map_cols_scalar(b, f)),
+        Pred::And(a, b) => Pred::And(Box::new(map_cols_pred(a, f)), Box::new(map_cols_pred(b, f))),
+        Pred::Or(a, b) => Pred::Or(Box::new(map_cols_pred(a, f)), Box::new(map_cols_pred(b, f))),
+        Pred::Not(i) => Pred::Not(Box::new(map_cols_pred(i, f))),
     }
 }
 
 /// Replace column references `old` with `new` in a predicate.
 fn subst_pred(p: &Pred, old: Sym, new: Sym) -> Pred {
-    match p {
-        Pred::True => Pred::True,
-        Pred::Cmp(op, a, b) => Pred::Cmp(*op, subst_scalar(a, old, new), subst_scalar(b, old, new)),
-        Pred::In(a, b) => Pred::In(subst_scalar(a, old, new), subst_scalar(b, old, new)),
-        Pred::And(a, b) => Pred::And(
-            Box::new(subst_pred(a, old, new)),
-            Box::new(subst_pred(b, old, new)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(subst_pred(a, old, new)),
-            Box::new(subst_pred(b, old, new)),
-        ),
-        Pred::Not(i) => Pred::Not(Box::new(subst_pred(i, old, new))),
-    }
+    map_cols_pred(p, &|c| Scalar::Col(if c == old { new } else { c }))
 }
 
 /// Try to sink one conjunct one level down; `Ok` means it was absorbed.
@@ -958,7 +968,12 @@ mod tests {
                     }
                 };
             }
-            match cur.next() % 8 {
+            match cur.next() % 9 {
+                8 => {
+                    // Emit, so that emits nest over emits.
+                    let (e, cols) = build(cur, depth - 1);
+                    rand_emit(cur, e, &cols)
+                }
                 0 => {
                     // Select.
                     let (e, cols) = build(cur, depth - 1);
@@ -1070,6 +1085,46 @@ mod tests {
             }
         }
 
+        /// A random emit over `input`: a predicate, or none, and a mapping
+        /// onto distinct names of `a b c x y z w` that copies, adds to or
+        /// divides a column (a zero divisor fails the row).
+        fn rand_emit(cur: &mut Cursor<'_>, input: AlgExpr, cols: &[Sym]) -> (AlgExpr, Vec<Sym>) {
+            let pred = if cur.next().is_multiple_of(2) {
+                Pred::True
+            } else {
+                rand_pred(cur, cols)
+            };
+            let mut names: Vec<Sym> = ["a", "b", "c", "x", "y", "z", "w"]
+                .iter()
+                .map(|s| Sym::new(s))
+                .collect();
+            let n = 1 + (cur.next() as usize) % 3;
+            let mut mapping = Vec::new();
+            for _ in 0..n {
+                let name = names.remove((cur.next() as usize) % names.len());
+                let src = Scalar::Col(cols[(cur.next() as usize) % cols.len()]);
+                let k = Box::new(Scalar::Const(Value::Int((cur.next() % 3) as i64)));
+                let scalar = match cur.next() % 4 {
+                    0 => Scalar::Add(Box::new(src), k),
+                    1 => Scalar::Div(Box::new(src), k),
+                    _ => src,
+                };
+                mapping.push((name, scalar));
+            }
+            let out = mapping.iter().map(|(c, _)| *c).collect();
+            let e = AlgExpr::Emit {
+                input: Box::new(input),
+                pred,
+                cols: mapping,
+            };
+            (e, out)
+        }
+
+        /// The rows of a relation in insertion order.
+        fn rows(rel: &Relation) -> Vec<Value> {
+            rel.iter().cloned().collect()
+        }
+
         trait ProjectSyms {
             fn project_syms(self, cols: &[Sym]) -> AlgExpr;
         }
@@ -1151,7 +1206,42 @@ mod tests {
                 if let Ok(orig_rel) = eval(&expr, &env) {
                     let fused_rel =
                         eval(&fused, &env).expect("fused plan must evaluate when the original does");
-                    prop_assert_eq!(orig_rel, fused_rel);
+                    prop_assert_eq!(rows(&orig_rel), rows(&fused_rel));
+                }
+            }
+
+            /// Emit over emit: the two compose into one node, which yields
+            /// the same rows in the same insertion order whenever the pair
+            /// evaluates, and may only fail less often (an inner column the
+            /// outer node never reads is never computed).
+            #[test]
+            fn emits_over_emits_compose_and_agree(
+                bytes in proptest::collection::vec(any::<u8>(), 16..96),
+                depth in 0usize..3,
+            ) {
+                let mut cur = Cursor { bytes: &bytes, pos: 0 };
+                let (base, cols) = build(&mut cur, depth);
+                let (inner, mid) = rand_emit(&mut cur, base, &cols);
+                let (expr, _) = rand_emit(&mut cur, inner, &mid);
+
+                let mut env = Env::new();
+                let mut cur3 = Cursor { bytes: &bytes, pos: bytes.len() / 3 };
+                env.bind("r1", const_rel(&mut cur3, &[Sym::new("a"), Sym::new("b")]));
+                env.bind("r2", const_rel(&mut cur3, &[Sym::new("b"), Sym::new("c")]));
+
+                let fused = fuse_reshapes(expr.clone());
+                let AlgExpr::Emit { input, .. } = &fused else {
+                    panic!("the outer emit is gone: {fused:?}");
+                };
+                prop_assert!(
+                    !matches!(input.as_ref(), AlgExpr::Emit { .. }),
+                    "an emit still sits on an emit: {:?}", fused
+                );
+                if let Ok(orig_rel) = eval(&expr, &env) {
+                    let fused_rel =
+                        eval(&fused, &env).expect("composed emit must evaluate when the pair does");
+                    prop_assert_eq!(rows(&orig_rel), rows(&fused_rel));
+                    prop_assert_eq!(orig_rel.cols(), fused_rel.cols());
                 }
             }
 

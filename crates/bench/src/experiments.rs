@@ -244,7 +244,8 @@ pub fn e4_modes() -> Table {
             fmt_duration(d),
             db.rules().len().to_string(),
             e_count.to_string(),
-            out.answer.map_or("—".into(), |a| a.len().to_string()),
+            out.answer
+                .map_or_else(|| "—".into(), |a| a.len().to_string()),
         ]);
     }
     t

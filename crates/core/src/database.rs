@@ -55,9 +55,14 @@ pub struct Database {
     semantics: Semantics,
     opts: EvalOptions,
     /// Materialized instance plus support graph for incremental
-    /// maintenance of the data-variant modes; built lazily on the first
-    /// maintainable update and invalidated whenever the state changes
-    /// through any other path.
+    /// maintenance of the data-variant modes, built lazily on the first
+    /// maintainable update. Invariant: when present, its instance is the
+    /// instance of the persistent rules `R` over `E` under `S`, which
+    /// goal-only queries read in place of evaluating (DESIGN §10.6). Every
+    /// commit keeps it: the maintained route of `apply_with` patches it,
+    /// and the full route, `materialize` and `set_incremental(false)` drop
+    /// it, as does a maintained update that is rejected or fails, which
+    /// has taken it out before it could be patched.
     view: Option<maintain::MaterializedView>,
     incremental: bool,
     /// Parsed-module cache for [`Database::apply_source`]: parsing and
@@ -790,9 +795,10 @@ impl Database {
         Ok(Some((spec, view, result.report)))
     }
 
-    /// Evaluate a goal-only module (convenience for queries). Goals whose
-    /// plan admits the magic-set rewrite are answered demand-first over the
-    /// partial instance (bit-identical answers, see
+    /// Evaluate a goal-only module (convenience for queries). A goal alone
+    /// is answered from the maintained view when the database holds one.
+    /// Otherwise goals whose plan admits the magic-set rewrite are answered
+    /// demand-first over the partial instance (bit-identical answers, see
     /// [`logres_engine::magic`]); every other goal falls back to a full
     /// transient (RIDI) application.
     pub fn query(&mut self, src: &str) -> Result<Rows, CoreError> {
@@ -805,12 +811,25 @@ impl Database {
     /// (and, with [`EvalOptions::profile`], per-operator) statistics
     /// whichever path answered. Both evaluate the one transient state
     /// `(S ∪ S_M, R ∪ R_M)`. The goal of a module that carries nothing else
-    /// is prepared once per shape and memoised; any other goal is prepared
-    /// afresh, through the same [`PreparedGoal`].
+    /// is answered from the maintained view when the database holds one
+    /// (counted on `logres_view_answers_total`; its report records no
+    /// round), and is otherwise prepared once per shape and memoised; any
+    /// other goal is prepared afresh, through the same [`PreparedGoal`].
     pub fn query_report(&mut self, src: &str) -> Result<(Rows, EvalReport), CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        let goal_only = module.rules.is_empty() && schema_free(&module.schema);
-        let next = if goal_only {
+        if let (Some(view), Some(goal)) = (self.view_for(&module), &module.goal) {
+            let inst = view.instance();
+            let rows = answer_goal(&self.state.schema, inst, goal).map_err(CoreError::Engine)?;
+            if let Some(m) = &self.opts.metrics {
+                m.counter("logres_view_answers_total").inc();
+            }
+            let report = EvalReport {
+                facts: inst.fact_count(),
+                ..EvalReport::default()
+            };
+            return Ok((rows, report));
+        }
+        let next = if goal_only(&module) {
             None
         } else {
             Some(self.next_state(&module, Mode::Ridi)?)
@@ -826,6 +845,17 @@ impl Database {
         };
         let outcome = self.ridi(&module, &next, self.semantics)?;
         Ok((outcome.answer.unwrap_or_default(), outcome.report))
+    }
+
+    /// The maintained view a query of `module` is answered from: one exists
+    /// and the module carries a goal and nothing else, so the transient
+    /// state is the persistent one and the answer is the goal's over the
+    /// instance of `(E, R)`, which the view holds. The view's rules are
+    /// positive, so that instance is the same under either semantics, and
+    /// no option takes part in the choice.
+    fn view_for(&self, module: &Module) -> Option<&MaterializedView> {
+        let view = self.view.as_ref()?;
+        (module.goal.is_some() && goal_only(module)).then_some(view)
     }
 
     /// The demand attempt of a query over `E`: the goal of a goal-only
@@ -894,9 +924,13 @@ impl Database {
     /// EXPLAIN ANALYZE's. When the query runs on the interpreter under the
     /// current options — the compiled path is off, provenance is on, or the
     /// program falls outside the compilable fragment — the reason is
-    /// rendered instead. Nothing is evaluated.
+    /// rendered instead, and a query answered from the maintained view says
+    /// so. Nothing is evaluated.
     pub fn explain_goal(&self, src: &str) -> Result<String, CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
+        if self.view_for(&module).is_some() {
+            return Ok(FROM_VIEW.to_owned());
+        }
         let next = self.next_state(&module, Mode::Ridi)?;
         let edb = &self.state.edb;
         Ok(match &module.goal {
@@ -918,13 +952,18 @@ impl Database {
     /// evaluation count, rows in/out, hash builds, probes, memo hits, and
     /// inclusive/exclusive wall time, plus the driver's `materialize` step.
     /// Falls back to a message when the program ran on the interpreter
-    /// (there is no operator tree to profile).
+    /// (there is no operator tree to profile) or the query was answered
+    /// from the maintained view (there is no program).
     pub fn explain_analyze_goal(&mut self, src: &str) -> Result<String, CoreError> {
+        let from_view = self
+            .view_for(&Module::parse(src, &self.state.schema)?)
+            .is_some();
         let mut opts = self.opts.clone();
         opts.profile = true;
         let (_, report) = self.query_with_options(src, opts)?;
         match report.plan_profile {
             Some(profile) => Ok(profile.render()),
+            None if from_view => Ok(FROM_VIEW.to_owned()),
             None => Ok(
                 "no plan profile: the program ran on the interpreter, not the compiled path\n"
                     .to_owned(),
@@ -943,6 +982,17 @@ impl Database {
         s.validate().map_err(CoreError::Model)?;
         Ok(s)
     }
+}
+
+/// What EXPLAIN and EXPLAIN ANALYZE say of a query answered from the
+/// maintained view: there is no program to render or profile.
+const FROM_VIEW: &str = "answered from the maintained view: the goal is read off the \
+    materialized instance of the persistent rules; nothing is planned or evaluated\n";
+
+/// Does a query module carry nothing but its goal, so that its transient
+/// state `(S ∪ S_M, R ∪ R_M)` is the persistent `(S, R)`?
+fn goal_only(module: &Module) -> bool {
+    module.rules.is_empty() && schema_free(&module.schema)
 }
 
 /// Does a module's schema declare nothing, so that `S ∪ S_M` is `S`?
@@ -1447,6 +1497,33 @@ mod tests {
             .answer
             .unwrap();
         assert_eq!(fast, full);
+    }
+
+    #[test]
+    fn explain_names_the_view_route() {
+        let mut db = Database::from_source(ANCESTRY).unwrap();
+        let goal = r#"goal ancestor(anc: "adam", des: D)?"#;
+        let planned = db.explain_goal(goal).unwrap();
+        assert!(planned.contains("@magic_ancestor"), "{planned}");
+        // A maintained update leaves a view, which goal-only queries read.
+        db.apply_source(
+            "rules\n  parent(par: \"enoch\", chil: \"irad\") <- .",
+            Mode::Ridv,
+        )
+        .unwrap();
+        for rendered in [db.explain_goal(goal), db.explain_analyze_goal(goal)] {
+            let rendered = rendered.unwrap();
+            assert!(
+                rendered.starts_with("answered from the maintained view"),
+                "{rendered}"
+            );
+        }
+        // A module with rules of its own evaluates its transient state.
+        let with_rule = format!("rules\n  parent(par: \"x\", chil: \"y\") <- .\n{goal}");
+        let transient = db.explain_goal(&with_rule).unwrap();
+        assert!(transient.contains("@magic_ancestor"), "{transient}");
+        db.set_incremental(false);
+        assert_eq!(db.explain_goal(goal).unwrap(), planned);
     }
 
     #[test]

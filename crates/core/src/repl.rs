@@ -587,7 +587,7 @@ fn save_atomically(path: &Path, text: &str) -> std::io::Result<()> {
         let dir = path
             .parent()
             .filter(|d| !d.as_os_str().is_empty())
-            .unwrap_or(Path::new("."));
+            .unwrap_or_else(|| Path::new("."));
         std::fs::File::open(dir)?.sync_all()?;
     }
     Ok(())

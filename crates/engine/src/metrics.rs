@@ -164,6 +164,7 @@ fn help_for(name: &str) -> &'static str {
         "logres_maintain_deleted_total" => "Facts removed (incl. overdeleted) during maintenance",
         "logres_maintain_rederived_total" => "Overdeleted facts restored by rederivation",
         "logres_maintain_inserted_total" => "Genuinely new facts added during maintenance",
+        "logres_view_answers_total" => "Goal-only queries answered from the maintained view",
         "logres_persist_bytes_total" => "Bytes written by state serialisation",
         "logres_persist_oids_total" => "Oids written by state serialisation",
         "logres_trace_dropped_events_total" => "Trace events lost to sink write errors",

@@ -174,7 +174,7 @@ impl Interval {
 
 impl fmt::Display for Interval {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let b = |o: Option<i64>| o.map_or("?".to_string(), |k| k.to_string());
+        let b = |o: Option<i64>| o.map_or_else(|| "?".to_string(), |k| k.to_string());
         write!(f, "[{}, {}]", b(self.lo), b(self.hi))
     }
 }
@@ -1557,7 +1557,7 @@ fn widen(
 ) {
     for (l, av) in new.args.iter_mut() {
         let prev = old.and_then(|o| o.args.get(l));
-        let prev_iv = prev.map_or(Interval::top(), |p| p.interval);
+        let prev_iv = prev.map_or_else(Interval::top, |p| p.interval);
         let prev_cs_len = prev.map_or(0, |p| match &p.consts {
             ConstSet::Finite { vals, .. } => vals.len(),
             ConstSet::Top => usize::MAX,

@@ -207,7 +207,8 @@ impl P<'_> {
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|e| format!("bad unicode escape: {e}"))?;
                             out.push(
-                                char::from_u32(code).ok_or("invalid unicode scalar".to_owned())?,
+                                char::from_u32(code)
+                                    .ok_or_else(|| "invalid unicode scalar".to_owned())?,
                             );
                             self.eat('}')?;
                         }

@@ -5,6 +5,7 @@
 //! the others. We intern all of them in one table; the schema keeps the
 //! namespaces apart.
 
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
@@ -22,6 +23,13 @@ pub struct Sym(u32);
 struct Interner {
     map: FxHashMap<&'static str, u32>,
     strings: Vec<&'static str>,
+}
+
+thread_local! {
+    /// This thread's copy of a prefix of the interner's `strings`. The
+    /// table is append-only, so a copied entry never goes stale; a lookup
+    /// past the copy's end refreshes it under the mutex.
+    static LOCAL_STRINGS: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
 fn interner() -> &'static Mutex<Interner> {
@@ -48,10 +56,24 @@ impl Sym {
         Sym(id)
     }
 
-    /// The interned text.
+    /// The interned text. Read from this thread's copy of the table, so it
+    /// takes neither the interner's lock nor any atomic read-modify-write
+    /// once the copy holds the symbol; only a symbol interned since the
+    /// copy was last refreshed locks the table to extend it.
     pub fn as_str(self) -> &'static str {
-        let int = interner().lock().expect("symbol interner poisoned");
-        int.strings[self.0 as usize]
+        let id = self.0 as usize;
+        let local = LOCAL_STRINGS.try_with(|local| {
+            if let Some(&s) = local.borrow().get(id) {
+                return s;
+            }
+            let int = interner().lock().expect("symbol interner poisoned");
+            let mut local = local.borrow_mut();
+            let have = local.len();
+            local.extend_from_slice(&int.strings[have..]);
+            local[id]
+        });
+        // During thread teardown the copy may be gone: read the table.
+        local.unwrap_or_else(|_| interner().lock().expect("symbol interner poisoned").strings[id])
     }
 }
 
@@ -121,6 +143,40 @@ mod tests {
         let mut v = vec![z, a];
         v.sort();
         assert_eq!(v, vec![a, z]);
+    }
+
+    #[test]
+    fn concurrent_interning_orders_like_the_text() {
+        // Threads released together intern fresh names while comparing
+        // them with names other threads interned, so each thread's copy of
+        // the table is refreshed while the table grows.
+        const THREADS: usize = 4;
+        const NAMES: usize = 200;
+        let barrier = std::sync::Barrier::new(THREADS);
+        let names = |t: usize| -> Vec<String> {
+            (0..NAMES)
+                .map(|i| format!("concurrent_{}_{t}", (i * 7919 + t * 31) % 1000))
+                .collect()
+        };
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    barrier.wait();
+                    let own = names(t);
+                    let other = names((t + 1) % THREADS);
+                    for (i, a) in own.iter().enumerate() {
+                        let sa = Sym::new(a);
+                        assert_eq!(sa.as_str(), a);
+                        for b in other.iter().take(i + 1) {
+                            let sb = Sym::new(b);
+                            assert_eq!(sa.cmp(&sb), a.as_str().cmp(b.as_str()), "{a} vs {b}");
+                            assert_eq!(sb.as_str(), b);
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]

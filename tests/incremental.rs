@@ -3,17 +3,18 @@
 //! The incremental path (counting recounts + Delete-and-Rederive behind
 //! `Database`'s RIDV/RADV/RDDV routing) must be observationally identical
 //! to full rederivation: same extensional database, same rule set, same
-//! schema, same stored denials, same materialized instance, for random
-//! programs and random update batches. Modules outside the supported
-//! fragment must fall back transparently and say so on the
-//! `logres_maintain_fallbacks_total{reason=...}` metric.
+//! schema, same stored denials, same materialized instance, and the same
+//! answer to every query, which the maintained database reads off its view
+//! (DESIGN.md §10.6), for random programs and random update batches.
+//! Modules outside the supported fragment must fall back transparently and
+//! say so on the `logres_maintain_fallbacks_total{reason=...}` metric.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use logres::model::Instance;
-use logres::{Database, Mode, Sym};
+use logres::{Database, Mode, Sym, Value};
 
 // ---------------------------------------------------------------------------
 // Random maintainable programs (the props.rs template family)
@@ -92,11 +93,70 @@ fn materialized(db: &Database) -> Instance {
     scratch.edb().clone()
 }
 
+/// Goals over every association of `db`'s schema: per association, the
+/// first attribute bound, the second bound, both bound (to a tuple of
+/// `inst`, when it has one), neither bound, one variable for both, and a
+/// constant absent from the data.
+fn probe_goals(db: &Database, inst: &Instance) -> Vec<String> {
+    let schema = db.schema();
+    let mut assocs: Vec<Sym> = schema.assocs().collect();
+    assocs.sort();
+    let mut goals = Vec::new();
+    for assoc in assocs {
+        let ty = schema.expand(schema.assoc_type(assoc).expect("declared"));
+        let labels: Vec<Sym> = ty
+            .as_tuple()
+            .expect("tuple type")
+            .iter()
+            .map(|f| f.label)
+            .collect();
+        let mut tuples: Vec<&Value> = inst.tuples_of(assoc).collect();
+        tuples.sort();
+        let known = |i: usize| match tuples.first() {
+            Some(t) => t.field(labels[i]).expect("full tuple").to_string(),
+            None => "0".to_owned(),
+        };
+        let goal = |args: Vec<String>| {
+            let args: Vec<String> = labels
+                .iter()
+                .zip(args)
+                .map(|(l, a)| format!("{l}: {a}"))
+                .collect();
+            format!("goal {assoc}({})?", args.join(", "))
+        };
+        let (x, y, absent) = ("X".to_owned(), "Y".to_owned(), "999999".to_owned());
+        match labels.len() {
+            1 => {
+                goals.push(goal(vec![known(0)]));
+                goals.push(goal(vec![x]));
+                goals.push(goal(vec![absent]));
+            }
+            2 => {
+                goals.push(goal(vec![known(0), y.clone()]));
+                goals.push(goal(vec![x.clone(), known(1)]));
+                goals.push(goal(vec![known(0), known(1)]));
+                goals.push(goal(vec![x.clone(), y.clone()]));
+                goals.push(goal(vec![x.clone(), x]));
+                goals.push(goal(vec![absent, y]));
+            }
+            _ => {}
+        }
+    }
+    goals
+}
+
 /// Apply the same module to both databases and check that the persistent
 /// states remain identical: the stored EDB, the rules, the schema, the
-/// stored denials and the derived closure.
+/// stored denials and the derived closure. Then ask both the same goals:
+/// the answers must agree, and when the maintained route served the
+/// update, every query of `inc` is answered from its view, which `full`
+/// never has.
 fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
+    let registry = inc.enable_metrics();
+    let count = |name: &str| series(&registry.counter_snapshot(), name);
+    let maintained_before = count("logres_maintain_applies_total");
     let a = inc.apply_source(src, mode);
+    let maintained = count("logres_maintain_applies_total") > maintained_before;
     let b = full.apply_source(src, mode);
     assert_eq!(
         a.is_ok(),
@@ -119,11 +179,27 @@ fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
         full.state().constraints,
         "denial drift after {mode:?} on:\n{src}"
     );
+    let instance = materialized(full);
     assert_eq!(
         materialized(inc),
-        materialized(full),
+        instance,
         "instance drift after {mode:?} on:\n{src}"
     );
+    for goal in probe_goals(full, &instance) {
+        let views_before = count("logres_view_answers_total");
+        let answer = inc.query(&goal).expect("maintained query runs");
+        let from_view = count("logres_view_answers_total") - views_before;
+        assert_eq!(
+            answer,
+            full.query(&goal).expect("full query runs"),
+            "answer drift for {goal} after {mode:?} on:\n{src}"
+        );
+        // A rejected update leaves the view as the route it failed on left
+        // it; a committed one says which route to expect.
+        if a.is_ok() {
+            assert_eq!(from_view, u64::from(maintained), "{goal} after {mode:?}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -282,6 +358,38 @@ fn maintenance_is_deterministic_across_thread_counts() {
     assert_eq!(inc.edb().assoc_len(Sym::new("edge")), 5);
 }
 
+/// Deleting `e(5, 1)` overdeletes `tc(5, 1)` and `tc(5, 2)`, which was
+/// first derived through it. Head inversion puts `tc(5, 1)` back through
+/// `tc(5, 3), e(3, 1)`, but not `tc(5, 2)`, whose only derivation reads
+/// `tc(5, 1)`: the delta rounds seeded with the rederived fact must bring
+/// it back. Only the view shows a miss there, and `apply_both`'s goals read
+/// it.
+#[test]
+fn a_rederived_fact_rederives_its_consequences() {
+    let src = r#"
+        associations
+          e  = (a: integer, b: integer);
+          tc = (a: integer, b: integer);
+        facts
+          e(a: 5, b: 1).
+          e(a: 1, b: 2).
+          e(a: 5, b: 3).
+          e(a: 3, b: 1).
+        rules
+          tc(a: X, b: Y) <- e(a: X, b: Y).
+          tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
+    "#;
+    let (mut inc, mut full) = db_pair(src);
+    apply_both(
+        &mut inc,
+        &mut full,
+        "rules\n  -e(a: 5, b: 1) <- .",
+        Mode::Ridv,
+    );
+    let rows = inc.query("goal tc(a: 5, b: Y)?").unwrap();
+    assert_eq!(rows.len(), 3, "tc(5, 1), tc(5, 2) and tc(5, 3): {rows:?}");
+}
+
 // ---------------------------------------------------------------------------
 // Whole-state agreement: modules that carry declarations and denials
 // ---------------------------------------------------------------------------
@@ -383,6 +491,56 @@ fn rddv_with_a_declaration_keeps_the_whole_state_in_step() {
     assert!(db.schema().function(Sym::new("f")).is_none());
     assert!(db.state().constraints.is_empty());
     assert_eq!(db.edb().assoc_len(Sym::new("e")), 2);
+}
+
+/// A change that ends the maintained view, named.
+type ViewEnd = (&'static str, fn(&mut Database));
+
+/// A maintained update gives the database a view and the next query reads
+/// it; each of the four ways a view ends sends the next query back to
+/// evaluation, with the same answer a database that never had a view gives.
+#[test]
+fn a_query_reads_the_view_only_while_one_is_maintained() {
+    let mut db = Database::from_source(DECLARING_BASE).expect("loads");
+    let registry = db.enable_metrics();
+    let views = || series(&registry.counter_snapshot(), "logres_view_answers_total");
+    let goal = "goal tc(a: X, b: 4)?";
+    let ends: [ViewEnd; 4] = [
+        ("an RADI", |db| {
+            db.apply_source("rules\n  tc(a: X, b: Y) <- e(a: Y, b: X).", Mode::Radi)
+                .expect("persists a rule");
+        }),
+        ("materialize", |db| {
+            db.materialize().expect("materializes");
+        }),
+        ("set_incremental(false)", |db| {
+            db.set_incremental(false);
+            db.set_incremental(true);
+        }),
+        ("a rejected update", |db| {
+            let denied = db.apply_source("rules\n  e(a: 9, b: 9) <- .", Mode::Ridv);
+            assert!(denied.is_err(), "the stored denial rejects it");
+        }),
+    ];
+    for (k, (what, end)) in ends.into_iter().enumerate() {
+        let edge = format!("rules\n  e(a: {}, b: 4) <- .", 10 + k);
+        db.apply_source(&edge, Mode::Ridv)
+            .expect("maintained insert");
+        let before = views();
+        let read = db.query(goal).expect("query runs");
+        assert_eq!(views(), before + 1, "the view answers before {what}");
+        end(&mut db);
+        let before = views();
+        let evaluated = db.query(goal).expect("query runs");
+        assert_eq!(views(), before, "no view answers after {what}");
+        let fresh = Database::from_state(db.state().clone())
+            .query(goal)
+            .unwrap();
+        assert_eq!(evaluated, fresh, "after {what}");
+        if what != "an RADI" {
+            assert_eq!(read, evaluated, "{what} changes no answer");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -88,24 +88,44 @@ fn a_plan_prepared_for_one_constant_answers_the_next() {
     assert_eq!(reuses(&registry), 2, "one plan serves all three constants");
 }
 
-#[test]
-fn a_flow_flip_replans_and_sees_the_new_facts() {
-    // `step` is empty, so flow prunes the rule reading it (L008). A RIDV
-    // that stores a `step` fact changes its seed: the next query must
-    // plan again, with the rule, and find `seth`.
+/// Each query's rows, with the plan reuses and the view answers counted
+/// once it has run.
+type Trail = Vec<(Rows, u64, u64)>;
+
+fn ask(db: &mut Database, registry: &MetricsRegistry, src: &str, trail: &mut Trail) {
+    let rows = check(db, Semantics::default(), src);
+    let views = counter(registry, "logres_view_answers_total");
+    trail.push((rows, reuses(registry), views));
+}
+
+/// `step` is empty, so flow prunes the rule reading it (L008). A RIDV that
+/// stores a `step` fact changes its seed: the next query must plan again,
+/// with the rule, and find `seth`.
+fn flow_flip(incremental: bool) -> Trail {
     let (mut db, registry) = family();
-    let s = Semantics::default();
-    assert_eq!(check(&mut db, s, &descendants("adam")).len(), 2);
+    db.set_incremental(incremental);
+    let mut trail = Trail::new();
+    ask(&mut db, &registry, &descendants("adam"), &mut trail);
     db.apply_source(
         "rules\n  step(par: \"adam\", chil: \"seth\") <- .\n",
         Mode::Ridv,
     )
     .unwrap();
-    let rows = check(&mut db, s, &descendants("adam"));
-    assert_eq!(rows.len(), 3, "{rows:?}");
-    assert_eq!(reuses(&registry), 0, "changed seeds re-plan");
-    check(&mut db, s, &descendants("adam"));
-    assert_eq!(reuses(&registry), 1);
+    ask(&mut db, &registry, &descendants("adam"), &mut trail);
+    ask(&mut db, &registry, &descendants("adam"), &mut trail);
+    trail
+}
+
+#[test]
+fn a_flow_flip_replans_and_sees_the_new_facts() {
+    // Maintenance is off: with a maintained view, the queries after the
+    // RIDV would read the view and run no plan at all.
+    let trail = flow_flip(false);
+    let lens: Vec<usize> = trail.iter().map(|(rows, ..)| rows.len()).collect();
+    assert_eq!(lens, [2, 3, 3], "{trail:?}");
+    assert_eq!(trail[1].1, 0, "changed seeds re-plan");
+    assert_eq!(trail[2].1, 1);
+    assert!(trail.iter().all(|(.., views)| *views == 0));
 }
 
 /// `families` trees of `size` nodes: node `fI_J`'s parent is `fI_((J-1)/2)`.
@@ -129,28 +149,50 @@ fn forest(families: usize, size: usize) -> String {
     src
 }
 
-#[test]
-fn an_update_that_leaves_the_seeds_unchanged_reuses_the_plan() {
-    // 64 families of 64 nodes: 4,032 edges, so both `parent` columns are
-    // past the flow seed's cap and another edge leaves the seed as it was.
+/// 64 families of 64 nodes: 4,032 edges, so both `parent` columns are past
+/// the flow seed's cap and another edge leaves the seed as it was.
+fn seeds_unchanged(incremental: bool) -> Trail {
     let mut db = Database::from_source(&forest(64, 64)).unwrap();
     assert_eq!(db.edb().fact_count(), 4032);
+    db.set_incremental(incremental);
     let registry = db.enable_metrics();
-    let s = Semantics::default();
     let query = "goal ancestor(anc: \"f3_0\", des: D)?";
-    assert_eq!(check(&mut db, s, query).len(), 63);
+    let mut trail = Trail::new();
+    ask(&mut db, &registry, query, &mut trail);
     db.apply_source(
         "rules\n  parent(par: \"f3_63\", chil: \"new\") <- .\n",
         Mode::Ridv,
     )
     .unwrap();
-    let rows = check(&mut db, s, query);
-    assert_eq!(rows.len(), 64, "the new edge is seen");
-    assert_eq!(reuses(&registry), 1, "unchanged seeds keep the plan");
-    assert_eq!(
-        check(&mut db, s, "goal ancestor(anc: A, des: \"new\")?").len(),
-        7
-    );
+    ask(&mut db, &registry, query, &mut trail);
+    let ancestors = "goal ancestor(anc: A, des: \"new\")?";
+    ask(&mut db, &registry, ancestors, &mut trail);
+    trail
+}
+
+#[test]
+fn an_update_that_leaves_the_seeds_unchanged_reuses_the_plan() {
+    // Maintenance is off, as in the flow flip above.
+    let trail = seeds_unchanged(false);
+    let lens: Vec<usize> = trail.iter().map(|(rows, ..)| rows.len()).collect();
+    assert_eq!(lens, [63, 64, 7], "the new edge is seen");
+    assert_eq!(trail[1].1, 1, "unchanged seeds keep the plan");
+    assert!(trail.iter().all(|(.., views)| *views == 0));
+}
+
+#[test]
+fn with_a_maintained_view_the_same_queries_read_it() {
+    // The RIDV builds the view, so every later goal-only query reads it:
+    // the same rows, one view answer per query and no plan run.
+    for sequence in [flow_flip, seeds_unchanged] {
+        let (planned, viewed) = (sequence(false), sequence(true));
+        for (i, ((rows, ..), (view_rows, reused, views))) in planned.iter().zip(&viewed).enumerate()
+        {
+            assert_eq!(rows, view_rows, "query {i}");
+            assert_eq!(*reused, 0, "query {i}: no plan runs after the RIDV");
+            assert_eq!(*views, i as u64, "query {i}");
+        }
+    }
 }
 
 #[test]
