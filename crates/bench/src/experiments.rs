@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use algres::{AggFun, AlgExpr, CmpOp, Pred as APred, Scalar};
 use logres::engine::{
     answer_goal, compile_program, compile_program_with, env_from_instance, evaluate,
-    evaluate_demand, evaluate_inflationary, load_facts, run_compiled, CompiledProgram, EvalOptions,
-    MetricsRegistry,
+    evaluate_inflationary, load_facts, run_compiled, CompiledProgram, EvalOptions, LiftedGoal,
+    MetricsRegistry, PreparedGoal,
 };
 use logres::lang::analyze::{flow_program, infer, render_all_json, seeds_from_instance};
 use logres::lang::parse_program;
@@ -24,18 +24,27 @@ fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     (t0.elapsed(), r)
 }
 
-/// Best-of-`runs` timing for sub-10ms measurements, where a single shot on a
-/// shared runner is mostly scheduler noise.
-fn best_of<R>(runs: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    let (mut d_best, mut r_best) = time(&mut f);
-    for _ in 1..runs {
-        let (d, r) = time(&mut f);
-        if d < d_best {
-            d_best = d;
-            r_best = r;
+/// Best-of-`reps` wall time of each configuration of a comparison, for
+/// measurements where a single shot on a shared runner is mostly
+/// scheduler noise. Each repetition times every configuration once, in
+/// order, so a transient machine stall lands on every variant rather than
+/// on one column, and each result is dropped, untimed, before the next run
+/// starts, so no variant runs against a heap an earlier one bloated. Only
+/// the times come back: check the results untimed first.
+fn best_times<C, R, const N: usize>(
+    reps: usize,
+    configs: &[C; N],
+    mut run: impl FnMut(&C) -> R,
+) -> [Duration; N] {
+    let mut best = [Duration::MAX; N];
+    for _ in 0..reps {
+        for (slot, config) in best.iter_mut().zip(configs) {
+            let (d, result) = time(|| run(config));
+            drop(result);
+            *slot = (*slot).min(d);
         }
     }
-    (d_best, r_best)
+    best
 }
 
 static DEADLINE: OnceLock<Duration> = OnceLock::new();
@@ -764,15 +773,7 @@ pub fn e12_observability() -> Table {
         );
     }
     drop(want);
-    // Then timing, as in E15: configurations interleaved within each
-    // repetition and every result dropped before the next measurement.
-    let mut best = [Duration::MAX; 5];
-    for _ in 0..7 {
-        for (slot, (engine, _, opts)) in best.iter_mut().zip(&configs) {
-            let (d, _) = time(|| run(engine, opts));
-            *slot = (*slot).min(d);
-        }
-    }
+    let best = best_times(7, &configs, |(engine, _, opts)| run(engine, opts));
     let mut base = Duration::ZERO;
     for ((engine, variant, _), d) in configs.iter().zip(best) {
         let overhead = if *variant == "baseline" {
@@ -835,32 +836,41 @@ pub fn e13_goal_directed() -> Table {
         let goal = p.goal.as_ref().expect("workload has a goal");
         let tc = Sym::new("tc");
 
-        type RowsAndTuples = (Vec<Vec<(Sym, Value)>>, usize);
-        let best_of = |f: &dyn Fn() -> RowsAndTuples| {
-            let mut best: Option<(Duration, RowsAndTuples)> = None;
-            for _ in 0..3 {
-                let (d, r) = time(f);
-                if best.as_ref().is_none_or(|(b, _)| d < *b) {
-                    best = Some((d, r));
-                }
-            }
-            best.expect("three runs")
-        };
-
         // Full fixpoint: materialize the whole model, then answer the goal.
-        let (d_full, (full_rows, full_tc)) = best_of(&|| {
-            let (inst, _) = evaluate(
-                &p.schema,
-                &p.rules,
-                &edb,
-                Semantics::Stratified,
-                opts.clone(),
-            )
-            .expect("full evaluation runs");
+        // Demand-driven: plan the goal, evaluate only the demanded cone,
+        // answer against the partial instance.
+        let strategy = |demand: &bool| {
+            let inst = if *demand {
+                let lifted = LiftedGoal::lift(&p.schema, goal);
+                PreparedGoal::prepare(&p.schema, &p.rules, &edb, &lifted, Semantics::Stratified)
+                    .evaluate(&edb, &lifted, &opts)
+                    .expect("demand evaluation runs")
+                    .expect("selective goal rewrites")
+                    .0
+            } else {
+                evaluate(
+                    &p.schema,
+                    &p.rules,
+                    &edb,
+                    Semantics::Stratified,
+                    opts.clone(),
+                )
+                .expect("full evaluation runs")
+                .0
+            };
             let rows = answer_goal(&p.schema, &inst, goal).expect("goal answers");
-            let tuples = inst.assoc_len(tc);
-            (rows, tuples)
-        });
+            (inst, rows)
+        };
+        // Correctness first, untimed.
+        let (full_inst, full_rows) = strategy(&false);
+        let (magic_inst, magic_rows) = strategy(&true);
+        assert_eq!(
+            magic_rows, full_rows,
+            "demand-driven answers must match the full fixpoint"
+        );
+        let (full_tc, magic_tc) = (full_inst.assoc_len(tc), magic_inst.assoc_len(tc));
+        drop((full_inst, magic_inst));
+        let [d_full, d_magic] = best_times(3, &[false, true], strategy);
         t.row(vec![
             workload.into(),
             n.to_string(),
@@ -870,28 +880,6 @@ pub fn e13_goal_directed() -> Table {
             full_rows.len().to_string(),
             "—".into(),
         ]);
-
-        // Demand-driven: rewrite for the goal, evaluate only the demanded
-        // cone, answer against the partial instance.
-        let (d_magic, (magic_rows, magic_tc)) = best_of(&|| {
-            let (inst, _) = evaluate_demand(
-                &p.schema,
-                &p.rules,
-                &edb,
-                goal,
-                Semantics::Stratified,
-                opts.clone(),
-            )
-            .expect("demand evaluation runs")
-            .expect("selective goal rewrites");
-            let rows = answer_goal(&p.schema, &inst, goal).expect("goal answers");
-            let tuples = inst.assoc_len(tc);
-            (rows, tuples)
-        });
-        assert_eq!(
-            magic_rows, full_rows,
-            "demand-driven answers must match the full fixpoint"
-        );
         let speedup = d_full.as_secs_f64() / d_magic.as_secs_f64().max(f64::EPSILON);
         if workload == "chain" && n == 128 {
             chain_128_speedup = Some(speedup);
@@ -943,32 +931,24 @@ pub fn e14_compiled_path() -> Table {
     for n in [64usize, 256, 512] {
         let src = closure_program(&chain_edges(n));
         let (schema, edb, rules) = loaded(&src);
-        // The n=64 compiled row finishes in single-digit milliseconds; take
-        // the best of several runs so it measures the path, not the
-        // scheduler.
-        let runs = if n == 64 { 5 } else { 1 };
-
         let interp_opts = EvalOptions {
             compiled: false,
             ..bench_opts()
         };
+        // The interpreted row runs once: at n=512 it takes tens of seconds,
+        // so its timed run is also the one the compiled instance is checked
+        // against.
         let (d_interp, (interp_inst, _)) = time(|| {
             evaluate(&schema, &rules, &edb, Semantics::Inflationary, interp_opts)
                 .expect("interpreted path evaluates")
         });
-        t.row(vec![
-            "chain".into(),
-            n.to_string(),
-            "interpreted".into(),
-            fmt_duration(d_interp),
-            interp_inst.assoc_len(tc).to_string(),
-            "1.0x".into(),
-        ]);
-
-        let (d_comp, (comp_inst, _)) = best_of(runs, || {
+        let compiled = |_: &()| {
             evaluate(&schema, &rules, &edb, Semantics::Inflationary, bench_opts())
                 .expect("compiled path evaluates")
-        });
+                .0
+        };
+        // Correctness first, untimed.
+        let comp_inst = compiled(&());
         assert_eq!(
             comp_inst.fact_count(),
             interp_inst.fact_count(),
@@ -980,6 +960,20 @@ pub fn e14_compiled_path() -> Table {
                 "compiled instance is missing {tuple}"
             );
         }
+        let (interp_tc, comp_tc) = (interp_inst.assoc_len(tc), comp_inst.assoc_len(tc));
+        drop((interp_inst, comp_inst));
+        // The n=64 compiled row finishes in single-digit milliseconds; take
+        // the best of several runs so it measures the path, not the
+        // scheduler.
+        let [d_comp] = best_times(if n == 64 { 5 } else { 1 }, &[()], compiled);
+        t.row(vec![
+            "chain".into(),
+            n.to_string(),
+            "interpreted".into(),
+            fmt_duration(d_interp),
+            interp_tc.to_string(),
+            "1.0x".into(),
+        ]);
         let speedup = d_interp.as_secs_f64() / d_comp.as_secs_f64().max(f64::EPSILON);
         if n == 512 {
             chain_512_speedup = Some(speedup);
@@ -989,7 +983,7 @@ pub fn e14_compiled_path() -> Table {
             n.to_string(),
             "compiled (ALGRES plans)".into(),
             fmt_duration(d_comp),
-            comp_inst.assoc_len(tc).to_string(),
+            comp_tc.to_string(),
             format!("{speedup:.1}x"),
         ]);
     }
@@ -1053,21 +1047,10 @@ pub fn e15_plan_profiling() -> Table {
     assert_eq!(insts[0], insts[1], "metrics must not change results");
     assert_eq!(insts[0], insts[2], "profiling must not change results");
     drop(insts);
-    // Then timing: configurations interleaved within each repetition (so a
-    // transient machine stall lands on every variant, not one column) and
-    // every result dropped before the next measurement (so no variant runs
-    // against a heap the earlier ones bloated).
-    let mut best = [Duration::MAX; 3];
-    for _ in 0..7 {
-        for (slot, opts) in best.iter_mut().zip(&configs) {
-            let (d, _) = time(|| {
-                evaluate(&schema, &rules, &edb, Semantics::Inflationary, opts.clone())
-                    .expect("compiled closure runs")
-            });
-            *slot = (*slot).min(d);
-        }
-    }
-    let [d_base, d_m, d_p] = best;
+    let [d_base, d_m, d_p] = best_times(7, &configs, |opts| {
+        evaluate(&schema, &rules, &edb, Semantics::Inflationary, opts.clone())
+            .expect("compiled closure runs")
+    });
     t.row(vec![
         "price".into(),
         "baseline".into(),
@@ -1194,11 +1177,7 @@ pub fn e16_flow_analysis() -> Table {
             "{} analyzes nondeterministically",
             path.display()
         );
-        let mut best = Duration::MAX;
-        for _ in 0..7 {
-            let (d, _) = time(|| flow_program(&program));
-            best = best.min(d);
-        }
+        let [best] = best_times(7, &[&program], |program| flow_program(program));
         worst = worst.max(best);
         t.row(vec![
             "analyzer".into(),
@@ -1231,14 +1210,9 @@ pub fn e16_flow_analysis() -> Table {
         "rules\n  hop2(a: X, b: Z) <- e(a: X, b: Y), e2(a: Y, b: Z), pick(p: Z).\n  dead(a: X, b: Z) <- e(a: X, b: Y), e2(a: Y, b: Z), X > 100000.\ngoal hop2(a: A, b: B)?\n",
     );
     let (schema, edb, rules) = loaded(&src);
-    let mut best_an = Duration::MAX;
-    for _ in 0..7 {
-        let (d, _) = time(|| {
-            let seeds = seeds_from_instance(&schema, &edb);
-            infer(&schema, &rules, &seeds)
-        });
-        best_an = best_an.min(d);
-    }
+    let [best_an] = best_times(7, &[&edb], |edb| {
+        infer(&schema, &rules, &seeds_from_instance(&schema, edb))
+    });
     worst = worst.max(best_an);
     t.row(vec![
         "analyzer".into(),
@@ -1301,16 +1275,9 @@ pub fn e16_flow_analysis() -> Table {
     );
     drop((i_noflow, i_flow, i_interp));
 
-    let mut best = [Duration::MAX; 2];
-    for _ in 0..7 {
-        for (slot, program) in best.iter_mut().zip([&noflow, &flowed]) {
-            let (d, _) = time(|| {
-                run_compiled(&schema, program, &rules, &edb, &opts).expect("compiled plan runs")
-            });
-            *slot = (*slot).min(d);
-        }
-    }
-    let [d_noflow, d_flow] = best;
+    let [d_noflow, d_flow] = best_times(7, &[&noflow, &flowed], |program| {
+        run_compiled(&schema, program, &rules, &edb, &opts).expect("compiled plan runs")
+    });
     let speedup = d_noflow.as_secs_f64() / d_flow.as_secs_f64().max(f64::EPSILON);
     t.row(vec![
         "compiled".into(),

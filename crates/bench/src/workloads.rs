@@ -235,33 +235,6 @@ pub fn e6_fixture(i: usize, teams: u64, dangling_pct: usize) -> logres::Value {
     ])
 }
 
-/// A key/value table of `n` rows for the in-place-update experiment (E5).
-pub fn kv_database(n: usize) -> String {
-    let facts: String = (0..n as i64)
-        .map(|i| format!("  p(d1: {i}, d2: {i}).\n"))
-        .collect();
-    format!(
-        r#"
-        associations
-          p = (d1: integer, d2: integer);
-        facts
-        {facts}
-    "#
-    )
-}
-
-/// The Example 4.2 update module: add 1 to `d2` of every even-keyed tuple.
-pub const UPDATE_MODULE: &str = r#"
-    associations
-      mod_t = (d1: integer, d2: integer);
-    rules
-      p(d1: X, d2: Z) <- p(d1: X, d2: Y), even(X), Z = Y + 1,
-                         not mod_t(d1: X, d2: Y).
-      mod_t(d1: X, d2: Z) <- p(d1: X, d2: Y), even(X), Z = Y + 1,
-                             not mod_t(d1: X, d2: Y).
-      -p(Y) <- p(Y, d1: X), even(X), not mod_t(Y).
-"#;
-
 /// A schema with an isa chain of depth `d` (`c0` at the top) and `n`
 /// objects inserted into the deepest class.
 pub fn isa_chain_program(depth: usize, n: usize) -> String {
@@ -393,7 +366,6 @@ mod tests {
             powerset_program(3),
             ip_program(20, 25, 1),
             parent_database(20),
-            kv_database(10),
             isa_chain_program(3, 4),
             strata_program(3, 8),
             genealogy_program(4),

@@ -13,9 +13,10 @@
 //! is left to the route. The full path computes `E′` by evaluation and
 //! checks the whole candidate; the maintained path of the data-variant
 //! modes computes it as an update over `E` and checks the delta. Both
-//! commit through the same assignment. RIDI is the same pipeline with no
-//! check and no commit, and a query runs it after (or instead of) the
-//! demand-driven attempt, over the one transient state both share.
+//! commit through the same assignment. RIDI, the ordinary query, checks and
+//! commits nothing and takes one route of its own, which `query` and
+//! EXPLAIN share: the maintained view, the goal's prepared demand-driven
+//! plan, or the full evaluation of its transient state.
 
 use std::sync::Arc;
 
@@ -435,17 +436,9 @@ impl Database {
         self.apply_with(module, mode, self.semantics)
     }
 
-    /// Does applying this module leave cached source→module parses valid?
-    /// Only schema equations can invalidate them: parsing depends on `S`
-    /// and nothing else, and `S` changes only when a module carries its own
-    /// equations (unioned or differenced in by the persistent modes).
-    fn module_carries_schema(module: &Module) -> bool {
-        module.schema.classes().next().is_some()
-            || module.schema.assocs().next().is_some()
-            || module.schema.functions_iter().next().is_some()
-    }
-
     /// Apply a module, overriding the rule semantics for this application.
+    /// RIDI, the ordinary query, commits nothing and takes the one query
+    /// route (DESIGN §10.5) that [`Database::query`] takes.
     pub fn apply_with(
         &mut self,
         module: &Module,
@@ -455,13 +448,16 @@ impl Database {
         if module.goal.is_some() && !mode.answers_goal() {
             return Err(CoreError::GoalNotAllowed(mode));
         }
-        if mode != Mode::Ridi && Self::module_carries_schema(module) {
+        if mode == Mode::Ridi {
+            return self.apply_ridi(module, semantics);
+        }
+        // Parsing and static checking read `S` and nothing else, and only
+        // a module's own equations (isa edges, renamings and domains
+        // included) change it.
+        if !schema_free(&module.schema) {
             self.parse_cache.clear();
         }
         let mut next = self.next_state(module, mode)?;
-        if mode == Mode::Ridi {
-            return self.ridi(module, &next, semantics);
-        }
         let maintained = if mode.data_variant() && self.incremental {
             self.try_incremental(module, mode, semantics, &next)?
         } else {
@@ -544,26 +540,6 @@ impl Database {
             edb: Instance::new(),
             constraints,
         })
-    }
-
-    /// RIDI over its transient state `next`: evaluate `R ∪ R_M` over `E`
-    /// with `S ∪ S_M` and answer the goal. Nothing is checked or committed.
-    fn ridi(
-        &self,
-        module: &Module,
-        next: &DatabaseState,
-        semantics: Semantics,
-    ) -> Result<ApplicationOutcome, CoreError> {
-        let (inst, report) = evaluate(
-            &next.schema,
-            &next.rules,
-            &self.state.edb,
-            semantics,
-            self.opts.clone(),
-        )
-        .map_err(CoreError::Engine)?;
-        let answer = answer(&next.schema, &inst, module)?;
-        Ok(ApplicationOutcome { answer, report })
     }
 
     /// `E′` by evaluation, with the report of the evaluation that made it.
@@ -795,94 +771,102 @@ impl Database {
         Ok(Some((spec, view, result.report)))
     }
 
-    /// Evaluate a goal-only module (convenience for queries). A goal alone
-    /// is answered from the maintained view when the database holds one.
-    /// Otherwise goals whose plan admits the magic-set rewrite are answered
-    /// demand-first over the partial instance (bit-identical answers, see
-    /// [`logres_engine::magic`]); every other goal falls back to a full
-    /// transient (RIDI) application.
+    /// Evaluate a goal-only module (convenience for queries): the module
+    /// applied in RIDI mode, which reads the maintained view, runs the
+    /// goal's demand-driven plan or evaluates the whole transient state
+    /// (see [`Database::query_report`]).
     pub fn query(&mut self, src: &str) -> Result<Rows, CoreError> {
         Ok(self.query_report(src)?.0)
     }
 
-    /// [`Database::query`], also returning the evaluation report. Both the
-    /// demand path and the full RIDI fallback report through the same
-    /// [`EvalReport`] shape, so `:profile` and EXPLAIN ANALYZE see per-rule
-    /// (and, with [`EvalOptions::profile`], per-operator) statistics
-    /// whichever path answered. Both evaluate the one transient state
-    /// `(S ∪ S_M, R ∪ R_M)`. The goal of a module that carries nothing else
-    /// is answered from the maintained view when the database holds one
-    /// (counted on `logres_view_answers_total`; its report records no
-    /// round), and is otherwise prepared once per shape and memoised; any
-    /// other goal is prepared afresh, through the same [`PreparedGoal`].
+    /// [`Database::query`], also returning the evaluation report. Every
+    /// route reports through the same [`EvalReport`] shape, so `:profile`
+    /// and EXPLAIN ANALYZE see per-rule (and, with
+    /// [`EvalOptions::profile`], per-operator) statistics whichever one
+    /// answered. The goal of a module that carries nothing else is answered
+    /// from the maintained view when the database holds one (counted on
+    /// `logres_view_answers_total`; its report records no round), and is
+    /// otherwise prepared once per shape and memoised; any other goal is
+    /// prepared afresh against its transient state `(S ∪ S_M, R ∪ R_M)`,
+    /// through the same [`PreparedGoal`]. A goal whose plan falls back, and
+    /// a module without a goal, evaluate that state in full.
     pub fn query_report(&mut self, src: &str) -> Result<(Rows, EvalReport), CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        if let (Some(view), Some(goal)) = (self.view_for(&module), &module.goal) {
-            let inst = view.instance();
-            let rows = answer_goal(&self.state.schema, inst, goal).map_err(CoreError::Engine)?;
-            if let Some(m) = &self.opts.metrics {
-                m.counter("logres_view_answers_total").inc();
-            }
-            let report = EvalReport {
-                facts: inst.fact_count(),
-                ..EvalReport::default()
-            };
-            return Ok((rows, report));
-        }
-        let next = if goal_only(&module) {
-            None
-        } else {
-            Some(self.next_state(&module, Mode::Ridi)?)
-        };
-        if let Some(goal) = &module.goal {
-            if let Some(answered) = self.answer_demand(goal, next.as_ref())? {
-                return Ok(answered);
-            }
-        }
-        let next = match next {
-            Some(next) => next,
-            None => self.next_state(&module, Mode::Ridi)?,
-        };
-        let outcome = self.ridi(&module, &next, self.semantics)?;
+        let outcome = self.apply_ridi(&module, self.semantics)?;
         Ok((outcome.answer.unwrap_or_default(), outcome.report))
     }
 
-    /// The maintained view a query of `module` is answered from: one exists
-    /// and the module carries a goal and nothing else, so the transient
-    /// state is the persistent one and the answer is the goal's over the
-    /// instance of `(E, R)`, which the view holds. The view's rules are
-    /// positive, so that instance is the same under either semantics, and
-    /// no option takes part in the choice.
-    fn view_for(&self, module: &Module) -> Option<&MaterializedView> {
-        let view = self.view.as_ref()?;
-        (module.goal.is_some() && goal_only(module)).then_some(view)
+    /// The route a RIDI application of `module` takes: the view when the
+    /// module carries a goal and nothing else and a view is maintained;
+    /// otherwise the evaluation of its transient state, which is the
+    /// persistent `(S, R)` when the module carries nothing but its goal.
+    /// Nothing is unioned on that path. The view's rules are positive, so
+    /// its instance is the same under either semantics, and no option takes
+    /// part in the choice.
+    fn route<'a>(&'a self, module: &'a Module) -> Result<Route<'a>, CoreError> {
+        if !goal_only(module) {
+            let next = self.next_state(module, Mode::Ridi)?;
+            return Ok(Route::Evaluate(Some(Box::new(next))));
+        }
+        Ok(match (&self.view, &module.goal) {
+            (Some(view), Some(goal)) => Route::View(view, goal),
+            _ => Route::Evaluate(None),
+        })
     }
 
-    /// The demand attempt of a query over `E`: the goal of a goal-only
-    /// module (`next` is `None`, and the transient state is the persistent
-    /// one) from the memo, any other against `next`, prepared afresh.
-    fn answer_demand(
+    /// Answer a RIDI application of `module` under `semantics` along
+    /// [`Database::route`]: read the goal off the view, or run the goal's
+    /// prepared plan over `E` (memoised when the transient state is the
+    /// persistent one), or evaluate the transient state in full when the
+    /// plan falls back or there is no goal. Nothing is checked or
+    /// committed.
+    fn apply_ridi(
         &mut self,
-        goal: &Goal,
-        next: Option<&DatabaseState>,
-    ) -> Result<Option<(Rows, EvalReport)>, CoreError> {
-        let edb = &self.state.edb;
-        let answered = match next {
-            None => {
-                let schema = &self.state.schema;
-                let lifted = LiftedGoal::lift(schema, goal);
-                let prepared =
-                    self.goals
-                        .prepared(&self.state, &lifted, self.semantics, &self.opts);
-                prepared.answer(schema, edb, &lifted, &self.opts)
+        module: &Module,
+        semantics: Semantics,
+    ) -> Result<ApplicationOutcome, CoreError> {
+        let next = match self.route(module)? {
+            Route::View(view, goal) => {
+                let inst = view.instance();
+                let rows =
+                    answer_goal(&self.state.schema, inst, goal).map_err(CoreError::Engine)?;
+                if let Some(m) = &self.opts.metrics {
+                    m.counter("logres_view_answers_total").inc();
+                }
+                let report = EvalReport {
+                    facts: inst.fact_count(),
+                    ..EvalReport::default()
+                };
+                return Ok(ApplicationOutcome {
+                    answer: Some(rows),
+                    report,
+                });
             }
-            Some(next) => {
-                let lifted = LiftedGoal::lift(&next.schema, goal);
-                PreparedGoal::prepare(&next.schema, &next.rules, edb, &lifted, self.semantics)
-                    .answer(&next.schema, edb, &lifted, &self.opts)
-            }
+            Route::Evaluate(next) => next,
         };
-        answered.map_err(CoreError::Engine)
+        let transient = next.as_deref().unwrap_or(&self.state);
+        let (schema, rules, edb) = (&transient.schema, &transient.rules, &self.state.edb);
+        if let Some(goal) = &module.goal {
+            let lifted = LiftedGoal::lift(schema, goal);
+            let answered = match next {
+                None => self
+                    .goals
+                    .prepared(&self.state, &lifted, semantics, &self.opts)
+                    .answer(schema, edb, &lifted, &self.opts),
+                Some(_) => PreparedGoal::prepare(schema, rules, edb, &lifted, semantics)
+                    .answer(schema, edb, &lifted, &self.opts),
+            };
+            if let Some((rows, report)) = answered.map_err(CoreError::Engine)? {
+                return Ok(ApplicationOutcome {
+                    answer: Some(rows),
+                    report,
+                });
+            }
+        }
+        let (inst, report) = evaluate(schema, rules, edb, semantics, self.opts.clone())
+            .map_err(CoreError::Engine)?;
+        let answer = answer(schema, &inst, module)?;
+        Ok(ApplicationOutcome { answer, report })
     }
 
     /// [`Database::query`] under one-off evaluation options (deadline,
@@ -915,10 +899,11 @@ impl Database {
     }
 
     /// The program a module source's query evaluates, as deterministic
-    /// indented text (EXPLAIN): for a goal whose plan admits the magic-set
-    /// rewrite, the demand-rewritten program of its prepared goal, with the
-    /// goal's constants read from `@goal`; otherwise the persistent rules
-    /// unioned with the module's. Either is stratified, translated to ALGRES
+    /// indented text (EXPLAIN), along the route the query takes
+    /// ([`Database::query_report`]): for a goal whose plan admits the
+    /// magic-set rewrite, the demand-rewritten program of its prepared goal,
+    /// with the goal's constants read from `@goal`; otherwise the rules of
+    /// the transient state. Either is stratified, translated to ALGRES
     /// operator trees and planned with the flow summaries of the current
     /// EDB, exactly as the query runs it, so the `rule #N` numbering matches
     /// EXPLAIN ANALYZE's. When the query runs on the interpreter under the
@@ -928,20 +913,21 @@ impl Database {
     /// so. Nothing is evaluated.
     pub fn explain_goal(&self, src: &str) -> Result<String, CoreError> {
         let module = Module::parse(src, &self.state.schema)?;
-        if self.view_for(&module).is_some() {
-            return Ok(FROM_VIEW.to_owned());
-        }
-        let next = self.next_state(&module, Mode::Ridi)?;
-        let edb = &self.state.edb;
+        let next = match self.route(&module)? {
+            Route::View(..) => return Ok(FROM_VIEW.to_owned()),
+            Route::Evaluate(next) => next,
+        };
+        let transient = next.as_deref().unwrap_or(&self.state);
+        let (schema, rules, edb) = (&transient.schema, &transient.rules, &self.state.edb);
         Ok(match &module.goal {
             Some(goal) => {
-                let lifted = LiftedGoal::lift(&next.schema, goal);
-                PreparedGoal::prepare(&next.schema, &next.rules, edb, &lifted, self.semantics)
-                    .explain(&next.schema, &next.rules, edb, &self.opts)
+                let lifted = LiftedGoal::lift(schema, goal);
+                PreparedGoal::prepare(schema, rules, edb, &lifted, self.semantics)
+                    .explain(schema, rules, edb, &self.opts)
             }
             None => render_route(
-                &compile_program_for(&next.schema, &next.rules, edb, self.semantics),
-                &next.rules,
+                &compile_program_for(schema, rules, edb, self.semantics),
+                rules,
                 &self.opts,
             ),
         })
@@ -955,9 +941,8 @@ impl Database {
     /// (there is no operator tree to profile) or the query was answered
     /// from the maintained view (there is no program).
     pub fn explain_analyze_goal(&mut self, src: &str) -> Result<String, CoreError> {
-        let from_view = self
-            .view_for(&Module::parse(src, &self.state.schema)?)
-            .is_some();
+        let module = Module::parse(src, &self.state.schema)?;
+        let from_view = matches!(self.route(&module)?, Route::View(..));
         let mut opts = self.opts.clone();
         opts.profile = true;
         let (_, report) = self.query_with_options(src, opts)?;
@@ -982,6 +967,16 @@ impl Database {
         s.validate().map_err(CoreError::Model)?;
         Ok(s)
     }
+}
+
+/// How a RIDI application is answered ([`Database::route`]): the one
+/// choice `apply_with`, `query` and EXPLAIN share.
+enum Route<'a> {
+    /// Read the goal off the maintained view's instance of `(E, R)`.
+    View(&'a MaterializedView, &'a Goal),
+    /// Evaluate the transient state, demand-first when the module has a
+    /// goal: `(S ∪ S_M, R ∪ R_M)`, or, when `None`, the persistent state.
+    Evaluate(Option<Box<DatabaseState>>),
 }
 
 /// What EXPLAIN and EXPLAIN ANALYZE say of a query answered from the
@@ -1054,6 +1049,34 @@ mod tests {
         db.apply_source(r#"goal parent(par: "adam", chil: C)?"#, Mode::Ridi)
             .unwrap();
         assert_eq!(db.parse_cache.len(), 2);
+    }
+
+    #[test]
+    fn an_isa_edge_alone_invalidates_cached_parses() {
+        let mut db = Database::from_source(
+            r#"
+            classes
+              person  = (name: string);
+              student = (name: string);
+            associations
+              who = (p: person);
+            "#,
+        )
+        .unwrap();
+        let who = "rules\n  who(p: X) <- student(self: X).";
+        let isa = "classes\n  student isa person;";
+        // Different hierarchies: a student is no person yet.
+        assert!(db.apply_source(who, Mode::Ridv).is_err());
+        db.apply_source(isa, Mode::Radi).unwrap();
+        db.apply_source(who, Mode::Ridv).unwrap();
+        // Dropping the edge changes `S` as much as a class would: the rule
+        // parsed while it held must be parsed again, and rejected.
+        db.apply_source(isa, Mode::Rddi).unwrap();
+        assert!(!db
+            .schema()
+            .isa_holds(Sym::new("student"), Sym::new("person")));
+        assert!(Module::parse(who, db.schema()).is_err());
+        assert!(db.apply_source(who, Mode::Ridv).is_err());
     }
 
     #[test]
@@ -1489,14 +1512,21 @@ mod tests {
     #[test]
     fn demand_and_full_answers_agree() {
         let mut db = Database::from_source(ANCESTRY).unwrap();
-        let fast = db.query(r#"goal ancestor(anc: "adam", des: D)?"#).unwrap();
-        // Forcing the full path through apply_source must give the same rows.
-        let full = db
-            .apply_source(r#"goal ancestor(anc: "adam", des: D)?"#, Mode::Ridi)
-            .unwrap()
-            .answer
-            .unwrap();
-        assert_eq!(fast, full);
+        let registry = db.enable_metrics();
+        let goal = r#"goal ancestor(anc: "adam", des: D)?"#;
+        let fast = db.query(goal).unwrap();
+        // A RIDI application of the same module takes the same route.
+        let ridi = db.apply_source(goal, Mode::Ridi).unwrap();
+        assert_eq!(ridi.answer.as_ref(), Some(&fast));
+        assert_eq!(
+            registry.counter("logres_magic_plan_reuses_total").get(),
+            1,
+            "the application reused the query's plan"
+        );
+        // Both agree with the goal answered over the full instance.
+        let (inst, _) = db.instance().unwrap();
+        let module = Module::parse(goal, db.schema()).unwrap();
+        assert_eq!(answer(db.schema(), &inst, &module).unwrap(), Some(fast));
     }
 
     #[test]

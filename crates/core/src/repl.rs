@@ -73,14 +73,6 @@ impl Repl {
         }
     }
 
-    /// A session over an existing database.
-    pub fn with_database(db: Database) -> Repl {
-        Repl {
-            db: Some(db),
-            ..Repl::new()
-        }
-    }
-
     /// Access the underlying database (for tests and embedding).
     pub fn database(&self) -> Option<&Database> {
         self.db.as_ref()
@@ -969,6 +961,38 @@ mod tests {
         let profile = out(repl.feed(":profile"));
         assert!(profile.contains("anc(a: X, d: Y) <- "), "{profile}");
         assert!(profile.contains("firings"), "{profile}");
+    }
+
+    #[test]
+    fn a_goal_line_after_a_maintained_update_reads_the_view() {
+        let mut repl = Repl::new();
+        feed_all(&mut repl, GENEALOGY);
+        let msg = feed_all(
+            &mut repl,
+            "rules\n  parent(par: \"enoch\", chil: \"irad\") <- .",
+        );
+        assert!(msg.contains("applied (Ridv)"), "{msg}");
+        let plan = out(repl.feed(":explain-plan anc(a: \"adam\", d: X)"));
+        assert!(
+            plan.starts_with("answered from the maintained view"),
+            "{plan}"
+        );
+        let goal = "goal anc(a: \"adam\", d: X)?";
+        let rows = out(repl.feed(goal));
+        assert_eq!(
+            out(repl.feed(":profile")),
+            "no rule fired in the last evaluation"
+        );
+        let metrics = out(repl.feed(":metrics"));
+        assert!(metrics.contains("logres_view_answers_total 1"), "{metrics}");
+        // A fresh session over the same state, with no view, agrees.
+        let state = repl.database().expect("loaded").state().clone();
+        let mut fresh = Repl {
+            db: Some(Database::from_state(state)),
+            ..Repl::new()
+        };
+        assert_eq!(rows, out(fresh.feed(goal)));
+        assert_eq!(rows.lines().count(), 3, "{rows}");
     }
 
     #[test]

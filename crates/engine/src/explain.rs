@@ -217,7 +217,7 @@ pub fn render_route(
     rules: &RuleSet,
     opts: &EvalOptions,
 ) -> String {
-    match crate::plan::route(program, opts) {
+    match crate::plan::route(opts, || program.as_ref().map_err(Clone::clone)) {
         Ok(program) => render_program(program, rules),
         Err(Some(u)) => render_unsupported(&u),
         Err(None) => "not compiled: the compiled path is off (EvalOptions::compiled = false)\n\

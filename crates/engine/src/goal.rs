@@ -18,13 +18,17 @@ use crate::binding::{normalize_arg, strip_self, values_unify, Subst};
 use crate::error::EngineError;
 use crate::matcher::{eval_body, BodyView};
 
+/// Goal answer rows: per row, `(variable, value)` bindings in the goal's
+/// output-variable order.
+pub type AnswerRows = Vec<Vec<(Sym, Value)>>;
+
 /// Evaluate a goal; rows are deduplicated and sorted for determinism. Each
 /// row binds the goal's variables in order.
 pub fn answer_goal(
     schema: &Schema,
     inst: &Instance,
     goal: &Goal,
-) -> Result<Vec<Vec<(Sym, Value)>>, EngineError> {
+) -> Result<AnswerRows, EngineError> {
     match Projection::of(schema, goal) {
         Some(projection) => Ok(projection.answer(inst)),
         None => matched(schema, inst, goal),

@@ -50,7 +50,6 @@ pub mod goal;
 pub mod governor;
 pub mod inflationary;
 pub mod load;
-pub mod magic;
 pub mod maintain;
 pub mod matcher;
 pub mod metrics;
@@ -74,7 +73,6 @@ pub use inflationary::{
     evaluate_inflationary, EvalOptions, EvalReport, IterationStats, RuleProfile,
 };
 pub use load::load_facts;
-pub use magic::{answer_goal_demand, evaluate_demand};
 pub use maintain::{
     apply_batch, apply_update, batch_conflicts, evaluate_seminaive, is_ground_batch_rule,
     maintainable, seminaive_applicable, BatchEffect, MaintainResult, MaterializedView, UpdateSpec,
@@ -82,8 +80,8 @@ pub use maintain::{
 pub use matcher::{rule_access_plan, AccessPlan};
 pub use metrics::{Counter, EngineMetrics, Gauge, Histogram, MetricsRegistry, ProbeTally};
 pub use plan::{
-    compile_program, compile_program_for, compile_program_with, run_compiled,
-    try_evaluate_compiled, CompileUnsupported, CompiledProgram, CompiledStep, StratumPlan,
+    compile_program, compile_program_for, compile_program_with, run_compiled, CompileUnsupported,
+    CompiledProgram, CompiledStep, StratumPlan,
 };
 pub use prepared::{LiftedGoal, PreparedGoal};
 pub use provenance::{Derivation, ProvEntry, Provenance};

@@ -9,7 +9,7 @@
 //! negation → antijoins, already-bound literals such as magic-set `@magic_*`
 //! guards → semijoin reducers), derives the semi-naive *delta* variants of
 //! each recursive rule, and runs selection pushdown from `algres::optimize`
-//! over every plan. [`try_evaluate_compiled`] then executes the strata
+//! over every plan. [`run_compiled`] then executes the strata
 //! bottom-up with a caching [`algres::Evaluator`] whose join hash tables and
 //! memoized stable sub-plans persist across fixpoint rounds.
 //!
@@ -309,11 +309,11 @@ fn assoc_cols(schema: &Schema, assoc: Sym) -> Option<Vec<Sym>> {
     Some(ty.as_tuple()?.iter().map(|f| f.label).collect())
 }
 
-/// The program [`try_evaluate_compiled`] runs over `edb`: the rules lowered
-/// by [`compile_program_with`] under the flow summaries inferred from
-/// `edb`. Pruning and ordering decisions are sound for exactly this EDB, so
-/// the program is rebuilt per evaluation, never cached across mutations.
-/// EXPLAIN renders the same program.
+/// The program [`evaluate`](crate::evaluate) runs over `edb`: the rules
+/// lowered by [`compile_program_with`] under the flow summaries inferred
+/// from `edb`. Pruning and ordering decisions are sound for exactly this
+/// EDB, so the program is rebuilt per evaluation, never cached across
+/// mutations. EXPLAIN renders the same program.
 pub fn compile_program_for(
     schema: &Schema,
     rules: &RuleSet,
@@ -324,52 +324,44 @@ pub fn compile_program_for(
     compile_program_with(schema, rules, semantics, Some(&summaries))
 }
 
-/// Try the compiled fast path. `None` means the program (or the options)
-/// fell outside the fragment — the fallback has already been counted and
-/// traced, and the caller should run the interpreter.
-pub fn try_evaluate_compiled(
-    schema: &Schema,
-    rules: &RuleSet,
-    edb: &Instance,
-    semantics: Semantics,
+/// The one compiled-or-interpreter decision, which every evaluation and
+/// EXPLAIN read: a run under `opts` executes the program `lower` yields,
+/// or takes the interpreter (`Err`), carrying the fallback the compile
+/// counter records: `None` when the compiled path is switched off, which
+/// is a choice, not a fallback. Nothing is lowered when the compiled path
+/// is off or provenance is on.
+pub(crate) fn route<P>(
     opts: &EvalOptions,
-) -> Option<Result<(Instance, EvalReport), EngineError>> {
-    if opts.provenance {
-        note_fallback(opts, "logres_compile_fallbacks_total", PROVENANCE);
-        return None;
-    }
-    match compile_program_for(schema, rules, edb, semantics) {
-        Ok(program) => Some(run_compiled(schema, &program, rules, edb, opts)),
-        Err(u) => {
-            note_fallback(opts, "logres_compile_fallbacks_total", u.reason);
-            None
-        }
-    }
-}
-
-/// The fallback reason of a run that records provenance: plans do not
-/// track premises.
-const PROVENANCE: &str = "provenance";
-
-/// The route a run under `opts` takes for a program lowered to `program`:
-/// the compiled program, or `Err` for the interpreter, carrying the
-/// fallback the compile counter records (`None` when the compiled path is
-/// switched off, which is a choice, not a fallback). Provenance is decided
-/// before the lowering, exactly as [`try_evaluate_compiled`] decides it.
-pub(crate) fn route<'p>(
-    program: &'p Result<CompiledProgram, CompileUnsupported>,
-    opts: &EvalOptions,
-) -> Result<&'p CompiledProgram, Option<CompileUnsupported>> {
+    lower: impl FnOnce() -> Result<P, CompileUnsupported>,
+) -> Result<P, Option<CompileUnsupported>> {
     if !opts.compiled {
         return Err(None);
     }
     if opts.provenance {
         return Err(Some(CompileUnsupported {
-            reason: PROVENANCE,
+            reason: "provenance",
             detail: "provenance recording is on; compiled plans do not track premises".to_owned(),
         }));
     }
-    program.as_ref().map_err(|u| Some(u.clone()))
+    lower().map_err(Some)
+}
+
+/// [`route`] for a run: the program to execute compiled, or `None` for
+/// the interpreter, once the fallback, if any, is recorded on
+/// `logres_compile_fallbacks_total`.
+pub(crate) fn compiled_route<P>(
+    opts: &EvalOptions,
+    lower: impl FnOnce() -> Result<P, CompileUnsupported>,
+) -> Option<P> {
+    match route(opts, lower) {
+        Ok(program) => Some(program),
+        Err(fallback) => {
+            if let Some(u) = fallback {
+                note_fallback(opts, "logres_compile_fallbacks_total", u.reason);
+            }
+            None
+        }
+    }
 }
 
 /// The relations a stratum's plans scan.
@@ -645,8 +637,10 @@ pub(crate) fn run_compiled_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::goal::AnswerRows;
     use crate::load::load_facts;
     use crate::metrics::MetricsRegistry;
+    use crate::prepared::{LiftedGoal, PreparedGoal};
     use crate::stratified::evaluate;
     use logres_lang::parse_program;
     use logres_model::{OidGen, Value};
@@ -1416,11 +1410,7 @@ mod tests {
     fn demand_run(
         src: &str,
         goal: &str,
-    ) -> (
-        crate::magic::AnswerRows,
-        explain::PlanProfile,
-        Arc<MetricsRegistry>,
-    ) {
+    ) -> (AnswerRows, explain::PlanProfile, Arc<MetricsRegistry>) {
         let p = parse_program(&format!("{src}goal {goal}?\n")).expect("parses");
         let mut edb = Instance::new();
         load_facts(&p.schema, &mut edb, &p.facts, &mut OidGen::new()).expect("loads");
@@ -1429,17 +1419,12 @@ mod tests {
             profile: true,
             ..opts_with(&reg)
         };
-        let goal = p.goal.expect("goal");
-        let (rows, report) = crate::magic::answer_goal_demand(
-            &p.schema,
-            &p.rules,
-            &edb,
-            &goal,
-            Semantics::Stratified,
-            opts,
-        )
-        .expect("evaluates")
-        .expect("bound goal rewrites");
+        let lifted = LiftedGoal::lift(&p.schema, p.goal.as_ref().expect("goal"));
+        let (rows, report) =
+            PreparedGoal::prepare(&p.schema, &p.rules, &edb, &lifted, Semantics::Stratified)
+                .answer(&p.schema, &edb, &lifted, &opts)
+                .expect("evaluates")
+                .expect("bound goal rewrites");
         (rows, report.plan_profile.expect("ran compiled"), reg)
     }
 
@@ -1451,7 +1436,7 @@ mod tests {
             "ancestor(anc: \"f0_0\", des: D)",
             "ancestor(anc: A, des: \"f0_7\")",
         ] {
-            let counts: Vec<(crate::magic::AnswerRows, u64, u64)> = [16, 256]
+            let counts: Vec<(AnswerRows, u64, u64)> = [16, 256]
                 .into_iter()
                 .map(|families| {
                     let (rows, profile, reg) = demand_run(&forest(families), goal);
@@ -1498,16 +1483,12 @@ mod tests {
             .expect("parses");
             let mut edb = Instance::new();
             load_facts(&p.schema, &mut edb, &p.facts, &mut OidGen::new()).expect("loads");
-            let (inst, _) = crate::magic::evaluate_demand(
-                &p.schema,
-                &p.rules,
-                &edb,
-                &p.goal.expect("goal"),
-                Semantics::Stratified,
-                EvalOptions::default(),
-            )
-            .expect("evaluates")
-            .expect("bound goal rewrites");
+            let lifted = LiftedGoal::lift(&p.schema, p.goal.as_ref().expect("goal"));
+            let (inst, _) =
+                PreparedGoal::prepare(&p.schema, &p.rules, &edb, &lifted, Semantics::Stratified)
+                    .evaluate(&edb, &lifted, &EvalOptions::default())
+                    .expect("evaluates")
+                    .expect("bound goal rewrites");
             assert_eq!(inst.assoc_len(parent), 7 * families);
             assert!(inst.assoc_len(Sym::new("ancestor")) > 0);
             assert!(inst.shares_extent(&edb, parent), "{families} families");

@@ -28,6 +28,13 @@
 //! that keeps one across changes to the EDB calls
 //! [`PreparedGoal::refresh`], which recompiles only when the seeds changed.
 //!
+//! A run returns, for every predicate of the program, exactly the
+//! demanded part of the full model (plus the `@magic_*` demand extensions,
+//! which no goal literal can mention), so the goal answered over it is
+//! bit-identical to the goal answered over the full fixpoint. A goal whose
+//! plan falls back runs nothing: the caller evaluates the whole program.
+//! Either decision is counted on the `logres_magic_*` metrics.
+//!
 //! Both routes read the same plan. The compiled route binds the row in
 //! [`run_compiled`](crate::run_compiled)'s environment, beside the EDB it
 //! reads in place. The interpreter route (compiled path off, provenance on,
@@ -47,15 +54,13 @@ use logres_model::{Field, Instance, Schema, Sym, TypeDesc, Value};
 
 use crate::error::EngineError;
 use crate::explain::render_route;
-use crate::goal::answer_goal;
+use crate::goal::{answer_goal, AnswerRows};
 use crate::inflationary::{EvalOptions, EvalReport};
-use crate::magic::AnswerRows;
 use crate::plan::{
-    compile_program_for, compile_program_with, route, run_compiled_with, CompileUnsupported,
-    CompiledProgram,
+    compile_program_for, compile_program_with, compiled_route, run_compiled_with,
+    CompileUnsupported, CompiledProgram,
 };
 use crate::stratified::{interpret, Semantics};
-use crate::trace::note_fallback;
 
 /// The parameter relation of a lifted goal.
 fn goal_relation() -> Sym {
@@ -275,18 +280,16 @@ impl PreparedGoal {
             m.counter("logres_magic_dropped_rules_total")
                 .add(rw.dropped_rules as u64);
         }
-        match route(&demand.compiled, opts) {
-            Ok(program) => {
+        let lower = || demand.compiled.as_ref().map_err(Clone::clone);
+        match compiled_route(opts, lower) {
+            Some(program) => {
                 let param = lifted.row.as_ref().map(|row| {
                     let cols = lifted.columns.iter().map(|c| c.label);
                     (goal_relation(), Relation::from_rows(cols, [row.clone()]))
                 });
                 run_compiled_with(&rw.schema, program, &rw.rules, edb, param, opts).map(Some)
             }
-            Err(fallback) => {
-                if let Some(u) = fallback {
-                    note_fallback(opts, "logres_compile_fallbacks_total", u.reason);
-                }
+            None => {
                 let mut bound = Cow::Borrowed(edb);
                 if let Some(row) = &lifted.row {
                     bound.to_mut().insert_assoc(goal_relation(), row.clone());
@@ -335,5 +338,126 @@ impl PreparedGoal {
                 opts,
             ),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::load::load_facts;
+    use crate::metrics::MetricsRegistry;
+    use crate::stratified::evaluate;
+    use logres_lang::{parse_program, Program};
+    use logres_model::OidGen;
+
+    fn setup(src: &str) -> (Program, Instance) {
+        let p = parse_program(src).expect("program parses");
+        let mut inst = Instance::new();
+        let mut gen = OidGen::new();
+        load_facts(&p.schema, &mut inst, &p.facts, &mut gen).expect("facts load");
+        (p, inst)
+    }
+
+    /// The program's goal, prepared against its own rules and `edb`.
+    fn prepare<'p>(p: &'p Program, edb: &Instance) -> (LiftedGoal<'p>, PreparedGoal) {
+        let lifted = LiftedGoal::lift(&p.schema, p.goal.as_ref().expect("goal"));
+        let prepared =
+            PreparedGoal::prepare(&p.schema, &p.rules, edb, &lifted, Semantics::Stratified);
+        (lifted, prepared)
+    }
+
+    fn with_metrics() -> (EvalOptions, Arc<MetricsRegistry>) {
+        let m = Arc::new(MetricsRegistry::new());
+        let opts = EvalOptions {
+            metrics: Some(m.clone()),
+            ..EvalOptions::default()
+        };
+        (opts, m)
+    }
+
+    const CLOSURE: &str = r#"
+        associations
+          e = (a: integer, b: integer);
+          tc = (a: integer, b: integer);
+        rules
+          tc(a: X, b: Y) <- e(a: X, b: Y).
+          tc(a: X, b: Z) <- tc(a: X, b: Y), e(a: Y, b: Z).
+        facts
+          e(a: 0, b: 1).
+          e(a: 1, b: 2).
+          e(a: 2, b: 3).
+          e(a: 10, b: 11).
+        goal tc(a: 0, b: D)?
+    "#;
+
+    #[test]
+    fn demand_answers_match_full_evaluation() {
+        let (p, edb) = setup(CLOSURE);
+        let (full, _) = evaluate(
+            &p.schema,
+            &p.rules,
+            &edb,
+            Semantics::Stratified,
+            EvalOptions::default(),
+        )
+        .unwrap();
+        let want = answer_goal(&p.schema, &full, p.goal.as_ref().unwrap()).unwrap();
+        let (lifted, prepared) = prepare(&p, &edb);
+        let (rows, _) = prepared
+            .answer(&p.schema, &edb, &lifted, &EvalOptions::default())
+            .unwrap()
+            .expect("plan rewrites");
+        assert_eq!(rows, want);
+        assert_eq!(rows.len(), 3); // 0 reaches 1, 2, 3 — never 10/11.
+    }
+
+    #[test]
+    fn demand_skips_the_unreachable_region() {
+        let (p, edb) = setup(CLOSURE);
+        let (lifted, prepared) = prepare(&p, &edb);
+        let (partial, _) = prepared
+            .evaluate(&edb, &lifted, &EvalOptions::default())
+            .unwrap()
+            .expect("plan rewrites");
+        // The 10→11 edge is never demanded, so the partial tc extension
+        // holds only the three tuples rooted at 0.
+        assert_eq!(partial.assoc_len(Sym::new("tc")), 3);
+    }
+
+    #[test]
+    fn all_free_goals_report_fallback() {
+        let (p, edb) = setup(
+            r#"
+            associations
+              e = (a: integer, b: integer);
+              tc = (a: integer, b: integer);
+            rules
+              tc(a: X, b: Y) <- e(a: X, b: Y).
+            facts
+              e(a: 0, b: 1).
+            goal tc(a: X, b: Y)?
+        "#,
+        );
+        let (opts, m) = with_metrics();
+        let (lifted, prepared) = prepare(&p, &edb);
+        assert!(!prepared.rewrites());
+        let out = prepared.answer(&p.schema, &edb, &lifted, &opts).unwrap();
+        assert!(out.is_none());
+        assert_eq!(m.counter("logres_magic_fallbacks_total").get(), 1);
+    }
+
+    #[test]
+    fn rewrites_are_counted() {
+        let (p, edb) = setup(CLOSURE);
+        let (opts, m) = with_metrics();
+        let (lifted, prepared) = prepare(&p, &edb);
+        prepared
+            .answer(&p.schema, &edb, &lifted, &opts)
+            .unwrap()
+            .expect("plan rewrites");
+        assert_eq!(m.counter("logres_magic_rewrites_total").get(), 1);
+        assert_eq!(m.counter("logres_magic_guarded_rules_total").get(), 2);
     }
 }

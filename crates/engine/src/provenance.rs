@@ -96,11 +96,6 @@ impl Provenance {
         self.strata.get(idx).copied().unwrap_or(0)
     }
 
-    /// Number of derived facts with recorded provenance.
-    pub fn derived_count(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Number of recorded oid inventions.
     pub fn invented_count(&self) -> usize {
         self.invented.len()

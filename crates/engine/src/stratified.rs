@@ -19,6 +19,7 @@ use logres_model::{Instance, Schema};
 
 use crate::error::EngineError;
 use crate::inflationary::{evaluate_inflationary, evaluate_strata, EvalOptions, EvalReport};
+use crate::plan::{compile_program_for, compiled_route, run_compiled};
 
 /// Which semantics to evaluate a program under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,14 +48,11 @@ pub fn evaluate(
     semantics: Semantics,
     opts: EvalOptions,
 ) -> Result<(Instance, EvalReport), EngineError> {
-    if opts.compiled {
-        if let Some(result) =
-            crate::plan::try_evaluate_compiled(schema, rules, edb, semantics, &opts)
-        {
-            return result;
-        }
+    let lower = || compile_program_for(schema, rules, edb, semantics);
+    match compiled_route(&opts, lower) {
+        Some(program) => run_compiled(schema, &program, rules, edb, &opts),
+        None => interpret(schema, rules, edb, semantics, opts),
     }
-    interpret(schema, rules, edb, semantics, opts)
 }
 
 /// The interpreter under the chosen semantics: the reference path, and

@@ -468,22 +468,6 @@ impl PartialEq for Rule {
     }
 }
 
-impl Rule {
-    /// Variables of the head.
-    pub fn head_vars(&self) -> Vec<Sym> {
-        self.head.atom.vars()
-    }
-
-    /// Variables of the positive body literals.
-    pub fn positive_body_vars(&self) -> Vec<Sym> {
-        self.body
-            .iter()
-            .filter(|l| !l.negated)
-            .flat_map(|l| l.atom.vars())
-            .collect()
-    }
-}
-
 /// A set of rules (the `R` component of a database state or module).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RuleSet {

@@ -100,7 +100,6 @@ pub struct Schema {
     hierarchy: FxHashMap<Sym, Sym>,
     /// Effective (inheritance-expanded) tuple type per class.
     effective: FxHashMap<Sym, TypeDesc>,
-    validated: bool,
 }
 
 impl Schema {
@@ -128,7 +127,6 @@ impl Schema {
         let name = name.into();
         self.check_fresh(name)?;
         self.domains.insert(name, ty);
-        self.validated = false;
         Ok(())
     }
 
@@ -140,7 +138,6 @@ impl Schema {
             return Err(ModelError::NonTupleTop(name));
         }
         self.classes.insert(name, ty);
-        self.validated = false;
         Ok(())
     }
 
@@ -152,7 +149,6 @@ impl Schema {
             return Err(ModelError::NonTupleTop(name));
         }
         self.assocs.insert(name, ty);
-        self.validated = false;
         Ok(())
     }
 
@@ -165,7 +161,6 @@ impl Schema {
         let name = name.into();
         self.check_fresh(name)?;
         self.functions.insert(name, sig);
-        self.validated = false;
         Ok(())
     }
 
@@ -176,7 +171,6 @@ impl Schema {
             sup: sup.into(),
             via,
         });
-        self.validated = false;
     }
 
     /// Declare a renaming for an inherited attribute of `class`.
@@ -186,7 +180,6 @@ impl Schema {
             old: old.into(),
             new: new.into(),
         });
-        self.validated = false;
     }
 
     // ----- lookups ---------------------------------------------------------
@@ -266,11 +259,6 @@ impl Schema {
 
     // ----- derived queries (require a successful `validate`) --------------
 
-    /// Has `validate` succeeded since the last mutation?
-    pub fn is_validated(&self) -> bool {
-        self.validated
-    }
-
     /// Strict isa ancestors of `c` (transitive, not reflexive).
     pub fn ancestors(&self, c: Sym) -> impl Iterator<Item = Sym> + '_ {
         self.ancestors
@@ -291,20 +279,6 @@ impl Schema {
             (Some(r1), Some(r2)) => r1 == r2,
             _ => false,
         }
-    }
-
-    /// The hierarchy representative of a class.
-    pub fn hierarchy_of(&self, c: Sym) -> Option<Sym> {
-        self.hierarchy.get(&c).copied()
-    }
-
-    /// Direct subclasses of `c`.
-    pub fn direct_subclasses(&self, c: Sym) -> Vec<Sym> {
-        self.isa_edges
-            .iter()
-            .filter(|e| e.sup == c)
-            .map(|e| e.sub)
-            .collect()
     }
 
     /// The effective (inheritance-expanded) tuple type of a class: all
@@ -410,7 +384,6 @@ impl Schema {
                 out.renames.push(*r);
             }
         }
-        out.validated = false;
         Ok(out)
     }
 
@@ -432,7 +405,6 @@ impl Schema {
         }
         out.isa_edges
             .retain(|e| !other.isa_edges.contains(e) && !other.classes.contains_key(&e.sub));
-        out.validated = false;
         out
     }
 
@@ -457,10 +429,8 @@ impl Schema {
         }
 
         if errs.is_empty() {
-            self.validated = true;
             Ok(())
         } else {
-            self.validated = false;
             Err(errs)
         }
     }

@@ -160,14 +160,6 @@ impl Value {
         }
     }
 
-    /// Set elements, if this is a set.
-    pub fn as_set(&self) -> Option<&BTreeSet<Value>> {
-        match self {
-            Value::Set(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Number of elements in a collection value (multiset counts
     /// multiplicities; tuples and scalars have no length).
     pub fn len(&self) -> Option<u64> {

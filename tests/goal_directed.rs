@@ -6,15 +6,29 @@
 use proptest::prelude::*;
 
 use logres::engine::{
-    answer_goal, answer_goal_demand, evaluate, evaluate_inflationary, load_facts, EvalOptions,
-    PlanProfile,
+    answer_goal, evaluate, evaluate_inflationary, load_facts, EngineError, EvalOptions, EvalReport,
+    LiftedGoal, PlanProfile, PreparedGoal,
 };
 use logres::lang::analyze::fixtures;
-use logres::lang::{parse_program, Atom, Goal, PredArg, Term};
+use logres::lang::{parse_program, Atom, Goal, PredArg, Program, Term};
 use logres::model::{Instance, OidGen, Sym, Value};
 use logres::{Database, Mode, Semantics};
 
 type Rows = Vec<Vec<(Sym, Value)>>;
+
+/// `goal` answered demand-first over `edb` by a plan prepared for it
+/// against `p`'s rules: `Ok(None)` when the plan falls back.
+fn prepared_answer(
+    p: &Program,
+    edb: &Instance,
+    goal: &Goal,
+    semantics: Semantics,
+    opts: &EvalOptions,
+) -> Result<Option<(Rows, EvalReport)>, EngineError> {
+    let lifted = LiftedGoal::lift(&p.schema, goal);
+    PreparedGoal::prepare(&p.schema, &p.rules, edb, &lifted, semantics)
+        .answer(&p.schema, edb, &lifted, opts)
+}
 
 /// Tight fuel: the corpus deliberately includes divergent programs (oid
 /// invention in a cycle); a run that exhausts this budget is skipped, not
@@ -97,16 +111,9 @@ fn demand_answer(src: &str, opts: &EvalOptions) -> Option<Rows> {
     let mut edb = Instance::new();
     let mut gen = OidGen::new();
     load_facts(&p.schema, &mut edb, &p.facts, &mut gen).ok()?;
-    answer_goal_demand(
-        &p.schema,
-        &p.rules,
-        &edb,
-        &goal,
-        Semantics::Stratified,
-        opts.clone(),
-    )
-    .ok()?
-    .map(|(rows, _)| rows)
+    prepared_answer(&p, &edb, &goal, Semantics::Stratified, opts)
+        .ok()?
+        .map(|(rows, _)| rows)
 }
 
 /// Every fixture in the analyzer corpus that carries a goal and evaluates:
@@ -149,14 +156,7 @@ fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
         let Ok(want) = answer_goal(&p.schema, &inst, &bound_goal) else {
             continue;
         };
-        let demand = answer_goal_demand(
-            &p.schema,
-            &p.rules,
-            &edb,
-            &bound_goal,
-            Semantics::Stratified,
-            bounded(),
-        );
+        let demand = prepared_answer(&p, &edb, &bound_goal, Semantics::Stratified, &bounded());
         if let Ok(Some((got, _))) = demand {
             assert_eq!(got, want, "fixture {} diverges", f.name);
             rewritten += 1;
@@ -169,7 +169,7 @@ fn corpus_goals_agree_with_the_full_fixpoint_at_every_thread_count() {
     );
 }
 
-/// The compiled fast path inside `evaluate_demand` is invisible: for every
+/// The compiled fast path inside a prepared goal's run is invisible: for every
 /// corpus fixture, running the demand path with
 /// `compiled` on (the default) and with `compiled` off produces the same
 /// fallback decision and, when both answer, the same rows.
@@ -205,21 +205,13 @@ fn corpus_demand_answers_match_between_compiled_and_interpreted_paths() {
         let Some(goal) = bind_goal_var(&goal, var, &val) else {
             continue;
         };
-        let compiled = answer_goal_demand(
-            &p.schema,
-            &p.rules,
+        let compiled = prepared_answer(&p, &edb, &goal, Semantics::Stratified, &bounded());
+        let interpreted = prepared_answer(
+            &p,
             &edb,
             &goal,
             Semantics::Stratified,
-            bounded(),
-        );
-        let interpreted = answer_goal_demand(
-            &p.schema,
-            &p.rules,
-            &edb,
-            &goal,
-            Semantics::Stratified,
-            EvalOptions {
+            &EvalOptions {
                 compiled: false,
                 ..bounded()
             },
@@ -306,17 +298,10 @@ fn demand_profile(src: &str) -> PlanProfile {
         profile: true,
         ..EvalOptions::default()
     };
-    let goal = p.goal.expect("goal");
-    let (_, report) = answer_goal_demand(
-        &p.schema,
-        &p.rules,
-        &edb,
-        &goal,
-        Semantics::Stratified,
-        opts,
-    )
-    .expect("evaluates")
-    .expect("bound goal rewrites");
+    let goal = p.goal.as_ref().expect("goal");
+    let (_, report) = prepared_answer(&p, &edb, goal, Semantics::Stratified, &opts)
+        .expect("evaluates")
+        .expect("bound goal rewrites");
     report.plan_profile.expect("ran compiled")
 }
 
@@ -406,34 +391,40 @@ fn demand_agrees_across_semantics_and_drivers() {
     assert_eq!(want.len(), 3); // 0 reaches 1, 2, and itself — never 5/6.
 
     for semantics in [Semantics::Inflationary, Semantics::Stratified] {
-        let (rows, _) = answer_goal_demand(
-            &p.schema,
-            &p.rules,
-            &edb,
-            &goal,
-            semantics,
-            EvalOptions::default(),
-        )
-        .unwrap()
-        .expect("bound source rewrites");
+        let (rows, _) = prepared_answer(&p, &edb, &goal, semantics, &EvalOptions::default())
+            .unwrap()
+            .expect("bound source rewrites");
         assert_eq!(rows, want, "{semantics:?} diverges from the full run");
     }
 }
 
 /// The demand path is an optimization, not a semantic switch: a `Database`
-/// query takes it transparently and the visible behavior (rows, persisted
-/// rule set) is unchanged from the fallback path.
+/// query and a RIDI application of the same goal both take it
+/// transparently, and the visible behavior (rows, persisted rule set) is
+/// that of the full fixpoint, here computed independently by the
+/// interpreter.
 #[test]
 fn database_query_is_transparent_about_the_demand_path() {
     let base = &CLOSURE[..CLOSURE.find("goal").unwrap()];
     let mut db = Database::from_source(base).unwrap();
+    let registry = db.enable_metrics();
     let fast = db.query("goal tc(a: 0, b: X)?").unwrap();
-    let slow = db
+    let applied = db
         .apply_source("goal tc(a: 0, b: X)?", Mode::Ridi)
         .unwrap()
         .answer
         .unwrap();
-    assert_eq!(fast, slow);
+    assert_eq!(fast, applied);
+    assert_eq!(
+        registry.counter("logres_magic_rewrites_total").get(),
+        2,
+        "both ran the demand-rewritten program"
+    );
+    let interpreter = EvalOptions {
+        compiled: false,
+        ..EvalOptions::default()
+    };
+    assert_eq!(Some(fast), full_answer(CLOSURE, &interpreter));
     assert_eq!(db.rules().len(), 2);
 }
 

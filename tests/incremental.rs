@@ -147,10 +147,10 @@ fn probe_goals(db: &Database, inst: &Instance) -> Vec<String> {
 
 /// Apply the same module to both databases and check that the persistent
 /// states remain identical: the stored EDB, the rules, the schema, the
-/// stored denials and the derived closure. Then ask both the same goals:
-/// the answers must agree, and when the maintained route served the
-/// update, every query of `inc` is answered from its view, which `full`
-/// never has.
+/// stored denials and the derived closure. Then ask both the same goals,
+/// as queries and as RIDI applications: the answers must agree, and when
+/// the maintained route served the update, every query and application
+/// of `inc` is answered from its view, which `full` never has.
 fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
     let registry = inc.enable_metrics();
     let count = |name: &str| series(&registry.counter_snapshot(), name);
@@ -194,6 +194,21 @@ fn apply_both(inc: &mut Database, full: &mut Database, src: &str, mode: Mode) {
             full.query(&goal).expect("full query runs"),
             "answer drift for {goal} after {mode:?} on:\n{src}"
         );
+        // A RIDI application of the goal takes the query's route.
+        let ridi = |db: &mut Database| {
+            db.apply_source(&goal, Mode::Ridi)
+                .expect("RIDI application runs")
+                .answer
+        };
+        let views_before = count("logres_view_answers_total");
+        let applied = ridi(inc);
+        assert_eq!(
+            count("logres_view_answers_total") - views_before,
+            from_view,
+            "{goal} applied in RIDI after {mode:?}"
+        );
+        assert_eq!(applied.as_ref(), Some(&answer), "{goal} applied in RIDI");
+        assert_eq!(ridi(full), applied, "{goal} applied in RIDI");
         // A rejected update leaves the view as the route it failed on left
         // it; a committed one says which route to expect.
         if a.is_ok() {
